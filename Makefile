@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: test bench race vet fmt baseline bench-check obs replay adversarial serve loadgen serve-smoke trace-smoke grid-smoke grid-baseline
+.PHONY: test sidperf-test bench race vet fmt baseline bench-check obs replay adversarial serve loadgen serve-smoke trace-smoke grid-smoke grid-baseline
 
 test:
 	$(GO) build ./... && $(GO) test ./...
+
+# The benchmark harness is a nested module (sidperf/go.mod), so the root
+# `go test ./...` never builds it; vet and test it against this tree.
+sidperf-test:
+	$(GO) -C sidperf vet ./...
+	$(GO) -C sidperf test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -18,14 +18,16 @@ import (
 // set — either the TraceSet JSON served at /v1/tenants/{id}/traces or the
 // deterministic span JSONL (?format=jsonl, obs.Tracer.SerializePipeline) —
 // and renders one waterfall per confirmed detection. With -wall the
-// wall-clock overlays (evaluation and serving-layer timings, kept out of
-// the deterministic serialization) are shown alongside the sim-time bars.
+// wall-clock overlays are shown alongside the sim-time bars; only the
+// serving-layer spans (ingest and delivery) carry them, since pipeline
+// spans are pure sim time (the profiler times evaluation and the speed
+// fit), so the JSONL form has none.
 // -min-kinds N exits nonzero unless at least N distinct span kinds appear,
 // which is what the CI smoke asserts.
 func traceMain(args []string) int {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	minKinds := fs.Int("min-kinds", 0, "fail unless at least this many distinct span kinds appear")
-	wall := fs.Bool("wall", false, "show wall-clock overlays (wall_ns) next to sim-time spans")
+	wall := fs.Bool("wall", false, "show wall-clock overlays (wall_ns, serving-layer spans only) next to sim-time spans")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sidwatch trace [-min-kinds N] [-wall] [traces.json|traces.jsonl]\nRenders per-detection waterfalls from a trace set (JSON or span JSONL).\nWith no argument the trace set is read from stdin.\n")
 		fs.PrintDefaults()

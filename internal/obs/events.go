@@ -102,10 +102,13 @@ type NodeReport struct {
 	AF     float64 `json:"af"`
 }
 
-// ClusterSetup is the payload of KindClusterSetup.
+// ClusterSetup is the payload of KindClusterSetup. Onset is the head's
+// own report onset (head-local time) — the detection that formed the
+// cluster. The cluster's trace key is ClusterKey(Head, Deadline).
 type ClusterSetup struct {
 	Head     int     `json:"head"`
 	Deadline float64 `json:"deadline"`
+	Onset    float64 `json:"onset"`
 }
 
 // ClusterJoin is the payload of KindClusterJoin.
@@ -115,12 +118,14 @@ type ClusterJoin struct {
 	Until float64 `json:"until"`
 }
 
-// ReportSend is the payload of KindReportSend.
+// ReportSend is the payload of KindReportSend. Resend marks a member
+// re-sending its retained report to a head elected by failover.
 type ReportSend struct {
 	Node   int     `json:"node"`
 	Head   int     `json:"head"`
 	Onset  float64 `json:"onset"`
 	Energy float64 `json:"energy"`
+	Resend bool    `json:"resend,omitempty"`
 }
 
 // ReportAccept is the payload of KindReportAccept. First reports whether
@@ -176,7 +181,10 @@ type SpeedFit struct {
 	Chosen   bool    `json:"chosen"`
 }
 
-// SinkReport is the payload of KindSinkReport.
+// SinkReport is the payload of KindSinkReport. Trace is the confirmed
+// cluster's key, carried by the frame: Head alone cannot name the cluster,
+// since the head may have formed a newer one while this report was in
+// flight.
 type SinkReport struct {
 	Head      int     `json:"head"`
 	C         float64 `json:"c"`
@@ -185,6 +193,7 @@ type SinkReport struct {
 	HasSpeed  bool    `json:"has_speed"`
 	Speed     float64 `json:"speed,omitempty"`
 	Heading   float64 `json:"heading,omitempty"`
+	Trace     string  `json:"trace,omitempty"`
 }
 
 // FailoverElect is the payload of KindFailoverElect.
@@ -194,25 +203,31 @@ type FailoverElect struct {
 }
 
 // ArqHop is the payload of KindArqRetransmit and KindArqAck. For a
-// retransmission, From/To are the data direction and Attempt counts
-// retransmissions so far (1 = first retransmission); for an ACK, From is
-// the acknowledging receiver.
+// retransmission, From/To are the data direction, Attempt counts
+// retransmissions so far (1 = first retransmission), Wait is the backed-off
+// timeout armed before the next one, and Trace is the cluster key stamped
+// on the frame (empty for frames outside any detection trace); for an
+// ACK, From is the acknowledging receiver.
 type ArqHop struct {
-	From    int    `json:"from"`
-	To      int    `json:"to"`
-	ARQ     uint64 `json:"arq"`
-	Attempt int    `json:"attempt,omitempty"`
+	From    int     `json:"from"`
+	To      int     `json:"to"`
+	ARQ     uint64  `json:"arq"`
+	Attempt int     `json:"attempt,omitempty"`
+	Wait    float64 `json:"wait,omitempty"`
+	Trace   string  `json:"trace,omitempty"`
 }
 
 // ArqDrop is the payload of KindArqDrop. Received reports whether the
 // receiver had in fact consumed the frame (only the ACKs were lost), in
-// which case the drop is bookkeeping, not data loss.
+// which case the drop is bookkeeping, not data loss. Trace is the frame's
+// cluster key, as in ArqHop.
 type ArqDrop struct {
 	From     int    `json:"from"`
 	To       int    `json:"to"`
 	ARQ      uint64 `json:"arq"`
 	Received bool   `json:"received"`
 	Reason   string `json:"reason"`
+	Trace    string `json:"trace,omitempty"`
 }
 
 // SendError is the payload of KindSendError.

@@ -15,11 +15,13 @@
 //     nondeterministic; they live strictly outside the journal so that
 //     enabling profiling can never perturb a pinned trace.
 //
-// A Collector bundles the three. The zero-cost contract: a runtime given
-// no collector creates a registry-only one (atomic increments, no
-// allocation), journal emission sites guard on Journaling() before
-// building any payload, and profiling sites guard on a nil Profiler —
-// so the disabled paths add no allocations to the hot loops.
+// A Collector bundles the three, plus the detection Tracer, which folds the
+// same event stream the journal records into per-detection traces. The
+// zero-cost contract: a runtime given no collector creates a
+// registry-only one (atomic increments, no allocation), event emission
+// sites guard on Journaling() before building any payload, and profiling
+// sites guard on a nil Profiler — so the disabled paths add no
+// allocations to the hot loops.
 package obs
 
 // Collector bundles the observability sinks a runtime writes to. Configure
@@ -70,8 +72,8 @@ func (c *Collector) Profiler() *Profiler {
 }
 
 // SetTracer attaches (or, with nil, detaches) the detection trace
-// assembler. Attach before the run starts: traces reference wake-genesis
-// marks recorded at ship-add time.
+// assembler, which folds every emitted event. Attach before the run
+// starts: traces reference wake-genesis marks recorded at ship-add time.
 func (c *Collector) SetTracer(t *Tracer) { c.tracer = t }
 
 // Tracer returns the attached tracer, or nil.
@@ -82,21 +84,23 @@ func (c *Collector) Tracer() *Tracer {
 	return c.tracer
 }
 
-// Tracing reports whether detection spans should be recorded. Emission
-// sites on hot paths must guard on it so the disabled path allocates
-// nothing, mirroring Journaling().
-func (c *Collector) Tracing() bool { return c != nil && c.tracer != nil }
+// Journaling reports whether emitted events have a consumer — a journal,
+// a tracer, or both. Emission sites must guard on it before building a
+// payload so the disabled path allocates nothing.
+func (c *Collector) Journaling() bool { return c != nil && (c.journal != nil || c.tracer != nil) }
 
-// Journaling reports whether events should be emitted. Emission sites must
-// guard on it before building a payload so the disabled path allocates
-// nothing.
-func (c *Collector) Journaling() bool { return c != nil && c.journal != nil }
-
-// Emit records one journal event at simulation time t. It is a no-op
-// without a journal, but callers on hot paths should still guard with
-// Journaling() — constructing data already costs an allocation.
+// Emit records one event at simulation time t: the journal appends it and
+// the tracer folds it into its detection traces, whichever are attached.
+// It is a no-op without either, but callers on hot paths should still
+// guard with Journaling() — constructing data already costs an allocation.
 func (c *Collector) Emit(t float64, kind string, data any) {
-	if c.Journaling() {
+	if c == nil {
+		return
+	}
+	if c.journal != nil {
 		c.journal.Emit(t, kind, data)
+	}
+	if c.tracer != nil {
+		c.tracer.fold(t, kind, data)
 	}
 }

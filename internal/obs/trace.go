@@ -19,8 +19,8 @@ const (
 	SpanHopDrop       = "hop.drop"        // ARQ gave up on a traced hop
 	SpanFailoverElect = "failover.elect"  // a member replaced a dead cluster head
 	SpanClusterColl   = "cluster.collect" // temp-cluster report collection window
-	SpanClusterEval   = "cluster.eval"    // head correlation evaluation (sim-instant, wall overlay)
-	SpanSpeedEstimate = "speed.estimate"  // arrival-law speed fit (sim-instant, wall overlay)
+	SpanClusterEval   = "cluster.eval"    // head correlation evaluation (sim-instant)
+	SpanSpeedEstimate = "speed.estimate"  // arrival-law speed fit (sim-instant)
 	SpanSinkConfirm   = "sink.confirm"    // head send → sink confirmation
 	SpanServeIngest   = "serve.ingest"    // serving layer: the chunk whose processing confirmed the trace
 	SpanServeDeliver  = "serve.deliver"   // serving layer: detection event delivery to subscribers
@@ -28,10 +28,9 @@ const (
 
 // Span is one interval of a detection trace. Start and End are simulation
 // seconds; instantaneous protocol steps (evaluation, election) have
-// Start == End. WallNs is an optional wall-clock overlay with the same
-// discipline as the profiler: it never enters the deterministic
-// serialization (SerializePipeline zeroes it), so enabling it cannot
-// perturb a pinned trace.
+// Start == End. WallNs is a wall-clock overlay that only serving-layer
+// spans carry; pipeline spans are pure sim time (the profiler times the
+// pipeline's stages), so the deterministic serialization is wall-free.
 type Span struct {
 	Trace  string  `json:"trace,omitempty"`
 	Kind   string  `json:"kind"`
@@ -69,34 +68,42 @@ type TraceSet struct {
 	Traces  []TraceDoc    `json:"traces"`
 }
 
-// traceBuild accumulates spans for one temporary cluster from setup until
-// sink confirmation (or cancellation). The wire key is stable across
-// failovers; the head index the build is filed under follows the election.
-type traceBuild struct {
-	key       string
-	head      int     // head at setup time (a TraceID component)
-	sender    int     // head at sink-send time (differs after failover)
-	deadline  float64 // collection deadline at setup time (a TraceID component)
-	spans     []Span
-	pendingTx map[int]float64 // member node → report send time
-	sinkSent  float64
-	id        string // final TraceID, set at confirmation
-	dead      bool   // cancelled: late spans are dropped
+// ClusterKey names a temporary cluster's trace on the wire and in the
+// journal: the head that set the cluster up and its collection deadline
+// at setup, which identify the cluster for its whole life — failover and
+// deadline extension keep the key. A TraceID is the key prefixed with the
+// tracer's label and the ship the trace links to.
+func ClusterKey(head int, deadline float64) string {
+	return "c" + strconv.Itoa(head) + "@" + fmtF(deadline)
 }
 
-// Tracer assembles causal detection traces. Every mutating call happens in
-// a scheduler-serial phase (block consumption, message handlers, deadline
-// and ARQ timers) — the same discipline as the journal — so the
-// deterministic serialization is byte-identical across worker counts.
-// TraceIDs are pure functions of deterministic run state (label, ship,
-// cluster head, collection deadline), never of wall time.
+// traceBuild accumulates spans for one temporary cluster from setup until
+// sink confirmation (or cancellation). The key is stable across failovers;
+// the head the build is filed under follows the election.
+type traceBuild struct {
+	key       string          // ClusterKey at setup (a TraceID component)
+	spans     []Span          // spans[0] is the collection window
+	pendingTx map[int]float64 // member node → report send time
+	sent      bool            // evaluated and sent toward the sink
+	sender    int             // head at sink-send time (differs after failover)
+	sinkSent  float64         // sink-send time
+	id        string          // final TraceID, set at confirmation
+}
+
+// Tracer assembles causal detection traces by folding the event stream a
+// Collector emits — the same protocol steps the journal records, each
+// emitted once — into one build per temporary cluster. It consumes the
+// live stream, never the journal's bounded ring, so it works with or
+// without a journal attached. Events arrive from the scheduler's serial
+// phases, so the deterministic serialization is byte-identical across
+// worker counts. TraceIDs are pure functions of deterministic run state
+// (label, ship, cluster key), never of wall time.
 type Tracer struct {
 	mu     sync.Mutex
 	label  string
 	marks  []GenesisMark
-	active map[int]*traceBuild    // keyed by current head
-	byKey  map[string]*traceBuild // wire-key aliases (wsn hop spans)
-	wait   map[string]*traceBuild // detached at sink-send, awaiting arrival
+	active map[int]*traceBuild    // collecting clusters, keyed by current head
+	byKey  map[string]*traceBuild // every uncancelled build, by cluster key
 	done   []*traceBuild          // confirmed, in confirmation order
 	serve  map[string][]Span      // TraceID → serving-layer spans
 }
@@ -109,7 +116,6 @@ func NewTracer(label string) *Tracer {
 		label:  label,
 		active: map[int]*traceBuild{},
 		byKey:  map[string]*traceBuild{},
-		wait:   map[string]*traceBuild{},
 		serve:  map[string][]Span{},
 	}
 }
@@ -121,170 +127,131 @@ func fmtF(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // Genesis records a wake-genesis mark: ship entered the simulation with
 // its crossing centered at sim-time tc. Confirmed traces link to the
-// nearest preceding mark.
+// nearest preceding mark. Marks are ground truth, not pipeline events, so
+// they are the tracer's one input besides the event stream.
 func (t *Tracer) Genesis(ship int, tc float64, note string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.marks = append(t.marks, GenesisMark{Ship: ship, T: tc, Note: note})
 }
 
-// StartCluster opens a trace build for a temporary cluster formed by head
-// at time now with collection deadline deadline. The build's wire key —
-// stamped into traced messages — is derived from the same state as the
-// eventual TraceID, so it is identical across worker counts.
-func (t *Tracer) StartCluster(head int, now, deadline float64) {
+// fold advances the trace builds by one event emitted at simulation time
+// now. Steps inside a collection are matched to their cluster by its
+// current head, as the protocol addresses them. Radio-layer and sink
+// events name the cluster by the key stamped into their frame instead:
+// they can land after the head has moved on (a late ARQ retransmission,
+// or a sink report still in flight when the head forms a newer cluster).
+// Events no trace depicts are ignored.
+func (t *Tracer) fold(now float64, kind string, data any) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := t.label + "/c" + strconv.Itoa(head) + "@" + fmtF(deadline)
-	b := &traceBuild{
-		key:       key,
-		head:      head,
-		deadline:  deadline,
-		pendingTx: map[int]float64{},
-	}
-	b.spans = append(b.spans, Span{Kind: SpanClusterColl, Start: now, End: deadline, Node: head})
-	t.active[head] = b
-	t.byKey[key] = b
-}
-
-// KeyOf returns the wire key of head's active cluster ("" if none) for
-// tagging outbound messages so the radio layer can attach hop spans.
-func (t *Tracer) KeyOf(head int) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.active[head]; ok {
-		return b.key
-	}
-	return ""
-}
-
-// Add appends a span to head's active trace build (no-op if none).
-func (t *Tracer) Add(head int, s Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.active[head]; ok {
-		b.spans = append(b.spans, s)
-	}
-}
-
-// AddByKey appends a span to the build owning the wire key — the radio
-// layer's entry point for ARQ retransmission/drop spans, which may land
-// after the trace has already been confirmed (a lost ACK retransmits a
-// frame the receiver consumed long ago).
-func (t *Tracer) AddByKey(key string, s Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.byKey[key]; ok && !b.dead {
-		b.spans = append(b.spans, s)
-	}
-}
-
-// Extend moves the collection window's end to the extended deadline. The
-// TraceID keeps the original deadline — identity is fixed at setup.
-func (t *Tracer) Extend(head int, deadline float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b, ok := t.active[head]
-	if !ok {
-		return
-	}
-	for i := range b.spans {
-		if b.spans[i].Kind == SpanClusterColl {
-			b.spans[i].End = deadline
+	switch p := data.(type) {
+	case ClusterSetup:
+		b := &traceBuild{key: ClusterKey(p.Head, p.Deadline), pendingTx: map[int]float64{}}
+		b.spans = append(b.spans,
+			Span{Kind: SpanClusterColl, Start: now, End: p.Deadline, Node: p.Head},
+			Span{Kind: SpanNodeOnset, Start: p.Onset, End: now, Node: p.Head})
+		t.active[p.Head] = b
+		t.byKey[b.key] = b
+	case ReportSend:
+		if b := t.active[p.Head]; b != nil {
+			if !p.Resend {
+				b.spans = append(b.spans, Span{Kind: SpanNodeOnset, Start: p.Onset, End: now, Node: p.Node})
+			}
+			b.pendingTx[p.Node] = now
+		}
+	case ReportAccept:
+		// Closes the reporter's transmission span, if its send opened one
+		// (a setup head's own report never does).
+		if b := t.active[p.Head]; b != nil {
+			if start, ok := b.pendingTx[p.Node]; ok {
+				delete(b.pendingTx, p.Node)
+				b.spans = append(b.spans, Span{Kind: SpanReportTx, Start: start, End: now, Node: p.Node, Peer: p.Head})
+			}
+		}
+	case ReportReject:
+		if b := t.active[p.Head]; b != nil {
+			b.spans = append(b.spans, Span{Kind: SpanReportReject, Start: now, End: now, Node: p.Node, Peer: p.Head, Note: p.Reason})
+		}
+	case ClusterExtend:
+		// The window grows; the TraceID keeps the setup-time deadline.
+		if b := t.active[p.Head]; b != nil {
+			b.spans[0].End = p.Deadline
+		}
+	case FailoverElect:
+		// The build follows the role: the trace is the cluster's, not the
+		// head's, so its key and TraceID are unchanged.
+		if b := t.active[p.Old]; b != nil {
+			delete(t.active, p.Old)
+			t.active[p.New] = b
+			b.spans = append(b.spans, Span{Kind: SpanFailoverElect, Start: now, End: now, Node: p.New, Peer: p.Old})
+		}
+	case ClusterCancel:
+		t.cancel(p.Head)
+	case ClusterEval:
+		b := t.active[p.Head]
+		if b == nil {
 			return
 		}
+		b.spans = append(b.spans, Span{Kind: SpanClusterEval, Start: now, End: now, Node: p.Head, Seq: p.Reports, Value: p.C})
+		if !p.Detected || p.Err != "" {
+			t.cancel(p.Head)
+			return
+		}
+		// Confirmed at the head, which sends its report toward the sink at
+		// this instant. The build leaves the head: the same node may form
+		// a new cluster while the report is in flight.
+		delete(t.active, p.Head)
+		b.sent, b.sender, b.sinkSent = true, p.Head, now
+	case ArqHop:
+		if kind == KindArqRetransmit {
+			t.addByKey(p.Trace, Span{Kind: SpanHopRetransmit, Start: now, End: now, Node: p.From, Peer: p.To, Seq: p.Attempt, Value: p.Wait})
+		}
+	case ArqDrop:
+		t.addByKey(p.Trace, Span{Kind: SpanHopDrop, Start: now, End: now, Node: p.From, Peer: p.To, Note: p.Reason})
+	case SinkReport:
+		t.confirm(p, now)
 	}
 }
 
-// TxStart records a member report leaving node for head at time now.
-func (t *Tracer) TxStart(head, node int, now float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.active[head]; ok {
-		b.pendingTx[node] = now
-	}
-}
-
-// TxEnd closes a member report-transmission span at head acceptance.
-func (t *Tracer) TxEnd(head, node int, now float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b, ok := t.active[head]
-	if !ok {
-		return
-	}
-	if start, ok := b.pendingTx[node]; ok {
-		delete(b.pendingTx, node)
-		b.spans = append(b.spans, Span{Kind: SpanReportTx, Start: start, End: now, Node: node, Peer: head})
-	}
-}
-
-// Failover re-files old's build under the elected head and records the
-// election. The wire key and TraceID components are unchanged: the trace
-// is the cluster's, not the head's.
-func (t *Tracer) Failover(old, elected int, now float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b, ok := t.active[old]
-	if !ok {
-		return
-	}
-	delete(t.active, old)
-	t.active[elected] = b
-	b.spans = append(b.spans, Span{Kind: SpanFailoverElect, Start: now, End: now, Node: elected, Peer: old})
-}
-
-// Cancel drops head's active build (cluster cancelled: head dead with no
-// successor, too few reports, or evaluation rejected). Late hop spans for
-// its key are discarded.
-func (t *Tracer) Cancel(head int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.active[head]; ok {
-		b.dead = true
+// cancel drops head's collecting build (the cluster ended without a
+// confirmation: head dead, too few reports, or evaluation rejected).
+// Late radio events naming its key are discarded.
+func (t *Tracer) cancel(head int) {
+	if b := t.active[head]; b != nil {
 		delete(t.active, head)
+		delete(t.byKey, b.key)
 	}
 }
 
-// Detach records the head handing its confirmation to the routing layer
-// and moves the build out of the head-keyed active set into the
-// awaiting-confirmation set — the same node may legitimately form a new
-// cluster while its report is still in flight to the sink. Returns the
-// wire key to stamp on the sink-report frame ("" if no active build);
-// ConfirmByKey finalizes against that key at sink arrival.
-func (t *Tracer) Detach(head int, now float64) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b, ok := t.active[head]
-	if !ok {
-		return ""
+// addByKey appends a radio-layer span to the build owning key. Such spans
+// may land after the trace was confirmed — a lost ACK retransmits a frame
+// the receiver consumed long ago — and still belong to it.
+func (t *Tracer) addByKey(key string, s Span) {
+	if b := t.byKey[key]; b != nil {
+		b.spans = append(b.spans, s)
 	}
-	delete(t.active, head)
-	b.sender = head
-	b.sinkSent = now
-	t.wait[b.key] = b
-	return b.key
 }
 
-// ConfirmByKey finalizes a detached build at sink arrival time now: links
-// the trace to its genesis mark (the latest mark at or before the
-// collection window's start, i.e. the crossing that caused it), derives
-// the TraceID from (label, ship, cluster head, deadline), and moves the
-// build to the confirmed set. Returns the TraceID ("" if the key is
-// unknown).
-func (t *Tracer) ConfirmByKey(key string, now float64) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b, ok := t.wait[key]
-	if !ok {
-		return ""
+// confirm finalizes a sent build at sink arrival time now: records the
+// speed fit's outcome (carried by the report), links the trace to its
+// genesis mark — the latest mark at or before the collection window's
+// start, i.e. the crossing that caused it — and derives the TraceID from
+// (label, ship, cluster key).
+func (t *Tracer) confirm(p SinkReport, now float64) {
+	b := t.byKey[p.Trace]
+	if b == nil || !b.sent || b.id != "" {
+		return
 	}
-	delete(t.wait, key)
+	speed := Span{Kind: SpanSpeedEstimate, Start: b.sinkSent, End: b.sinkSent, Node: b.sender}
+	if p.HasSpeed {
+		speed.Value = p.Speed
+	} else {
+		speed.Note = "no-fit"
+	}
+	b.spans = append(b.spans, speed)
 
-	start := b.deadline
-	if len(b.spans) > 0 {
-		start = b.spans[0].Start
-	}
+	start := b.spans[0].Start
 	ship := -1
 	var markT float64
 	var markNote string
@@ -307,15 +274,10 @@ func (t *Tracer) ConfirmByKey(key string, now float64) string {
 	if ship >= 0 {
 		b.spans = append(b.spans, Span{Kind: SpanWakeGenesis, Start: markT, End: markT, Node: -1, Seq: ship, Note: markNote})
 	}
-	sent := b.sinkSent
-	if sent == 0 {
-		sent = now
-	}
-	b.spans = append(b.spans, Span{Kind: SpanSinkConfirm, Start: sent, End: now, Node: b.sender})
+	b.spans = append(b.spans, Span{Kind: SpanSinkConfirm, Start: b.sinkSent, End: now, Node: b.sender})
 
-	b.id = t.label + "/s" + strconv.Itoa(ship) + "/c" + strconv.Itoa(b.head) + "@" + fmtF(b.deadline)
+	b.id = t.label + "/s" + strconv.Itoa(ship) + "/" + b.key
 	t.done = append(t.done, b)
-	return b.id
 }
 
 // ConfirmedIDs returns the TraceIDs of confirmed traces in confirmation
@@ -371,7 +333,7 @@ func sortSpans(spans []Span) {
 
 // SerializePipeline renders every confirmed trace's pipeline spans as
 // canonical JSONL: traces sorted by TraceID, spans in canonical order,
-// wall-clock overlays zeroed. This is the byte-identical form — the same
+// serving-layer spans left out. This is the byte-identical form — the same
 // golden scenario serializes to the same bytes for any worker count,
 // in-process or over the wire.
 func (t *Tracer) SerializePipeline() []byte {
@@ -385,7 +347,6 @@ func (t *Tracer) SerializePipeline() []byte {
 		sortSpans(spans)
 		for _, s := range spans {
 			s.Trace = b.id
-			s.WallNs = 0
 			line, err := json.Marshal(s)
 			if err != nil {
 				continue
@@ -397,8 +358,8 @@ func (t *Tracer) SerializePipeline() []byte {
 	return out
 }
 
-// Traces returns the full trace set — pipeline spans with wall overlays
-// intact plus serving-layer spans — in confirmation order.
+// Traces returns the full trace set — pipeline spans plus serving-layer
+// spans with their wall overlays — in confirmation order.
 func (t *Tracer) Traces() TraceSet {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/sensor"
+	"github.com/sid-wsn/sid/internal/trace"
 )
 
 // Config tunes the detection server. The zero value is usable: every
@@ -319,7 +320,7 @@ func (s *Server) handleChunks(w http.ResponseWriter, r *http.Request) {
 			"content type %q (want %s or %s)", ct, ContentTypeJSON, ContentTypeBundle))
 		return
 	}
-	if err := t.validateChunk(dur, nodes); err != nil {
+	if err := t.validateChunk(dur, nodes, s.cfg.MaxBodyBytes); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -345,13 +346,20 @@ func (s *Server) handleChunks(w http.ResponseWriter, r *http.Request) {
 }
 
 // validateChunk enforces the ingest invariants that keep a tenant's
-// timeline aligned: durations quantized to the sensing batch (a partial
-// batch would make the pipeline overrun the segment boundary) and sample
-// counts bounded by the window (so the pending buffer stays bounded by
-// one chunk).
-func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample) error {
-	if dur <= 0 {
+// timeline aligned: durations finite, no longer than a full chunk could
+// cover within the body limit maxBody (a lying duration would hold the
+// tenant in one endless Run), and quantized to the sensing batch (a
+// partial batch would make the pipeline overrun the segment boundary);
+// sample counts bounded by the window (so the pending buffer stays bounded
+// by one chunk).
+func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample, maxBody int64) error {
+	if !(dur > 0) {
 		return fmt.Errorf("chunk duration must be positive, got %g", dur)
+	}
+	// A full chunk carries nodes × rate × dur samples, SIDTRACE-encoded.
+	if maxDur := float64(maxBody) / (trace.SampleBytes * float64(t.nodes) * t.rate); dur > maxDur {
+		return fmt.Errorf("chunk duration %gs exceeds the %.0fs a full chunk can cover within the %d-byte body limit",
+			dur, maxDur, maxBody)
 	}
 	if batches := dur / t.batchS; math.Abs(batches-math.Round(batches)) > 1e-9 {
 		return fmt.Errorf("chunk duration %gs is not a multiple of the sensing batch (%gs)", dur, t.batchS)

@@ -3,9 +3,11 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -512,6 +514,52 @@ func TestServeNoGoroutineLeaks(t *testing.T) {
 }
 
 // TestServeAPIErrors sweeps the HTTP error surface.
+// TestServeRejectsWedgingDurations: a chunk duration no real chunk could
+// carry — non-finite, negative, or longer than a full chunk fits in the
+// body limit — gets a 400 instead of holding its tenant in one endless
+// Run, and a neighbouring tenant on the same single worker keeps
+// processing.
+func TestServeRejectsWedgingDurations(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	victim := createTenant(t, ts.URL, CreateRequest{Spec: cheapSpec()})
+	neighbour := createTenant(t, ts.URL, CreateRequest{Spec: cheapSpec()})
+	post := func(ct string, body []byte) int {
+		resp, err := http.Post(ts.URL+"/v1/tenants/"+victim.ID+"/chunks", ct, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, dur := range []float64{math.Inf(1), math.NaN(), 1e9, -1} {
+		// A 20-byte SIDBNDL1 body: magic, duration, zero node streams.
+		body := append(bundleMagic[:], make([]byte, 12)...)
+		binary.LittleEndian.PutUint64(body[8:], math.Float64bits(dur))
+		if code := post(ContentTypeBundle, body); code != http.StatusBadRequest {
+			t.Errorf("bundle duration %g: status %d, want 400", dur, code)
+		}
+	}
+	// JSON cannot carry non-finite numbers; the finite lies get the same
+	// answer.
+	for _, dur := range []float64{1e9, -1} {
+		body, _ := json.Marshal(Chunk{DurationS: dur})
+		if code := post(ContentTypeJSON, body); code != http.StatusBadRequest {
+			t.Errorf("JSON duration %g: status %d, want 400", dur, code)
+		}
+	}
+	body, _ := json.Marshal(Chunk{DurationS: 1})
+	postChunk(t, ts.URL, neighbour.ID, ContentTypeJSON, body)
+	waitProcessed(t, ts.URL, neighbour.ID, 1)
+	if st := deleteTenant(t, ts.URL, victim.ID); st.AcceptedS != 0 {
+		t.Errorf("rejected chunks were accepted: %+v", st)
+	}
+	deleteTenant(t, ts.URL, neighbour.ID)
+}
+
 func TestServeAPIErrors(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()

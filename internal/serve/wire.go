@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/sid-wsn/sid/internal/geo"
 	"github.com/sid-wsn/sid/internal/sensor"
@@ -127,8 +128,8 @@ var bundleMagic = [8]byte{'S', 'I', 'D', 'B', 'N', 'D', 'L', '1'}
 // tooling can open a node's slice). Empty node streams are encoded as
 // zero-length entries. pos may be nil (zero positions).
 func EncodeBundle(w io.Writer, durationS, rate, scale float64, pos []geo.Vec2, seed int64, nodes [][]sensor.Sample) error {
-	if durationS <= 0 {
-		return fmt.Errorf("serve: bundle duration must be positive, got %g", durationS)
+	if !validDuration(durationS) {
+		return fmt.Errorf("serve: bundle duration must be positive and finite, got %g", durationS)
 	}
 	if _, err := w.Write(bundleMagic[:]); err != nil {
 		return err
@@ -161,6 +162,8 @@ func EncodeBundle(w io.Writer, durationS, rate, scale float64, pos []geo.Vec2, s
 	return nil
 }
 
+func validDuration(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
+
 // DecodeBundle parses an EncodeBundle chunk. rate and scale are taken from
 // the first non-empty node stream (0, 0 for an all-silent chunk).
 func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate, scale float64, err error) {
@@ -173,6 +176,9 @@ func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate
 	}
 	if err = binary.Read(r, binary.LittleEndian, &durationS); err != nil {
 		return 0, nil, 0, 0, fmt.Errorf("serve: reading bundle duration: %w", err)
+	}
+	if !validDuration(durationS) {
+		return 0, nil, 0, 0, fmt.Errorf("serve: bundle duration must be positive and finite, got %g", durationS)
 	}
 	var n uint32
 	if err = binary.Read(r, binary.LittleEndian, &n); err != nil {

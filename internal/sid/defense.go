@@ -122,13 +122,6 @@ func (r *Runtime) rejectReport(head *nodeState, p ReportPayload, reason string) 
 			Onset: p.Onset, Energy: p.Energy, Reason: reason,
 		})
 	}
-	if r.col.Tracing() {
-		now := r.sched.Now()
-		r.col.Tracer().Add(int(head.id), obs.Span{
-			Kind: obs.SpanReportReject, Start: now, End: now,
-			Node: int(p.Node), Peer: int(head.id), Note: reason,
-		})
-	}
 	if reason != "quarantined" {
 		r.suspect(int(p.Node), reason)
 	}

@@ -164,8 +164,9 @@ func (r *Runtime) claimHead(ns *nodeState, epoch int) {
 			Old: int(old), New: int(ns.id),
 		})
 	}
-	if r.col.Tracing() {
-		r.col.Tracer().Failover(int(old), int(ns.id), now)
+	// The cluster's trace key follows the role to the elected head.
+	if prev := r.nodes[old]; prev.trace != "" {
+		ns.trace, prev.trace = prev.trace, ""
 	}
 	if ns.hasReport {
 		r.acceptReport(ns, ns.lastReport)
@@ -201,12 +202,12 @@ func (r *Runtime) onTakeover(ns *nodeState, p TakeoverPayload) {
 	ns.headID = p.New
 	r.observeHead(ns)
 	if ns.hasReport {
-		trace := ""
-		if r.col.Tracing() {
-			tr := r.col.Tracer()
-			tr.TxStart(int(p.New), int(ns.id), now)
-			trace = tr.KeyOf(int(p.New))
+		if r.col.Journaling() {
+			r.col.Emit(now, obs.KindReportSend, obs.ReportSend{
+				Node: int(ns.id), Head: int(p.New), Onset: ns.lastReport.Onset,
+				Energy: ns.lastReport.Energy, Resend: true,
+			})
 		}
-		r.countSend(ns.id, r.net.SendMultiHopTraced(ns.id, p.New, KindReport, ns.lastReport, trace))
+		r.countSend(ns.id, r.net.SendMultiHopTraced(ns.id, p.New, KindReport, ns.lastReport, r.nodes[p.New].trace))
 	}
 }

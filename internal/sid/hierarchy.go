@@ -15,7 +15,7 @@ import (
 // (wsn.SelectRoots/BuildForest): a member hands its report to its
 // sub-head, which buffers reports per destination head and forwards them in
 // batched summaries. The head applies exactly the same per-report
-// acceptance (dedup, defense gates, tracing TxEnd) to a summarized report
+// acceptance (dedup, defense gates, the report.accept event) to a summarized report
 // as to a direct one, so evaluation results are unchanged — only the radio
 // traffic shape differs. Disabled (the zero value), runs are bit-identical
 // to the flat protocol.
@@ -177,9 +177,9 @@ func (r *Runtime) onSubReport(ns *nodeState, p SubReportPayload) {
 }
 
 // flushSummary drains the sub-head's buffer for one head into a single
-// multi-hop summary message. The summary carries the head's trace key so
-// wire-level tracing re-binds each report to the cluster trace; the head's
-// acceptReport closes the members' transmission spans as usual.
+// multi-hop summary message. The summary carries the head's cluster key so
+// its ARQ events name the cluster's trace; the head's acceptReport then
+// records each member report's acceptance as usual.
 func (r *Runtime) flushSummary(ns *nodeState, head wsn.NodeID) {
 	var b *aggBatch
 	for i := range ns.agg {
@@ -204,10 +204,6 @@ func (r *Runtime) flushSummary(ns *nodeState, head wsn.NodeID) {
 			Sub: int(ns.id), Head: int(head), Reports: len(reports),
 		})
 	}
-	trace := ""
-	if r.col.Tracing() {
-		trace = r.col.Tracer().KeyOf(int(head))
-	}
 	r.countSend(ns.id, r.net.SendMultiHopTraced(ns.id, head, KindSummary,
-		SummaryPayload{Head: head, Reports: reports}, trace))
+		SummaryPayload{Head: head, Reports: reports}, r.nodes[head].trace))
 }

@@ -139,7 +139,7 @@ func (r *Runtime) consumeBlock(ns *nodeState) {
 		// Journal windows with at least one crossing (quiet windows would
 		// drown the ring, and their Onset is NaN — not JSON). The guard
 		// keeps the no-op path allocation-free: the payload is only boxed
-		// when a journal is attached.
+		// when a journal or tracer is attached.
 		if ws.Crossings > 0 && r.col.Journaling() {
 			r.col.Emit(r.sched.Now(), obs.KindNodeWindow, obs.NodeWindow{
 				Node: int(ns.id), Start: ws.Start, End: ws.End,

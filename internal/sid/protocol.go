@@ -3,7 +3,6 @@ package sid
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/sid-wsn/sid/internal/cluster"
 	"github.com/sid-wsn/sid/internal/detect"
@@ -98,15 +97,7 @@ func (r *Runtime) dispatchReport(ns *nodeState, payload ReportPayload) {
 				Onset: payload.Onset, Energy: payload.Energy,
 			})
 		}
-		trace := ""
-		if r.col.Tracing() {
-			tr := r.col.Tracer()
-			tr.Add(int(ns.headID), obs.Span{
-				Kind: obs.SpanNodeOnset, Start: payload.Onset, End: now, Node: int(ns.id),
-			})
-			tr.TxStart(int(ns.headID), int(ns.id), now)
-			trace = tr.KeyOf(int(ns.headID))
-		}
+		trace := r.nodes[ns.headID].trace
 		if r.hierRoute(ns) {
 			// Two-level collection: hand the report to the sub-cluster head
 			// for batched forwarding. Journal and trace exactly as a direct
@@ -129,15 +120,9 @@ func (r *Runtime) dispatchReport(ns *nodeState, payload ReportPayload) {
 	ns.extended = false
 	r.ctr.clustersFormed.Inc()
 	if r.col.Journaling() {
+		ns.trace = obs.ClusterKey(int(ns.id), ns.deadline)
 		r.col.Emit(now, obs.KindClusterSetup, obs.ClusterSetup{
-			Head: int(ns.id), Deadline: ns.deadline,
-		})
-	}
-	if r.col.Tracing() {
-		tr := r.col.Tracer()
-		tr.StartCluster(int(ns.id), now, ns.deadline)
-		tr.Add(int(ns.id), obs.Span{
-			Kind: obs.SpanNodeOnset, Start: payload.Onset, End: now, Node: int(ns.id),
+			Head: int(ns.id), Deadline: ns.deadline, Onset: payload.Onset,
 		})
 	}
 	r.acceptReport(ns, payload)
@@ -223,15 +208,12 @@ func (r *Runtime) onMessage(node *wsn.Node, msg wsn.Message) {
 		if node.ID == r.cfg.SinkID {
 			payload.Time = node.LocalTime(r.sched.Now())
 			r.sinkReports = append(r.sinkReports, payload)
-			if r.col.Tracing() && msg.Trace != "" {
-				r.col.Tracer().ConfirmByKey(msg.Trace, r.sched.Now())
-			}
 			if r.col.Journaling() {
 				r.col.Emit(r.sched.Now(), obs.KindSinkReport, obs.SinkReport{
 					Head: int(payload.Head), C: payload.C,
 					Reports: payload.Reports, MeanOnset: payload.MeanOnset,
 					HasSpeed: payload.HasSpeed, Speed: payload.Speed,
-					Heading: payload.Heading,
+					Heading: payload.Heading, Trace: msg.Trace,
 				})
 			}
 		}
@@ -260,11 +242,6 @@ func (r *Runtime) acceptReport(head *nodeState, p ReportPayload) {
 		}
 	}
 	head.lastReportAt = r.sched.Now()
-	if r.col.Tracing() {
-		// Close the member's in-flight transmission span (no-op for the
-		// head's own report, which never opened one).
-		r.col.Tracer().TxEnd(int(head.id), int(p.Node), r.sched.Now())
-	}
 	if r.col.Journaling() {
 		first := true
 		for i := range head.reports {
@@ -332,6 +309,7 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 		ns.isHead = false
 		ns.inTempCluster = false
 		ns.headID = -1
+		ns.trace = ""
 		reports := ns.reports
 		ns.reports = nil
 		r.ctr.cancelled.Inc()
@@ -339,9 +317,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 			r.col.Emit(r.sched.Now(), obs.KindClusterCancel, obs.ClusterCancel{
 				Head: int(ns.id), Reports: len(reports), Reason: "head-dead",
 			})
-		}
-		if r.col.Tracing() {
-			r.col.Tracer().Cancel(int(ns.id))
 		}
 		r.evaluations = append(r.evaluations, Evaluation{
 			Head: ns.id, Time: r.sched.Now(), Reports: reports,
@@ -364,9 +339,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 				Head: int(ns.id), Deadline: next,
 			})
 		}
-		if r.col.Tracing() {
-			r.col.Tracer().Extend(int(ns.id), next)
-		}
 		_ = r.sched.Schedule(next, func() { r.headDeadline(ns, next) })
 		if fo.HeartbeatPeriod > 0 {
 			r.startHeartbeats(ns, next)
@@ -378,6 +350,10 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 	ns.headID = -1
 	reports := ns.reports
 	ns.reports = nil
+	// A confirmation carries the cluster key to the sink; every other
+	// outcome ends the cluster's trace here.
+	trace := ns.trace
+	ns.trace = ""
 	if len(reports) < r.cfg.MinReports {
 		r.ctr.cancelled.Inc()
 		if r.col.Journaling() {
@@ -385,15 +361,8 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 				Head: int(ns.id), Reports: len(reports), Reason: "min-reports",
 			})
 		}
-		if r.col.Tracing() {
-			r.col.Tracer().Cancel(int(ns.id))
-		}
 		r.evaluations = append(r.evaluations, Evaluation{Head: ns.id, Time: r.sched.Now(), Reports: reports})
 		return
-	}
-	var evalWall time.Time
-	if r.col.Tracing() {
-		evalWall = time.Now() // wall overlay only; zeroed in deterministic serialization
 	}
 	stop := r.col.Profiler().Start("cluster")
 	evalReports := reports
@@ -432,19 +401,8 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 		}
 		r.col.Emit(r.sched.Now(), obs.KindClusterEval, ev)
 	}
-	if r.col.Tracing() {
-		now := r.sched.Now()
-		r.col.Tracer().Add(int(ns.id), obs.Span{
-			Kind: obs.SpanClusterEval, Start: now, End: now, Node: int(ns.id),
-			Seq: len(reports), Value: res.C,
-			WallNs: time.Since(evalWall).Nanoseconds(),
-		})
-	}
 	if err != nil || !res.Detected {
 		r.ctr.cancelled.Inc()
-		if r.col.Tracing() {
-			r.col.Tracer().Cancel(int(ns.id))
-		}
 		return
 	}
 	// Nodes trimmed out of a confirming evaluation contradicted a real
@@ -464,9 +422,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 	dets := make([]speed.Detection, len(evalReports))
 	for i, rep := range evalReports {
 		dets[i] = speed.Detection{Pos: rep.Pos, Time: rep.Onset, Energy: rep.Energy}
-	}
-	if r.col.Tracing() {
-		evalWall = time.Now()
 	}
 	stop = r.col.Profiler().Start("speed")
 	var est speed.Estimate
@@ -497,19 +452,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 		sink.Speed = est.Speed
 		sink.Heading = est.Alpha
 	}
-	if r.col.Tracing() {
-		now := r.sched.Now()
-		sp := obs.Span{
-			Kind: obs.SpanSpeedEstimate, Start: now, End: now, Node: int(ns.id),
-			WallNs: time.Since(evalWall).Nanoseconds(),
-		}
-		if estErr == nil {
-			sp.Value = est.Speed
-		} else {
-			sp.Note = "no-fit"
-		}
-		r.col.Tracer().Add(int(ns.id), sp)
-	}
 	tree := r.tree
 	if r.cfg.Failover.Enabled {
 		// Route repair: the BFS tree was built at deployment time; nodes
@@ -522,13 +464,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 			tree = repaired
 			r.gaugeTreeDepth()
 		}
-	}
-	trace := ""
-	if r.col.Tracing() {
-		// Detach the build from the head: the same node may form a new
-		// cluster while this confirmation is still in flight, and the sink
-		// re-binds by the wire key stamped into the frame.
-		trace = r.col.Tracer().Detach(int(ns.id), r.sched.Now())
 	}
 	r.countSend(ns.id, r.net.SendToRootTraced(tree, ns.id, KindSinkReport, sink, trace))
 }

@@ -258,6 +258,10 @@ type nodeState struct {
 	// its one-time deadline extension as spent.
 	lastReportAt float64
 	extended     bool
+	// trace is the cluster key (obs.ClusterKey) of the trace this node
+	// holds as head, stamped on every frame bound for it; set only while
+	// instrumentation is on. It follows the cluster through failover.
+	trace string
 
 	// failover state: lastBeat is the last proof of life from the head;
 	// electEpoch invalidates stale watchdog/candidacy closures (every

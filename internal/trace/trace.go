@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,6 +23,9 @@ import (
 
 // Magic identifies the binary trace format ("SIDTRACE", 8 bytes).
 var Magic = [8]byte{'S', 'I', 'D', 'T', 'R', 'C', '0', '1'}
+
+// SampleBytes is one encoded sample: an x/y/z int16 triplet.
+const SampleBytes = 6
 
 // Header describes a recording.
 type Header struct {
@@ -39,11 +44,17 @@ type Header struct {
 }
 
 func (h Header) validate() error {
-	if h.SampleRate <= 0 {
-		return fmt.Errorf("trace: sample rate must be positive, got %g", h.SampleRate)
+	if !(h.SampleRate > 0) || math.IsInf(h.SampleRate, 1) {
+		return fmt.Errorf("trace: sample rate must be positive and finite, got %g", h.SampleRate)
 	}
-	if h.CountsPerG <= 0 {
-		return fmt.Errorf("trace: counts-per-g must be positive, got %g", h.CountsPerG)
+	if !(h.CountsPerG > 0) || math.IsInf(h.CountsPerG, 1) {
+		return fmt.Errorf("trace: counts-per-g must be positive and finite, got %g", h.CountsPerG)
+	}
+	for _, v := range [...]float64{h.StartTime, h.Pos.X, h.Pos.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("trace: start time and position must be finite, got %g and (%g, %g)",
+				h.StartTime, h.Pos.X, h.Pos.Y)
+		}
 	}
 	if h.NumSamples < 0 {
 		return fmt.Errorf("trace: negative sample count %d", h.NumSamples)
@@ -155,15 +166,28 @@ func (d *Decoder) Next(dst []sensor.Sample) (int, error) {
 	return remain, nil
 }
 
+// readPrealloc caps the samples Read allocates before any of them has been
+// decoded: the header's count is untrusted until the samples arrive, so a
+// lying header costs at most this much (512 KiB) before the stream runs
+// dry. Recordings up to this size still get one exact-size allocation.
+const readPrealloc = 1 << 15
+
 // Read deserializes a trace written by Write, reconstructing sample times.
 func Read(r io.Reader) (Header, []sensor.Sample, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	samples := make([]sensor.Sample, d.h.NumSamples)
-	if len(samples) > 0 {
-		if _, err := d.Next(samples); err != nil {
+	samples := make([]sensor.Sample, 0, min(d.h.NumSamples, readPrealloc))
+	for len(samples) < d.h.NumSamples {
+		if len(samples) == cap(samples) {
+			// Decoded samples vouch for the stream so far: double, capped
+			// at the header's count.
+			samples = slices.Grow(samples, min(len(samples), d.h.NumSamples-len(samples)))
+		}
+		n, err := d.Next(samples[len(samples):cap(samples)])
+		samples = samples[:len(samples)+n]
+		if err != nil {
 			return Header{}, nil, err
 		}
 	}

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -114,6 +117,88 @@ func TestWriteValidation(t *testing.T) {
 	}
 	if err := Write(&buf, Header{SampleRate: 50, CountsPerG: 0}, nil); err == nil {
 		t.Error("expected error for zero scale")
+	}
+}
+
+// rawHeader encodes a binary header verbatim, bypassing Write's
+// validation, so a test can hand the decoder a lying one.
+func rawHeader(h Header, n int64) []byte {
+	var buf bytes.Buffer
+	buf.Write(Magic[:])
+	for _, f := range []any{h.SampleRate, h.CountsPerG, h.Pos.X, h.Pos.Y, h.StartTime, h.Seed, n} {
+		binary.Write(&buf, binary.LittleEndian, f)
+	}
+	return buf.Bytes()
+}
+
+func TestHeaderRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*Header)
+	}{
+		{"NaN rate", func(h *Header) { h.SampleRate = nan }},
+		{"+Inf rate", func(h *Header) { h.SampleRate = inf }},
+		{"NaN scale", func(h *Header) { h.CountsPerG = nan }},
+		{"+Inf scale", func(h *Header) { h.CountsPerG = inf }},
+		{"NaN start", func(h *Header) { h.StartTime = nan }},
+		{"+Inf start", func(h *Header) { h.StartTime = inf }},
+		{"-Inf start", func(h *Header) { h.StartTime = -inf }},
+		{"NaN pos x", func(h *Header) { h.Pos.X = nan }},
+		{"-Inf pos y", func(h *Header) { h.Pos.Y = -inf }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h, samples := sampleTrace()
+			c.mut(&h)
+			body := append(rawHeader(h, int64(len(samples))), make([]byte, 6*len(samples))...)
+			if _, _, err := Read(bytes.NewReader(body)); err == nil {
+				t.Error("Read accepted the header")
+			}
+			if err := Write(io.Discard, h, samples); err == nil {
+				t.Error("Write accepted the header")
+			}
+		})
+	}
+}
+
+// TestReadInflatedHeaderBoundedAlloc: a header claiming far more samples
+// than the stream holds must fail having allocated little, not the
+// claimed count up front; an honest recording past the preallocation cap
+// still decodes whole.
+func TestReadInflatedHeaderBoundedAlloc(t *testing.T) {
+	h, _ := sampleTrace()
+	body := rawHeader(h, 1<<22) // claims 4 Mi samples (64 MiB decoded), carries none
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Read(bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("inflated header decoded")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("inflated header allocated %d bytes before failing, want < 1 MiB", d)
+	}
+
+	samples := make([]sensor.Sample, 3*readPrealloc+7)
+	for i := range samples {
+		samples[i] = sensor.Sample{X: int16(i), Y: int16(-i), Z: 1}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, h, samples); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(samples) {
+		t.Fatalf("decoded %d samples, want %d", len(got), len(samples))
+	}
+	for _, i := range []int{0, readPrealloc - 1, readPrealloc, len(samples) - 1} {
+		if got[i].X != samples[i].X || got[i].Y != samples[i].Y {
+			t.Errorf("sample %d = %+v, want %+v", i, got[i], samples[i])
+		}
 	}
 }
 

@@ -43,9 +43,10 @@ type Message struct {
 	// match ACKs to data frames and suppress retransmitted duplicates; 0
 	// for fire-and-forget frames.
 	ARQ uint64
-	// Trace is the detection-trace wire key stamped by the runtime on
-	// report and confirmation sends; the reliable transport attaches its
-	// retransmission/drop spans to it. Empty for untraced frames.
+	// Trace is the cluster key (obs.ClusterKey) the runtime stamps on
+	// report and confirmation sends while instrumentation is on; the
+	// reliable transport copies it into its retransmission and drop
+	// events so they name the detection they delay. Empty otherwise.
 	Trace string
 	// Payload carries application data.
 	Payload interface{}

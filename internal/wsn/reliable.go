@@ -126,19 +126,13 @@ func (w *Network) sendReliable(from, to *Node, msg Message, cont func(*Node, Mes
 			if w.col.Journaling() {
 				w.col.Emit(w.Sched.Now(), obs.KindArqDrop, obs.ArqDrop{
 					From: int(from.ID), To: int(to.ID), ARQ: id,
-					Received: got, Reason: "sender-dead",
+					Received: got, Reason: "sender-dead", Trace: msg.Trace,
 				})
 			}
-			w.traceHopDrop(msg, from, to, "sender-dead")
 			return
 		}
 		if k > 0 {
 			w.ctr.retrans.Inc()
-			if w.col.Journaling() {
-				w.col.Emit(w.Sched.Now(), obs.KindArqRetransmit, obs.ArqHop{
-					From: int(from.ID), To: int(to.ID), ARQ: id, Attempt: k,
-				})
-			}
 		}
 		w.ctr.sent.Inc()
 		if from.Battery != nil {
@@ -165,11 +159,10 @@ func (w *Network) sendReliable(from, to *Node, msg Message, cont func(*Node, Mes
 			})
 		}
 		wait := w.arqTimeout(k)
-		if k > 0 && msg.Trace != "" && w.col.Tracing() {
-			now := w.Sched.Now()
-			w.col.Tracer().AddByKey(msg.Trace, obs.Span{
-				Kind: obs.SpanHopRetransmit, Start: now, End: now,
-				Node: int(from.ID), Peer: int(to.ID), Seq: k, Value: wait,
+		if k > 0 && w.col.Journaling() {
+			w.col.Emit(w.Sched.Now(), obs.KindArqRetransmit, obs.ArqHop{
+				From: int(from.ID), To: int(to.ID), ARQ: id, Attempt: k,
+				Wait: wait, Trace: msg.Trace,
 			})
 		}
 		if k < rc.MaxRetrans {
@@ -189,27 +182,13 @@ func (w *Network) sendReliable(from, to *Node, msg Message, cont func(*Node, Mes
 				if w.col.Journaling() {
 					w.col.Emit(w.Sched.Now(), obs.KindArqDrop, obs.ArqDrop{
 						From: int(from.ID), To: int(to.ID), ARQ: id,
-						Received: got, Reason: "retrans-exhausted",
+						Received: got, Reason: "retrans-exhausted", Trace: msg.Trace,
 					})
 				}
-				w.traceHopDrop(msg, from, to, "retrans-exhausted")
 			}
 		})
 	}
 	attempt(0)
-}
-
-// traceHopDrop attaches an abandoned-hop span to a traced frame's
-// detection trace (no-op for untraced frames or without a tracer).
-func (w *Network) traceHopDrop(msg Message, from, to *Node, reason string) {
-	if msg.Trace == "" || !w.col.Tracing() {
-		return
-	}
-	now := w.Sched.Now()
-	w.col.Tracer().AddByKey(msg.Trace, obs.Span{
-		Kind: obs.SpanHopDrop, Start: now, End: now,
-		Node: int(from.ID), Peer: int(to.ID), Note: reason,
-	})
 }
 
 // sendAck transmits one acknowledgment frame from -> to. ACKs are

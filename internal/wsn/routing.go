@@ -73,9 +73,10 @@ func (w *Network) SendToRoot(t *Tree, from NodeID, kind string, payload interfac
 	return w.SendToRootTraced(t, from, kind, payload, "")
 }
 
-// SendToRootTraced is SendToRoot with a detection-trace wire key stamped
-// into the frame so the reliable transport's retransmission/drop spans
-// attach to the detection's trace. An empty trace is exactly SendToRoot.
+// SendToRootTraced is SendToRoot with a cluster key stamped into the
+// frame (Message.Trace) so the reliable transport's retransmission and
+// drop events name the detection's cluster. An empty trace is exactly
+// SendToRoot.
 func (w *Network) SendToRootTraced(t *Tree, from NodeID, kind string, payload interface{}, trace string) error {
 	path, err := t.PathToRoot(from)
 	if err != nil {
