@@ -160,7 +160,8 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() error {
+// Validate checks the configuration; New rejects what it rejects.
+func (c Config) Validate() error {
 	if c.SampleRate <= 0 {
 		return fmt.Errorf("detect: SampleRate must be positive, got %g", c.SampleRate)
 	}
@@ -265,7 +266,7 @@ type sampleRec struct {
 
 // New validates cfg and builds a detector.
 func New(cfg Config) (*Detector, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	fir, err := dsp.LowPassFIR(cfg.CutoffHz, cfg.SampleRate, cfg.FilterTaps, dsp.Hamming)

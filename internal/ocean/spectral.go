@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/sid-wsn/sid/internal/dsp"
 	"github.com/sid-wsn/sid/internal/geo"
@@ -16,8 +17,8 @@ import (
 // with a short interpolation kernel and inverse-transforming the chunk
 // (O(N log N + components × kernel) per N/2 output samples). Consecutive
 // chunks overlap by half their length and sum to the unwindowed series
-// exactly (constant-overlap-add), so arbitrary sample blocks are served by
-// stitching the two chunks that cover each sample. The math, the error
+// exactly (constant-overlap-add), so each N/2-sample hop segment is the sum
+// of the two chunks that cover it. The math, the error
 // budget and the equivalence contract against the phasor path are documented
 // in docs/SYNTHESIS.md.
 
@@ -28,7 +29,8 @@ type SpectralConfig struct {
 	Rate float64
 	// Window is the FFT chunk length N in samples; must be a power of two
 	// ≥ 8. Chunks advance by N/2 (half-overlap Hann). 0 selects 1024
-	// (20.48 s of signal at 50 Hz, ~100 KiB of scratch per stream).
+	// (20.48 s of signal at 50 Hz): 24 KiB of segment state per stream,
+	// plus 48 KiB of FFT scratch per concurrent synthesizer.
 	Window int
 	// Kernel is the half-width K of the per-component frequency-domain
 	// interpolation kernel in bins (each component touches 2K+1 bins).
@@ -68,8 +70,9 @@ type specComp struct {
 
 // SpectralPlan is the node-independent half of spectral synthesis for one
 // Field at one sample rate: the culled component set with precomputed kernel
-// weights. Build one per deployment and share it: a plan is immutable after
-// construction and safe for any number of concurrent streams.
+// weights, plus a pool of FFT scratch. Build one per deployment and share it:
+// its components are immutable after construction and a plan is safe for any
+// number of concurrent streams.
 type SpectralPlan struct {
 	field *Field
 	rate  float64
@@ -78,6 +81,10 @@ type SpectralPlan struct {
 	hop   int // n/2
 	k     int // kernel half-width in bins
 	comps []specComp
+	// scratch pools the three complex FFT buffers (*[3][]complex128, n
+	// each) of a chunk synthesis, so scratch scales with concurrent
+	// synthesizers rather than streams.
+	scratch sync.Pool
 
 	culled      int     // components dropped by the amplitude budget
 	culledAccel float64 // Σ a·ω² over dropped components (m/s²)
@@ -112,6 +119,10 @@ func NewSpectralPlan(f *Field, cfg SpectralConfig) (*SpectralPlan, error) {
 	p.comps = make([]specComp, 0, len(keep))
 	for _, c := range keep {
 		p.comps = append(p.comps, p.prepare(c))
+	}
+	p.scratch.New = func() any {
+		b := make([]complex128, 3*n)
+		return &[3][]complex128{b[:n], b[n : 2*n], b[2*n:]}
 	}
 	return p, nil
 }
@@ -283,19 +294,11 @@ func (p *SpectralPlan) Window() int { return p.n }
 // paths and by equivalence tests).
 func (p *SpectralPlan) Field() *Field { return p.field }
 
-// chunkSlot caches one synthesized chunk: the windowed contribution of
-// chunk m to output samples [m·hop, m·hop+n) of the stream's grid.
-type chunkSlot struct {
-	m                     int
-	valid                 bool
-	accel, slopeX, slopeY []float64
-}
-
 // SpectralStream serves one node's sample blocks from a shared SpectralPlan.
 // It is the streaming, stateful half of spectral synthesis: it anchors an
-// absolute chunk grid at the first block it serves, synthesizes chunks on
-// demand, caches the handful that cover the current read position, and adds
-// the two overlapping chunks covering each requested sample.
+// absolute chunk grid at the first block it serves and holds one finished
+// hop segment plus the half chunk that the next segment still needs,
+// synthesizing chunks as the read position moves.
 //
 // A stream implements sensor.StreamSampler (the block path), plus the
 // SurfaceModel/SurfaceSampler point interfaces by delegating to the exact
@@ -306,14 +309,18 @@ type chunkSlot struct {
 // and the pipeline guarantees per-node calls are sequential (the Source
 // contract). Distinct streams sharing one plan may run concurrently.
 type SpectralStream struct {
-	plan    *SpectralPlan
-	pos     geo.Vec2
-	posAt   func(t float64) geo.Vec2 // nil for a fixed observer
-	started bool
-	tBase   float64 // time of grid sample 0
-	slots   [3]chunkSlot
-	scratch [3][]complex128
-	chunks  int64 // chunks synthesized (profiling/culling stats)
+	plan  *SpectralPlan
+	pos   geo.Vec2
+	posAt func(t float64) geo.Vec2 // nil for a fixed observer
+	tBase float64                  // time of grid sample 0
+	// seg holds the finished samples of hop segment m, grid samples
+	// [m·hop, (m+1)·hop): chunk m's first half plus chunk m−1's second
+	// half. tail holds chunk m's second half, which segment m+1 still
+	// needs. Index 0 is acceleration, 1 and 2 the slopes; nil until the
+	// first read.
+	m         int
+	seg, tail [3][]float64
+	chunks    int64 // chunks synthesized (profiling/culling stats)
 }
 
 // NewStream returns a stream for a fixed observer at p.
@@ -366,27 +373,36 @@ func (s *SpectralStream) AccumulateStream(t0 float64, n int, accel, slopeX, slop
 		return
 	}
 	p := s.plan
-	if !s.started {
-		s.started = true
+	hop := p.hop
+	first := s.seg[0] == nil
+	if first {
 		s.tBase = t0 - math.Round(t0*p.rate)*p.dt
+		b := make([]float64, 6*hop)
+		for i := range s.seg {
+			s.seg[i] = b[2*i*hop : (2*i+1)*hop]
+			s.tail[i] = b[(2*i+1)*hop : (2*i+2)*hop]
+		}
 	}
 	si := int(math.Round((t0 - s.tBase) * p.rate))
-	hop := p.hop
 	for off := 0; off < n; {
 		sAbs := si + off
 		m := floorDiv(sAbs, hop)
-		cnt := (m+1)*hop - sAbs // samples left in this hop segment
-		if rest := n - off; cnt > rest {
-			cnt = rest
+		u := sAbs - m*hop
+		cnt := min(hop-u, n-off) // samples left in this hop segment
+		if first || m != s.m {
+			// Stepping to the next segment needs one new chunk; any other
+			// move (first read, skip, rewind) rebuilds tail from chunk m−1.
+			if first || m != s.m+1 {
+				s.fold(m - 1)
+			}
+			s.fold(m)
+			s.m, first = m, false
 		}
-		cur := s.chunk(m)      // covers grid samples [m·hop, m·hop+n)
-		prev := s.chunk(m - 1) // covers [(m−1)·hop, (m+1)·hop)
-		u1 := sAbs - m*hop
-		u0 := u1 + hop
-		for i := 0; i < cnt; i++ {
-			accel[off+i] += cur.accel[u1+i] + prev.accel[u0+i]
-			slopeX[off+i] += cur.slopeX[u1+i] + prev.slopeX[u0+i]
-			slopeY[off+i] += cur.slopeY[u1+i] + prev.slopeY[u0+i]
+		a, x, y := s.seg[0][u:u+cnt], s.seg[1][u:u+cnt], s.seg[2][u:u+cnt]
+		for i := range a {
+			accel[off+i] += a[i]
+			slopeX[off+i] += x[i]
+			slopeY[off+i] += y[i]
 		}
 		off += cnt
 	}
@@ -402,61 +418,44 @@ func floorDiv(a, b int) int {
 	return q
 }
 
-// chunk returns the cached chunk m, synthesizing it into the least recently
-// useful slot if absent. Slots are replaced smallest-m first, which under
-// the stream's monotone access pattern never evicts a chunk needed later in
-// the same call.
-func (s *SpectralStream) chunk(m int) *chunkSlot {
-	victim := -1
-	for i := range s.slots {
-		sl := &s.slots[i]
-		if sl.valid && sl.m == m {
-			return sl
-		}
-		if !sl.valid {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(s.slots); i++ {
-			if s.slots[i].m < s.slots[victim].m {
-				victim = i
-			}
+// fold synthesizes chunk m and overlap-adds it: its first half plus tail
+// becomes seg, segment m, and its second half becomes the new tail. Every
+// segment sample is c_m[u] + c_{m−1}[u+hop] in that one order, whatever
+// path led to it, so its bits do not depend on the read pattern.
+func (s *SpectralStream) fold(m int) {
+	p := s.plan
+	sc := p.scratch.Get().(*[3][]complex128)
+	s.chunk(m, sc)
+	for k, c := range sc {
+		seg, tail := s.seg[k], s.tail[k]
+		for i := range seg {
+			seg[i] = real(c[i]) + tail[i]
+			tail[i] = real(c[p.hop+i])
 		}
 	}
-	sl := &s.slots[victim]
-	s.synthesize(sl, m)
-	return sl
+	p.scratch.Put(sc)
+	s.chunks++
 }
 
-// synthesize fills slot with chunk m: scatter every component onto the bin
-// grid with its kernel weights and phase rotation for this chunk, inverse
-// transform in place, and keep the real parts. The three series share the
-// per-component phase rotation; the kernel weights come from the shared
-// plan.
-func (s *SpectralStream) synthesize(sl *chunkSlot, m int) {
+// chunk synthesizes chunk m, the windowed contribution to grid samples
+// [m·hop, m·hop+n), into the real parts of sc (accel, slopeX, slopeY):
+// scatter every component onto the bin grid with its kernel weights and
+// phase rotation for this chunk, then inverse transform in place. The
+// three series share the per-component phase rotation; the kernel weights
+// come from the shared plan. The result depends on m alone, never on what
+// sc held before.
+func (s *SpectralStream) chunk(m int, sc *[3][]complex128) {
 	p := s.plan
 	n := p.n
-	if sl.accel == nil {
-		sl.accel = make([]float64, n)
-		sl.slopeX = make([]float64, n)
-		sl.slopeY = make([]float64, n)
-	}
-	if s.scratch[0] == nil {
-		for i := range s.scratch {
-			s.scratch[i] = make([]complex128, n)
-		}
-	}
 	tm := s.tBase + float64(m*p.hop)*p.dt
 	pos := s.pos
 	if s.posAt != nil {
 		pos = s.posAt(tm + 0.5*float64(n)*p.dt)
 	}
-	sa, sx, sy := s.scratch[0], s.scratch[1], s.scratch[2]
-	for i := 0; i < n; i++ {
-		sa[i], sx[i], sy[i] = 0, 0, 0
-	}
+	sa, sx, sy := sc[0], sc[1], sc[2]
+	clear(sa)
+	clear(sx)
+	clear(sy)
 	kHalf := p.k
 	mask := n - 1
 	for ci := range p.comps {
@@ -480,11 +479,4 @@ func (s *SpectralStream) synthesize(sl *chunkSlot, m int) {
 	dsp.FFTInPlace(sa, true)
 	dsp.FFTInPlace(sx, true)
 	dsp.FFTInPlace(sy, true)
-	for i := 0; i < n; i++ {
-		sl.accel[i] = real(sa[i])
-		sl.slopeX[i] = real(sx[i])
-		sl.slopeY[i] = real(sy[i])
-	}
-	sl.m, sl.valid = m, true
-	s.chunks++
 }

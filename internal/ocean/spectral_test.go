@@ -1,8 +1,11 @@
 package ocean
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/geo"
@@ -269,6 +272,244 @@ func TestSpectralMovingStreamDeterminism(t *testing.T) {
 		if a.Accel[i] != b.Accel[i] || a.SlopeX[i] != b.SlopeX[i] || a.SlopeY[i] != b.SlopeY[i] {
 			t.Fatalf("moving streams diverge at sample %d", i)
 		}
+	}
+}
+
+// chunkSum is the test-side overlap-add reference: it synthesizes chunks
+// straight through the stream's chunk routine and sums the two that cover
+// a grid sample, c_m[u] + c_{m−1}[u+hop], with no segment bookkeeping.
+type chunkSum struct {
+	s      *SpectralStream
+	chunks map[int][3][]float64
+}
+
+func (r *chunkSum) chunk(m int) [3][]float64 {
+	if c, ok := r.chunks[m]; ok {
+		return c
+	}
+	n := r.s.plan.n
+	sc := [3][]complex128{make([]complex128, n), make([]complex128, n), make([]complex128, n)}
+	r.s.chunk(m, &sc)
+	var c [3][]float64
+	for k := range sc {
+		c[k] = make([]float64, n)
+		for i, v := range sc[k] {
+			c[k][i] = real(v)
+		}
+	}
+	r.chunks[m] = c
+	return c
+}
+
+// sample returns series k (0 accel, 1 slopeX, 2 slopeY) at grid sample g.
+func (r *chunkSum) sample(k, g int) float64 {
+	hop := r.s.plan.hop
+	m := floorDiv(g, hop)
+	u := g - m*hop
+	return r.chunk(m)[k][u] + r.chunk(m - 1)[k][u+hop]
+}
+
+// TestSpectralOverlapAddMatchesChunkSum pins the stream's overlap-add
+// bookkeeping bit for bit against a direct sum of the two chunks covering
+// each sample, across windows, observers and read patterns (block lengths,
+// gaps, a rewind). For contiguous reads it also pins the chunk count: one
+// chunk per hop segment the read enters, plus one for the first segment's
+// predecessor.
+func TestSpectralOverlapAddMatchesChunkSum(t *testing.T) {
+	spec, err := NewPiersonMoskowitz(0.4, 4.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A coarse sea (64 components) keeps the many small-window chunks
+	// cheap; the bookkeeping under test does not depend on the count.
+	f, err := NewField(FieldConfig{Spectrum: spec, NumFreqs: 16, NumDirs: 4, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		rate = 50.0
+		span = 3000 // samples covered by a contiguous pattern
+	)
+	type read struct{ g, n int } // first grid sample, length
+	contiguous := func(g0, blockLen int) []read {
+		var rs []read
+		for off := 0; off < span; off += blockLen {
+			rs = append(rs, read{g0 + off, min(blockLen, span-off)})
+		}
+		return rs
+	}
+	// gapped reads 25-sample blocks, starting each one skip whole hop
+	// segments past the segment the previous block ended in.
+	gapped := func(g0, hop, skip int) []read {
+		var rs []read
+		for g, i := g0, 0; i < 8; i++ {
+			rs = append(rs, read{g, 25})
+			g = (floorDiv(g+24, hop)+1+skip)*hop + hop/3
+		}
+		return rs
+	}
+	// rewind reads forward past two hop segments, then goes back to just
+	// after its first sample and reads on.
+	rewind := func(g0, hop int) []read {
+		var rs []read
+		for off := 0; off < 2*hop+100; off += 25 {
+			rs = append(rs, read{g0 + off, 25})
+		}
+		for off := 0; off < 100; off += 25 {
+			rs = append(rs, read{g0 + 7 + off, 25})
+		}
+		return rs
+	}
+	type pattern struct {
+		name  string
+		reads []read
+		// monotone contiguous patterns pin the chunk count
+		contiguous bool
+	}
+	for _, window := range []int{8, 512, 1024, 2048} {
+		plan := testPlan(t, f, SpectralConfig{Rate: rate, Window: window})
+		hop := plan.hop
+		const g0 = 617 // 12.34 s: mid-chunk for every window
+		patterns := []pattern{
+			{"negative start", contiguous(-155, 25), true},
+			{"gap skips 0 hops", gapped(g0, hop, 0), false},
+			{"gap skips 1 hop", gapped(g0, hop, 1), false},
+			{"gap skips 3 hops", gapped(g0, hop, 3), false},
+			{"rewind", rewind(g0, hop), false},
+		}
+		for _, l := range []int{1, 17, 25, hop, hop + 1, 3000} {
+			patterns = append(patterns, pattern{fmt.Sprintf("block %d", l), contiguous(g0, l), true})
+		}
+		for _, moving := range []bool{false, true} {
+			pos := geo.Vec2{X: 31, Y: -47}
+			var posAt func(float64) geo.Vec2
+			if moving {
+				posAt = func(t float64) geo.Vec2 {
+					return pos.Add(geo.Vec2{X: 3 * math.Sin(2*math.Pi*t/60), Y: 2 * math.Cos(2*math.Pi*t/45)})
+				}
+			}
+			for _, pt := range patterns {
+				t.Run(fmt.Sprintf("window %d moving %v %s", window, moving, pt.name), func(t *testing.T) {
+					s := plan.NewStream(pos)
+					if moving {
+						s = plan.NewMovingStream(posAt)
+					}
+					var ref *chunkSum
+					for ri, rd := range pt.reads {
+						var out [3][]float64
+						for k := range out {
+							out[k] = make([]float64, rd.n)
+							for i := range out[k] {
+								out[k][i] = 1.5 // AccumulateStream adds
+							}
+						}
+						s.AccumulateStream(float64(rd.g)/rate, rd.n, out[0], out[1], out[2])
+						if ref == nil {
+							ref = &chunkSum{
+								s:      &SpectralStream{plan: plan, pos: s.pos, posAt: s.posAt, tBase: s.tBase},
+								chunks: map[int][3][]float64{},
+							}
+						}
+						for k := range out {
+							for i, got := range out[k] {
+								want := 1.5
+								want += ref.sample(k, rd.g+i)
+								if math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("read %d (grid %d+%d), series %d: got %v, want %v",
+										ri, rd.g, i, k, got, want)
+								}
+							}
+						}
+					}
+					if pt.contiguous {
+						first, last := pt.reads[0], pt.reads[len(pt.reads)-1]
+						segments := floorDiv(last.g+last.n-1, hop) - floorDiv(first.g, hop) + 1
+						if got, want := s.ChunksSynthesized(), int64(segments+1); got != want {
+							t.Errorf("synthesized %d chunks over %d hop segments, want %d", got, segments, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSpectralConcurrentStreams drives one stream per goroutine off a
+// shared plan at the same time; every stream must serve exactly what it
+// serves when the streams run one after another. Run it under -race: the
+// plan's pooled FFT scratch is the only state the streams share.
+func TestSpectralConcurrentStreams(t *testing.T) {
+	f := testField(t, 0.4, 4.5, 5)
+	plan := testPlan(t, f, SpectralConfig{})
+	const (
+		workers = 8
+		n       = 2600
+		dt      = 1.0 / 50
+	)
+	run := func(w int) SurfaceSeries {
+		pos := geo.Vec2{X: float64(37 * w), Y: float64(-23 * w)}
+		s := plan.NewStream(pos)
+		if w%2 == 1 {
+			s = plan.NewMovingStream(func(t float64) geo.Vec2 {
+				return pos.Add(geo.Vec2{X: math.Sin(t / 20), Y: math.Cos(t / 30)})
+			})
+		}
+		out := SurfaceSeries{
+			Accel:  make([]float64, n),
+			SlopeX: make([]float64, n),
+			SlopeY: make([]float64, n),
+		}
+		accumulateBlocks(s, 3.3, dt, n, 25, out.Accel, out.SlopeX, out.SlopeY)
+		return out
+	}
+	serial := make([]SurfaceSeries, workers)
+	for w := range serial {
+		serial[w] = run(w)
+	}
+	concurrent := make([]SurfaceSeries, workers)
+	var wg sync.WaitGroup
+	for w := range concurrent {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			concurrent[w] = run(w)
+		}(w)
+	}
+	wg.Wait()
+	for w := range serial {
+		a, b := serial[w], concurrent[w]
+		for i := 0; i < n; i++ {
+			if a.Accel[i] != b.Accel[i] || a.SlopeX[i] != b.SlopeX[i] || a.SlopeY[i] != b.SlopeY[i] {
+				t.Fatalf("stream %d: sample %d differs between serial and concurrent runs", w, i)
+			}
+		}
+	}
+}
+
+// TestSpectralStreamRetainedMemory pins what a warmed stream keeps between
+// reads: one hop segment and one half chunk per series, 24 KiB at the
+// default window. FFT scratch belongs to the plan, not to the streams.
+func TestSpectralStreamRetainedMemory(t *testing.T) {
+	f := testField(t, 0.25, 4.0, 3)
+	plan := testPlan(t, f, SpectralConfig{})
+	const (
+		streams  = 256
+		perLimit = 32 << 10
+	)
+	buf := make([]float64, 3*25)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ss := make([]*SpectralStream, streams)
+	for i := range ss {
+		ss[i] = plan.NewStream(geo.Vec2{X: float64(i), Y: 0})
+		ss[i].AccumulateStream(0, 25, buf[:25], buf[25:50], buf[50:])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ss)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / streams; per > perLimit {
+		t.Errorf("warmed streams retain %d B each, want ≤ %d", per, perLimit)
 	}
 }
 

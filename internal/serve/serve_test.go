@@ -594,6 +594,12 @@ func TestServeAPIErrors(t *testing.T) {
 	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
 		t.Errorf("invalid spec: %d %s", code, msg)
 	}
+	bad = cheapSpec()
+	bad.ThresholdM = 0
+	body, _ = json.Marshal(CreateRequest{Spec: bad})
+	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
+		t.Errorf("ThresholdM 0: %d %s", code, msg)
+	}
 	body, _ = json.Marshal(CreateRequest{ID: "no spaces!", Spec: cheapSpec()})
 	if code, _ := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
 		t.Errorf("invalid id accepted")

@@ -1,10 +1,12 @@
 package sid
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/fault"
+	"github.com/sid-wsn/sid/internal/geo"
 	"github.com/sid-wsn/sid/internal/sensor"
 	"github.com/sid-wsn/sid/internal/source"
 )
@@ -23,6 +25,9 @@ func TestConfigValidation(t *testing.T) {
 		{"Hs", func(c *Config) { c.Hs = 0 }, "Hs and Tp"},
 		{"Tp", func(c *Config) { c.Tp = -1 }, "Hs and Tp"},
 		{"DriftRadius", func(c *Config) { c.DriftRadius = -1 }, "DriftRadius"},
+		{"detector M", func(c *Config) { c.Detect.M = 0 }, "M must be positive"},
+		{"detector AnomalyThreshold", func(c *Config) { c.Detect.AnomalyThreshold = 1.5 }, "AnomalyThreshold"},
+		{"detector SampleRate", func(c *Config) { c.Detect.SampleRate = 0 }, "SampleRate"},
 		{"ClusterHops", func(c *Config) { c.ClusterHops = 0 }, "ClusterHops"},
 		{"CollectWindow", func(c *Config) { c.CollectWindow = 0 }, "CollectWindow"},
 		{"MinReports", func(c *Config) { c.MinReports = 0 }, "MinReports"},
@@ -102,4 +107,23 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("DefaultConfig invalid: %v", err)
 		}
 	})
+}
+
+// TestNewRuntimeValidatesBeforeBuilding: a bad detector parameter on a
+// large grid is rejected before the source, the network or any detector is
+// built, so the rejection costs next to nothing.
+func TestNewRuntimeValidatesBeforeBuilding(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Grid = geo.GridSpec{Rows: 120, Cols: 120, Spacing: 25}
+	cfg.Detect.M = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewRuntime(cfg)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "M must be positive") {
+		t.Fatalf("NewRuntime with M=0: err %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejecting a 120x120 config allocated %d B, want < 1 MiB", alloc)
+	}
 }

@@ -192,6 +192,9 @@ func (c Config) Validate() error {
 	} else if n := c.Source.NumNodes(); n != c.Grid.NumNodes() {
 		return fmt.Errorf("sid: source serves %d node streams, grid has %d nodes", n, c.Grid.NumNodes())
 	}
+	if err := c.Detect.Validate(); err != nil {
+		return err
+	}
 	if err := c.Radio.Validate(); err != nil {
 		return err
 	}

@@ -68,6 +68,11 @@ func TestDeploymentValidation(t *testing.T) {
 	if err := DefaultDeployment().Validate(); err != nil {
 		t.Errorf("Validate rejected the default deployment: %v", err)
 	}
+	noM := DefaultDeployment()
+	noM.ThresholdM = 0
+	if err := noM.Validate(); err == nil {
+		t.Error("Validate accepted ThresholdM = 0")
+	}
 	dep, err := NewDeployment(DefaultDeployment())
 	if err != nil {
 		t.Fatal(err)
