@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test sidperf-test sidperf-gates bench race vet fmt baseline bench-check obs replay adversarial serve loadgen serve-smoke trace-smoke grid-smoke grid-baseline
+.PHONY: test sidperf-test sidperf-gates bench race vet fmt baseline obs replay adversarial serve serve-smoke
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -56,68 +56,40 @@ replay:
 adversarial:
 	$(GO) run ./cmd/sidbench -exp adversarial
 
-# Regenerates the machine-readable perf baseline (BENCH_baseline.json).
-# Pinned to GOMAXPROCS=2 so the Workers fan-out is exercised and recorded
-# even on single-core hosts; see docs/PERFORMANCE.md for the methodology.
+# Regenerates BENCH_baseline.json on this host (docs/PERFORMANCE.md): the
+# micro-benchmarks of bench_test.go, then every sidperf workload once
+# untraced and once traced. sidbench -baseline only formats the captures,
+# and it fails if a run is incorrect or the runs disagree on the host.
 baseline:
-	$(GO) run ./cmd/sidbench -bench -gomaxprocs 2
-
-# Smoke-checks the committed baseline without re-measuring: fails if
-# BENCH_baseline.json is missing, was recorded at GOMAXPROCS <= 1, or lacks
-# the per-stage breakdown the synthesis perf target is pinned to.
-bench-check:
-	$(GO) run ./cmd/sidbench -check
-
-# Large-field smoke: the index-vs-unindexed parity cross-check plus a
-# downscaled grid run with every scaling feature on (spatial wake index,
-# hierarchical collection, duty cycling, bounded history). Small grids never
-# touch the committed baseline; see docs/PERFORMANCE.md.
-grid-smoke:
-	$(GO) run ./cmd/sidbench -exp grid -grid 8x8 -gomaxprocs 2
-
-# Refreshes the canonical grid_100x100 baseline entry and its speedup curve
-# (tens of seconds per worker setting; see docs/PERFORMANCE.md).
-grid-baseline:
-	$(GO) run ./cmd/sidbench -exp grid -gomaxprocs 2
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	echo "baseline: go test -bench . -benchmem" >&2; \
+	$(GO) test -run '^$$' -bench . -benchmem -count 1 . > $$tmp/micro.txt || exit 1; \
+	for w in grid_100x100 replay_fleet serve_open; do \
+		for t in 0 1; do \
+			echo "baseline: sidperf $$w --trace $$t" >&2; \
+			bash sidperf/run.sh --workload $$w --seed 1 --trace $$t > $$tmp/$$w.trace$$t.txt || exit 1; \
+		done; \
+	done; \
+	$(GO) run ./cmd/sidbench -baseline BENCH_baseline.json $$tmp/*.txt
 
 # Runs the multi-tenant detection server (docs/SERVING.md).
 SERVE_ADDR ?= localhost:8080
 serve:
 	$(GO) run ./cmd/sidserve -addr $(SERVE_ADDR)
 
-# Closed-loop load generator against an in-process server: 1000 concurrent
-# tenants over loopback HTTP; refreshes the serve_1k_tenants entry in
-# BENCH_baseline.json (pinned to GOMAXPROCS=2 like the rest of the
-# baseline; see docs/SERVING.md and docs/PERFORMANCE.md).
-loadgen:
-	$(GO) run ./cmd/sidbench -exp serve -gomaxprocs 2
-
-# Serve smoke: boot sidserve, drive a handful of tenants through the load
-# generator's external-address path (create, ingest, event-stream
-# confirmations, delete), and shut the server down. The load generator
-# waits for readiness itself and fails if any ingest confirmation or
-# detection event goes missing.
+# Serve smoke: build and boot the sidserve binary and drive one traced
+# tenant through it with sidbench -exp trace. That fails on a missing or
+# out-of-order ingest confirmation, a lost detection event, a missing
+# serve.end after delete, or served trace bytes that differ from the
+# recording. sidwatch then renders the trace and fails on fewer than four
+# span kinds (docs/SERVING.md, docs/OBSERVABILITY.md).
 SERVE_SMOKE_ADDR ?= localhost:18080
 serve-smoke:
-	@$(GO) build -o /tmp/sidserve-smoke ./cmd/sidserve
-	@/tmp/sidserve-smoke -addr $(SERVE_SMOKE_ADDR) & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null' EXIT; \
-	$(GO) run ./cmd/sidbench -exp serve -tenants 8 -addr $(SERVE_SMOKE_ADDR); \
-	status=$$?; \
-	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	exit $$status
-
-# Trace smoke: record the hot feed with tracing, replay it into a traced
-# tenant over HTTP, assert the served trace is byte-identical to the
-# recording (sidbench exits nonzero otherwise), and render the detection
-# waterfall with sidwatch, requiring at least four distinct span kinds
-# (see docs/OBSERVABILITY.md).
-TRACE_TMP := $(shell mktemp -d)
-trace-smoke:
-	$(GO) run ./cmd/sidbench -exp trace > $(TRACE_TMP)/trace.jsonl
-	$(GO) run ./cmd/sidwatch trace -min-kinds 4 $(TRACE_TMP)/trace.jsonl
-	@rm -rf $(TRACE_TMP)
+	@tmp=$$(mktemp -d); trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/sidserve ./cmd/sidserve || exit 1; \
+	$$tmp/sidserve -addr $(SERVE_SMOKE_ADDR) & pid=$$!; \
+	$(GO) run ./cmd/sidbench -exp trace -addr $(SERVE_SMOKE_ADDR) > $$tmp/trace.jsonl || exit 1; \
+	$(GO) run ./cmd/sidwatch trace -min-kinds 4 $$tmp/trace.jsonl
 
 # Observability smoke: journal one golden scenario and render it with
 # sidwatch (see docs/OBSERVABILITY.md). Fails if the report comes out empty.

@@ -8,7 +8,8 @@ package sid
 //
 //	go test -bench=. -benchmem
 //
-// The full-resolution artifacts are produced by cmd/sidbench.
+// The full-resolution artifacts are produced by cmd/sidbench; `make
+// baseline` records this suite's numbers in BENCH_baseline.json.
 
 import (
 	"testing"
@@ -360,7 +361,8 @@ func BenchmarkOceanFieldSample(b *testing.B) {
 // --- Wave-synthesis and FFT-plan benchmarks ---
 //
 // These back the numbers in docs/PERFORMANCE.md and BENCH_baseline.json;
-// perf-affecting PRs must re-run them (see the rules in PERFORMANCE.md).
+// perf-affecting changes must re-run `make baseline` (see the rules in
+// PERFORMANCE.md).
 
 // benchField builds a representative directional sea: 64 frequency bins ×
 // 8 directions, the default discretization used by deployments.
@@ -492,6 +494,33 @@ func BenchmarkDeploymentSerialSpectral(b *testing.B) {
 func BenchmarkDeploymentParallelSpectral(b *testing.B) {
 	benchDeployment(b, 0, source.SynthSpectral)
 }
+
+// benchFleet runs 8 independent 3×3 fields for 30 s simulated through
+// one fleet. The fleet forces each field's inner Workers to 1, so Serial
+// vs Parallel shows the across-deployment sharding axis
+// (docs/STREAMING.md), not the within-deployment fan-out.
+func benchFleet(b *testing.B, workers int) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		fc := isid.FleetConfig{Workers: workers}
+		for f := 0; f < 8; f++ {
+			dc := isid.DefaultConfig()
+			dc.Grid.Rows, dc.Grid.Cols = 3, 3
+			dc.Seed = int64(100 + f)
+			fc.Deployments = append(fc.Deployments, dc)
+		}
+		fl, err := isid.NewFleet(fc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fl.Run(30); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFleetSerial(b *testing.B)   { benchFleet(b, 1) }
+func BenchmarkFleetParallel(b *testing.B) { benchFleet(b, 0) }
 
 func BenchmarkClusterEvaluate(b *testing.B) {
 	reports := randomClusterReports(1)

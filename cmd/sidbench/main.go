@@ -1,14 +1,15 @@
 // Command sidbench regenerates every table and figure of the paper's
 // evaluation from the synthetic substrates and prints them in the paper's
 // layout. See DESIGN.md for the experiment index and EXPERIMENTS.md for
-// measured-vs-paper notes.
+// measured-vs-paper notes. It also drives a running sidserve end to end
+// (-exp trace) and formats BENCH_baseline.json from captured benchmark
+// output (-baseline).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"github.com/sid-wsn/sid/internal/eval"
@@ -17,31 +18,24 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiment to run: fig5,fig6,fig7,fig8,fig11,table1,table2,fig12,resilience,adversarial,scenarios,fleet,serve,trace,grid or all")
+	expFlag := flag.String("exp", "all", "experiment to run: fig5,fig6,fig7,fig8,fig11,table1,table2,fig12,resilience,adversarial,scenarios,fleet,trace or all")
 	trials := flag.Int("trials", 0, "override trial counts (0 = experiment defaults)")
 	seed := flag.Int64("seed", 1, "base seed")
-	bench := flag.Bool("bench", false, "run the performance baseline suite instead of the experiments")
-	benchOut := flag.String("benchout", "BENCH_baseline.json", "output path for -bench results")
-	benchCheck := flag.Bool("check", false, "validate the -benchout baseline file instead of running anything")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "pin runtime.GOMAXPROCS for this run (0 = leave as-is); the committed baseline is recorded at 2 so parallel speedups are measured even on single-core hosts")
+	baselineOut := flag.String("baseline", "", "instead of running anything, format this baseline file (BENCH_baseline.json) from the go test -bench and sidperf captures named as arguments")
 	update := flag.Bool("update", false, "with -exp scenarios: rewrite the golden regression corpus")
 	goldenDir := flag.String("golden", scenario.DefaultGoldenDir, "golden corpus directory (for -exp scenarios)")
 	journalDir := flag.String("journal", "", "with -exp scenarios: write one JSONL event journal per scenario into this directory (render with sidwatch)")
 	only := flag.String("only", "", "with -exp scenarios: run only the named scenario")
 	httpAddr := flag.String("http", "", "serve /debug/pprof and /debug/vars on this address while running (e.g. localhost:6060)")
-	tenants := flag.Int("tenants", 1000, "with -exp serve: concurrent tenant count for the load generator")
-	serveAddr := flag.String("addr", "", "with -exp serve: drive a running sidserve at this address instead of an in-process server (e.g. localhost:8080)")
-	gridFlag := flag.String("grid", "", "RxC grid size (e.g. 100x100): the -exp grid field size (default 100x100; smaller sizes run as smokes without touching the baseline) and the -exp serve hot-feed grid override (default 5x5)")
+	serveAddr := flag.String("addr", "", "with -exp trace: the address of the running sidserve to drive (required, e.g. localhost:8080)")
 	flag.Parse()
 
-	gridRows, gridCols := 0, 0
-	if *gridFlag != "" {
-		var err error
-		gridRows, gridCols, err = parseGrid(*gridFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
+	if *baselineOut != "" {
+		if err := writeBaseline(*baselineOut, flag.Args()); err != nil {
+			fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
 			os.Exit(1)
 		}
+		return
 	}
 
 	if *httpAddr != "" {
@@ -52,26 +46,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/debug/pprof and /debug/vars\n", srv.Addr())
-	}
-
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	}
-
-	if *benchCheck {
-		if err := checkBench(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-check: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench {
-		if err := runBench(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	want := map[string]bool{}
@@ -278,34 +252,9 @@ func main() {
 		return runFleetExp(*seed)
 	})
 
-	// The serve load generator is opt-in only: "all" regenerates the paper's
-	// evaluation, while serve drives a 1000-tenant HTTP load run (~half a
-	// minute of saturated ingest) and touches the baseline file.
-	if want["serve"] {
-		fmt.Println("== serve ==")
-		if err := runServeExp(*tenants, *serveAddr, *benchOut, gridRows, gridCols); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	// The grid scaling run is opt-in like serve: it simulates the large
-	// field (default 100x100 nodes) across a Workers curve after an
-	// index-parity cross-check, and refreshes the baseline's grid entry
-	// when run at the canonical size.
-	if want["grid"] {
-		fmt.Println("== grid ==")
-		if err := runGridExp(gridRows, gridCols, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	// The trace smoke is opt-in like serve, and it keeps stdout clean: it
-	// prints only the served detection-trace JSONL so the output pipes
-	// straight into `sidwatch trace`.
+	// The trace smoke is opt-in only, since it needs a running sidserve,
+	// and it keeps stdout clean: it prints only the served detection-trace
+	// JSONL so the output pipes straight into `sidwatch trace`.
 	if want["trace"] {
 		if err := runTraceExp(*serveAddr); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)

@@ -1,11 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"time"
@@ -14,13 +15,18 @@ import (
 	"github.com/sid-wsn/sid/internal/serve"
 )
 
-// runTraceExp is the -exp trace entry point and the CI trace smoke: record
+// runTraceExp is the -exp trace entry point and the CI serve smoke: record
 // the detection-bearing hot feed with a tracer attached, replay it into a
-// traced tenant (in-process unless -addr points at a running sidserve),
-// fetch the tenant's deterministic trace serialization, assert it matches
-// the recording byte for byte, and print the JSONL to stdout so it can be
-// piped into `sidwatch trace`. All commentary goes to stderr.
+// traced tenant of the sidserve running at addr, and check the wire end to
+// end. Every chunk must be confirmed on the tenant's event stream in order,
+// every recorded detection must arrive as an event, the served trace must
+// match the recording byte for byte, and deleting the tenant must end its
+// stream. The trace JSONL goes to stdout so it can be piped into
+// `sidwatch trace`; all commentary goes to stderr.
 func runTraceExp(addr string) error {
+	if addr == "" {
+		return fmt.Errorf("-addr is required: boot sidserve and point -addr at it")
+	}
 	const label = "trace-smoke"
 	spec := sidapi.DefaultDeployment()
 	spec.Rows, spec.Cols = 5, 5
@@ -36,30 +42,17 @@ func runTraceExp(addr string) error {
 		return err
 	}
 	if len(feed.Detections) == 0 {
-		return fmt.Errorf("trace: the recorded feed produced no detections")
+		return fmt.Errorf("the recorded feed produced no detections")
 	}
 	if len(feed.Trace) == 0 {
-		return fmt.Errorf("trace: the recorded feed produced no trace spans")
+		return fmt.Errorf("the recorded feed produced no trace spans")
 	}
 
 	base := "http://" + addr
-	if addr != "" {
-		if err := waitReady(base, 10*time.Second); err != nil {
-			return err
-		}
-	} else {
-		srv := serve.New(serve.Config{})
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		defer hs.Close()
-		base = "http://" + ln.Addr().String()
+	if err := waitReady(base, 10*time.Second); err != nil {
+		return err
 	}
-	client := http.DefaultClient
+	tenant := base + "/v1/tenants/" + label
 
 	body, err := json.Marshal(serve.CreateRequest{
 		ID: label, Spec: spec, Trace: true, Genesis: feed.Genesis,
@@ -67,89 +60,144 @@ func runTraceExp(addr string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := client.Post(base+"/v1/tenants", serve.ContentTypeJSON, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("trace: create: %w", err)
+	if err := call(http.MethodPost, base+"/v1/tenants", serve.ContentTypeJSON, body, http.StatusCreated); err != nil {
+		return fmt.Errorf("create: %w", err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("trace: create: status %d", resp.StatusCode)
-	}
-	defer func() {
-		req, err := http.NewRequest(http.MethodDelete, base+"/v1/tenants/"+label, nil)
-		if err != nil {
-			return
-		}
-		if resp, err := client.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
 
-	var accepted float64
+	// Subscribe before the first post, so no confirmation can be missed.
+	// The deadline bounds every read of the stream below.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, tenant+"/events", nil)
+	if err != nil {
+		return err
+	}
+	es, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return fmt.Errorf("events: %w", err)
+	}
+	defer es.Body.Close()
+	if es.StatusCode != http.StatusOK {
+		return fmt.Errorf("events: status %d", es.StatusCode)
+	}
+	stream := bufio.NewScanner(es.Body)
+	stream.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	// next reads the stream up to the next event of kind want, counting
+	// the detection events it passes.
+	detections := 0
+	next := func(want string) (wireEvent, error) {
+		for stream.Scan() {
+			var ev wireEvent
+			if err := json.Unmarshal(stream.Bytes(), &ev); err != nil {
+				return ev, fmt.Errorf("events: bad line: %w", err)
+			}
+			switch ev.Kind {
+			case want:
+				return ev, nil
+			case serve.KindDetection:
+				detections++
+			case serve.KindError:
+				return ev, fmt.Errorf("stream error: %s", ev.Data)
+			}
+		}
+		if err := stream.Err(); err != nil {
+			return wireEvent{}, fmt.Errorf("waiting for %s: %w", want, err)
+		}
+		return wireEvent{}, fmt.Errorf("stream ended before %s", want)
+	}
+
+	// Closed loop: one chunk in flight, so the ingest queue never fills.
 	for k, chunk := range feed.Chunks {
-		for {
-			resp, err := client.Post(base+"/v1/tenants/"+label+"/chunks",
-				serve.ContentTypeBundle, bytes.NewReader(chunk))
-			if err != nil {
-				return fmt.Errorf("trace: chunk %d: %w", k, err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusAccepted {
-				break
-			}
-			if resp.StatusCode == http.StatusTooManyRequests {
-				time.Sleep(50 * time.Millisecond)
-				continue
-			}
-			return fmt.Errorf("trace: chunk %d: status %d", k, resp.StatusCode)
+		if err := call(http.MethodPost, tenant+"/chunks", serve.ContentTypeBundle, chunk, http.StatusAccepted); err != nil {
+			return fmt.Errorf("chunk %d: %w", k, err)
 		}
-		accepted += 10
+		ev, err := next(serve.KindIngest)
+		if err != nil {
+			return fmt.Errorf("chunk %d: %w", k, err)
+		}
+		var done serve.IngestDone
+		if err := json.Unmarshal(ev.Data, &done); err != nil {
+			return fmt.Errorf("chunk %d: %w", k, err)
+		}
+		if done.Seq != k {
+			return fmt.Errorf("chunk %d: confirmation for seq %d", k, done.Seq)
+		}
 	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		var st serve.TenantStatus
-		resp, err := client.Get(base + "/v1/tenants/" + label)
-		if err != nil {
-			return fmt.Errorf("trace: status: %w", err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("trace: status: %w", err)
-		}
-		if st.Err != "" {
-			return fmt.Errorf("trace: tenant failed: %s", st.Err)
-		}
-		if st.ProcessedS >= accepted {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("trace: tenant stuck at %gs of %gs processed", st.ProcessedS, accepted)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if detections != len(feed.Detections) {
+		return fmt.Errorf("%d detection events on the wire, the recording has %d", detections, len(feed.Detections))
 	}
 
-	resp, err = client.Get(base + "/v1/tenants/" + label + "/traces?format=jsonl")
+	resp, err := http.Get(tenant + "/traces?format=jsonl")
 	if err != nil {
-		return fmt.Errorf("trace: fetch: %w", err)
+		return fmt.Errorf("fetch: %w", err)
 	}
 	got, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return fmt.Errorf("trace: fetch: %w", err)
+		return fmt.Errorf("fetch: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("trace: fetch: status %d", resp.StatusCode)
+		return fmt.Errorf("fetch: status %d", resp.StatusCode)
 	}
 	if !bytes.Equal(got, feed.Trace) {
-		return fmt.Errorf("trace: served trace differs from the in-process recording (%d vs %d bytes) — wire determinism broken",
+		return fmt.Errorf("served trace differs from the in-process recording (%d vs %d bytes) — wire determinism broken",
 			len(got), len(feed.Trace))
 	}
-	fmt.Fprintf(os.Stderr, "trace: %d detections, %d trace bytes, wire == in-process\n",
-		len(feed.Detections), len(got))
+
+	if err := call(http.MethodDelete, tenant, "", nil, http.StatusOK); err != nil {
+		return fmt.Errorf("delete: %w", err)
+	}
+	if _, err := next(serve.KindEnd); err != nil {
+		return fmt.Errorf("after delete: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "trace: %d chunks confirmed in order, %d detections, %d trace bytes, wire == in-process, stream ended\n",
+		len(feed.Chunks), detections, len(got))
 	os.Stdout.Write(got)
 	return nil
+}
+
+// wireEvent is the decoded shape of one NDJSON event line.
+type wireEvent struct {
+	Kind string          `json:"kind"`
+	Data json.RawMessage `json:"data"`
+}
+
+// call makes one request and requires the given status, draining the body.
+func call(method, url, contentType string, body []byte, want int) error {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != want {
+		return fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return nil
+}
+
+// waitReady polls the tenant listing until the server answers.
+func waitReady(base string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		resp, err := http.Get(base + "/v1/tenants")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s not ready after %v: %v", base, timeout, err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 }

@@ -20,8 +20,7 @@ import (
 // and renders one waterfall per confirmed detection. With -wall the
 // wall-clock overlays are shown alongside the sim-time bars; only the
 // serving-layer spans (ingest and delivery) carry them, since pipeline
-// spans are pure sim time (the profiler times evaluation and the speed
-// fit), so the JSONL form has none.
+// spans are pure sim time, so the JSONL form has none.
 // -min-kinds N exits nonzero unless at least N distinct span kinds appear,
 // which is what the CI smoke asserts.
 func traceMain(args []string) int {

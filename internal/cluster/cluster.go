@@ -109,7 +109,9 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() error {
+// Validate checks the configuration; Evaluate and EvaluateWithLine reject
+// what it rejects.
+func (c Config) Validate() error {
 	if c.MinRows < 1 {
 		return fmt.Errorf("cluster: MinRows must be ≥ 1, got %d", c.MinRows)
 	}
@@ -231,7 +233,7 @@ func DedupAtomic(reports []Report) []Report {
 // Reports sharing a node ID are deduplicated first (see Dedup): one buoy is
 // one witness, however many times it reported.
 func Evaluate(reports []Report, cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	reports = Dedup(reports)
@@ -275,7 +277,7 @@ func Evaluate(reports []Report, cfg Config) (Result, error) {
 // of the nodes below"); accordingly each side is scored independently and
 // the better-scoring side is returned.
 func EvaluateWithLine(reports []Report, line geo.Line, cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	if len(reports) == 0 {

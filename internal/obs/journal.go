@@ -10,8 +10,8 @@ import (
 
 // Event is one journal entry: what happened (Kind, with a typed payload in
 // Data) and when in *simulation* time (T). Wall-clock values never enter a
-// journal — see Profiler for those — so a journal is a pure function of
-// the simulated run and serializes byte-identically for any worker count.
+// journal, so a journal is a pure function of the simulated run and
+// serializes byte-identically for any worker count.
 type Event struct {
 	// T is the simulation time of the event in seconds.
 	T float64 `json:"t"`

@@ -1,9 +1,8 @@
 // Package obs is the SID runtime's zero-dependency observability layer:
-// a typed metrics registry (counters, gauges, fixed-bucket histograms),
-// a structured event journal keyed by simulation time, and span-style
-// wall-clock stage profiling.
+// a typed metrics registry (counters, gauges, fixed-bucket histograms) and
+// a structured event journal keyed by simulation time.
 //
-// The three concerns are deliberately separated by determinism class:
+// Both are deterministic:
 //
 //   - The registry holds monotonic counters and point-in-time gauges whose
 //     values are functions of the simulation alone — identical for every
@@ -11,31 +10,25 @@
 //   - The journal records what happened and when in *simulation* time.
 //     Events are emitted only from the scheduler's serial phases, so a
 //     journal serialized to JSONL is byte-identical across worker counts.
-//   - The profiler measures wall-clock durations, which are inherently
-//     nondeterministic; they live strictly outside the journal so that
-//     enabling profiling can never perturb a pinned trace.
+//     The wall clock never enters it.
 //
-// A Collector bundles the three, plus the detection Tracer, which folds the
+// A Collector bundles the two, plus the detection Tracer, which folds the
 // same event stream the journal records into per-detection traces. The
 // zero-cost contract: a runtime given no collector creates a
-// registry-only one (atomic increments, no allocation), event emission
-// sites guard on Journaling() before building any payload, and profiling
-// sites guard on a nil Profiler — so the disabled paths add no
-// allocations to the hot loops.
+// registry-only one (atomic increments, no allocation), and event emission
+// sites guard on Journaling() before building any payload — so the
+// disabled paths add no allocations to the hot loops.
 package obs
 
-// Collector bundles the observability sinks a runtime writes to. Configure
-// it (journal, profiler) before handing it to a runtime: the runtime may
-// cache the profiler at construction.
+// Collector bundles the observability sinks a runtime writes to.
 type Collector struct {
 	registry *Registry
 	journal  *Journal
-	profiler *Profiler
 	tracer   *Tracer
 }
 
 // New returns a collector with a fresh registry and no journal or
-// profiler — the always-on, allocation-free configuration.
+// tracer — the always-on, allocation-free configuration.
 func New() *Collector {
 	return &Collector{registry: NewRegistry()}
 }
@@ -57,18 +50,6 @@ func (c *Collector) Journal() *Journal {
 		return nil
 	}
 	return c.journal
-}
-
-// SetProfiler attaches (or, with nil, detaches) the stage profiler.
-// Attach before constructing the runtime that should use it.
-func (c *Collector) SetProfiler(p *Profiler) { c.profiler = p }
-
-// Profiler returns the attached profiler, or nil.
-func (c *Collector) Profiler() *Profiler {
-	if c == nil {
-		return nil
-	}
-	return c.profiler
 }
 
 // SetTracer attaches (or, with nil, detaches) the detection trace

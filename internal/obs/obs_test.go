@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRegistryCounters(t *testing.T) {
@@ -158,40 +157,8 @@ func TestCollectorNilSafety(t *testing.T) {
 		t.Error("nil collector journaling")
 	}
 	c.Emit(1, "k", nil) // must not panic
-	if c.Registry() != nil || c.Journal() != nil || c.Profiler() != nil {
+	if c.Registry() != nil || c.Journal() != nil {
 		t.Error("nil collector returned non-nil parts")
-	}
-	var p *Profiler
-	p.Start("x")() // no-op
-	p.Observe("x", time.Second)
-	if p.Snapshot() != nil {
-		t.Error("nil profiler snapshot not nil")
-	}
-}
-
-func TestProfiler(t *testing.T) {
-	p := NewProfiler()
-	p.Observe("detect", 10*time.Millisecond)
-	p.Observe("detect", 30*time.Millisecond)
-	p.Observe("cluster", 5*time.Millisecond)
-	s := p.Snapshot()
-	if len(s) != 2 {
-		t.Fatalf("stages = %d, want 2", len(s))
-	}
-	// Sorted: cluster before detect.
-	if s[0].Stage != "cluster" || s[1].Stage != "detect" {
-		t.Errorf("order = %v", s)
-	}
-	if s[1].Count != 2 || s[1].TotalNs != int64(40*time.Millisecond) {
-		t.Errorf("detect agg = %+v", s[1])
-	}
-	if got := s[1].NsPerOp(); got != float64(20*time.Millisecond) {
-		t.Errorf("ns/op = %g", got)
-	}
-	stop := p.Start("speed")
-	stop()
-	if s := p.Snapshot(); len(s) != 3 || s[2].Count != 1 {
-		t.Errorf("after span: %+v", s)
 	}
 }
 

@@ -29,8 +29,8 @@ const (
 // Span is one interval of a detection trace. Start and End are simulation
 // seconds; instantaneous protocol steps (evaluation, election) have
 // Start == End. WallNs is a wall-clock overlay that only serving-layer
-// spans carry; pipeline spans are pure sim time (the profiler times the
-// pipeline's stages), so the deterministic serialization is wall-free.
+// spans carry; pipeline spans are pure sim time, so the deterministic
+// serialization is wall-free.
 type Span struct {
 	Trace  string  `json:"trace,omitempty"`
 	Kind   string  `json:"kind"`
@@ -294,8 +294,8 @@ func (t *Tracer) ConfirmedIDs() []string {
 
 // ServeSpan attaches a serving-layer span to a confirmed trace. Serving
 // spans live outside the deterministic serialization (they carry
-// wall-clock overlays and depend on ingest chunking), like the profiler
-// lives outside the journal.
+// wall-clock overlays and depend on ingest chunking), just as the wall
+// clock stays out of the journal.
 func (t *Tracer) ServeSpan(id string, s Span) {
 	if id == "" {
 		return

@@ -59,9 +59,10 @@ type Feed struct {
 
 // BuildFeed runs the deployment once in process with a recording attached
 // and returns the recording sliced into wire chunks, alongside the run's
-// detections and (optionally) journal. The load generator uses it to
-// manufacture realistic tenant traffic; the integration tests use it as
-// the in-process reference the served results must match byte for byte.
+// detections and (optionally) journal. The benchmark's serve workload and
+// the serve smoke use it to manufacture tenant traffic; the integration
+// tests use it as the in-process reference the served results must match
+// byte for byte.
 func BuildFeed(fs FeedSpec) (*Feed, error) {
 	if fs.Duration <= 0 || fs.ChunkS <= 0 {
 		return nil, fmt.Errorf("serve: feed duration and chunk must be positive, got %g, %g", fs.Duration, fs.ChunkS)

@@ -600,6 +600,12 @@ func TestServeAPIErrors(t *testing.T) {
 	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
 		t.Errorf("ThresholdM 0: %d %s", code, msg)
 	}
+	bad = cheapSpec()
+	bad.CThreshold = 2
+	body, _ = json.Marshal(CreateRequest{Spec: bad})
+	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
+		t.Errorf("CThreshold 2: %d %s", code, msg)
+	}
 	body, _ = json.Marshal(CreateRequest{ID: "no spaces!", Spec: cheapSpec()})
 	if code, _ := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
 		t.Errorf("invalid id accepted")

@@ -60,7 +60,7 @@ type tenant struct {
 
 	// sloReg is a separate wall-clock registry: the pipeline registry holds
 	// only sim-deterministic values, and latency SLOs are inherently wall
-	// time — same separation as journal vs profiler.
+	// time, and the wall clock stays out of the journal.
 	sloReg     *obs.Registry
 	hSLOIngest *obs.Histogram // serve.slo.ingest_confirm_ms
 	hSLOE2E    *obs.Histogram // serve.slo.detection_e2e_ms

@@ -46,8 +46,8 @@ const (
 	// Detection, byte-identical to marshaling an in-process run's result.
 	KindDetection = "serve.detection"
 	// KindIngest acknowledges one fully processed chunk (payload
-	// IngestDone) — the sink confirmation the load generator measures
-	// ingest-to-detection latency against.
+	// IngestDone) — the sink confirmation that ingest latency is measured
+	// against.
 	KindIngest = "serve.ingest"
 	// KindEnd is the stream's terminal event (payload EndOfStream),
 	// emitted when the tenant is deleted or the server shuts down.
@@ -216,8 +216,8 @@ func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate
 // Trace) into encoded bundle chunks of chunkDur seconds covering [0,
 // total). It drives the Source contract exactly like the pipeline does —
 // strictly increasing global indices per node — so it consumes streaming
-// traces in bounded memory. The load generator and the CI smoke feed these
-// bytes straight to the ingest endpoint.
+// traces in bounded memory. BuildFeed's chunks are these bytes, which
+// clients post straight to the ingest endpoint.
 func ChunksFromSource(src source.Source, pos []geo.Vec2, seed int64, total, chunkDur float64) ([][]byte, error) {
 	if chunkDur <= 0 || total <= 0 {
 		return nil, fmt.Errorf("serve: total and chunkDur must be positive, got %g, %g", total, chunkDur)

@@ -37,6 +37,9 @@ func TestConfigValidation(t *testing.T) {
 		{"DutyCycle low", func(c *Config) { c.DutyCycle = -0.1 }, "DutyCycle"},
 		{"DutyCycle high", func(c *Config) { c.DutyCycle = 1.5 }, "DutyCycle"},
 		{"Workers", func(c *Config) { c.Workers = -1 }, "Workers"},
+		{"cluster CThreshold", func(c *Config) { c.Cluster.CThreshold = 2 }, "CThreshold"},
+		{"cluster MinRows", func(c *Config) { c.Cluster.MinRows = 0 }, "MinRows"},
+		{"cluster SweepThreshold", func(c *Config) { c.Cluster.SweepThreshold = 1.5 }, "SweepThreshold"},
 		{"failover heartbeat period", func(c *Config) {
 			c.Failover = DefaultFailoverConfig()
 			c.Failover.HeartbeatPeriod = 0

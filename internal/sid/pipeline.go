@@ -58,7 +58,6 @@ func (r *Runtime) Run(dur float64) error {
 				active = append(active, ns)
 			}
 		}
-		stop := r.col.Profiler().Start("synthesis")
 		if prep != nil {
 			// Serial staging hook: the synthetic source queries its spatial
 			// wake index here, once per batch, before the parallel fan-out.
@@ -68,7 +67,6 @@ func (r *Runtime) Run(dur float64) error {
 			ns := active[i]
 			ns.block = r.src.Block(int(ns.id), sampleIdx, t, perBatch)
 		})
-		stop()
 		if r.rec != nil {
 			// Tee in the serial phase, after the fan-out joined and before
 			// consumption nils the blocks: recording observes exactly what
@@ -81,11 +79,9 @@ func (r *Runtime) Run(dur float64) error {
 		// consumeBlock drops them — so the gauge reflects a node's true
 		// high-water mark, sample block included.
 		r.trackNodeMem()
-		stop = r.col.Profiler().Start("detect")
 		for _, ns := range active {
 			r.consumeBlock(ns)
 		}
-		stop()
 		r.boundHistory()
 		next := t + float64(perBatch)/sampleRate
 		if next < end {

@@ -364,7 +364,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 		r.evaluations = append(r.evaluations, Evaluation{Head: ns.id, Time: r.sched.Now(), Reports: reports})
 		return
 	}
-	stop := r.col.Profiler().Start("cluster")
 	evalReports := reports
 	var trimmed []int
 	var res cluster.Result
@@ -380,7 +379,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 	} else {
 		res, err = cluster.Evaluate(reports, r.cfg.Cluster)
 	}
-	stop()
 	r.evaluations = append(r.evaluations, Evaluation{
 		Head: ns.id, Time: r.sched.Now(), Reports: reports,
 		Result: res, Err: err, Trimmed: trimmed,
@@ -423,7 +421,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 	for i, rep := range evalReports {
 		dets[i] = speed.Detection{Pos: rep.Pos, Time: rep.Onset, Energy: rep.Energy}
 	}
-	stop = r.col.Profiler().Start("speed")
 	var est speed.Estimate
 	var fits []speed.CandidateFit
 	var estErr error
@@ -437,7 +434,6 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 	} else {
 		est, fits, estErr = speed.EstimateFromDetectionsTrace(dets, res.TravelLine, r.cfg.Grid.Spacing)
 	}
-	stop()
 	if r.col.Journaling() {
 		for _, fit := range fits {
 			r.col.Emit(r.sched.Now(), obs.KindSpeedFit, obs.SpeedFit{

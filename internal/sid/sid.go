@@ -142,7 +142,7 @@ type Config struct {
 	// replay it directly via Recording.Source.
 	RecordTo *source.Recording
 	// Obs is the observability collector the deployment reports into
-	// (metrics registry, optional journal, optional profiler). Nil gets a
+	// (metrics registry, optional journal, optional tracer). Nil gets a
 	// private registry-only collector, so counters always work. Journal
 	// events carry simulation time exclusively and are emitted only from
 	// the scheduler's serial phases, so the journal is byte-identical
@@ -193,6 +193,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sid: source serves %d node streams, grid has %d nodes", n, c.Grid.NumNodes())
 	}
 	if err := c.Detect.Validate(); err != nil {
+		return err
+	}
+	if err := c.Cluster.Validate(); err != nil {
 		return err
 	}
 	if err := c.Radio.Validate(); err != nil {

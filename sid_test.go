@@ -73,6 +73,16 @@ func TestDeploymentValidation(t *testing.T) {
 	if err := noM.Validate(); err == nil {
 		t.Error("Validate accepted ThresholdM = 0")
 	}
+	// A cluster threshold no correlation can reach fails at construction,
+	// not at every later evaluation.
+	badC := DefaultDeployment()
+	badC.CThreshold = 2
+	if err := badC.Validate(); err == nil {
+		t.Error("Validate accepted CThreshold = 2")
+	}
+	if _, err := NewDeployment(badC); err == nil {
+		t.Error("NewDeployment accepted CThreshold = 2")
+	}
 	dep, err := NewDeployment(DefaultDeployment())
 	if err != nil {
 		t.Fatal(err)
