@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test sidperf-test sidperf-gates bench race vet fmt baseline obs replay adversarial serve serve-smoke
+.PHONY: test sidperf-test sidperf-gates bench race vet fmt fuzz baseline obs replay adversarial serve serve-smoke
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -38,6 +38,15 @@ vet:
 # Fails (listing the files) if anything is not gofmt-clean.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Fuzz smoke: run each Go fuzz target for FUZZTIME beyond its seed corpus
+# (the seeds alone already run under plain `go test`). A failing input is
+# written under the package's testdata/fuzz/ for committing as a seed.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFFTRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz '^FuzzSTFTFraming$$' -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Record→replay smoke: record the single-10kn golden scenario into per-node
 # SIDTRACE files, replay them through the detection pipeline, and require the

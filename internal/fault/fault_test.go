@@ -249,7 +249,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			at := 0.01 * float64(i)
 			if err := sched.Schedule(at, func() {
-				_ = net.SendMultiHop(0, 5, "probe", at)
+				_ = net.SendMultiHop(0, 5, "probe", at, "")
 			}); err != nil {
 				t.Fatal(err)
 			}

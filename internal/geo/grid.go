@@ -17,13 +17,20 @@ type GridSpec struct {
 	Origin Vec2
 }
 
-// Validate reports whether the spec describes a non-empty grid.
+// Validate reports whether the spec describes a non-empty grid whose node
+// count fits in an int and whose positions are finite.
 func (g GridSpec) Validate() error {
 	if g.Rows <= 0 || g.Cols <= 0 {
 		return fmt.Errorf("geo: grid must have positive dimensions, got %dx%d", g.Rows, g.Cols)
 	}
-	if g.Spacing <= 0 {
+	if g.Rows > math.MaxInt/g.Cols {
+		return fmt.Errorf("geo: grid %dx%d overflows the node count", g.Rows, g.Cols)
+	}
+	if !(g.Spacing > 0) {
 		return fmt.Errorf("geo: grid spacing must be positive, got %g", g.Spacing)
+	}
+	if far := g.Pos(g.Rows-1, g.Cols-1); math.IsNaN(far.X+far.Y) || math.IsInf(far.X+far.Y, 0) {
+		return fmt.Errorf("geo: grid %dx%d at %g m from %v has non-finite positions", g.Rows, g.Cols, g.Spacing, g.Origin)
 	}
 	return nil
 }

@@ -356,8 +356,7 @@ func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample, maxBody int
 	if !(dur > 0) {
 		return fmt.Errorf("chunk duration must be positive, got %g", dur)
 	}
-	// A full chunk carries nodes × rate × dur samples, SIDTRACE-encoded.
-	if maxDur := float64(maxBody) / (trace.SampleBytes * float64(t.nodes) * t.rate); dur > maxDur {
+	if maxDur := maxChunkS(maxBody, t.nodes, t.rate); dur > maxDur {
 		return fmt.Errorf("chunk duration %gs exceeds the %.0fs a full chunk can cover within the %d-byte body limit",
 			dur, maxDur, maxBody)
 	}
@@ -375,6 +374,13 @@ func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample, maxBody int
 		}
 	}
 	return nil
+}
+
+// maxChunkS is the longest chunk a body of maxBody bytes can carry: a full
+// chunk is nodes × rate × dur samples, SIDTRACE-encoded. Tenant create
+// applies it too, so a grid no chunk can feed is refused up front.
+func maxChunkS(maxBody int64, nodes int, rate float64) float64 {
+	return float64(maxBody) / (trace.SampleBytes * float64(nodes) * rate)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -606,6 +606,29 @@ func TestServeAPIErrors(t *testing.T) {
 	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
 		t.Errorf("CThreshold 2: %d %s", code, msg)
 	}
+	// A grid whose node count overflows an int, and a grid no chunk can
+	// feed (one 0.5 s batch of 1000×1000 nodes is 150 MB against the
+	// 32 MiB body limit), are refused before any deployment is built.
+	overflow := cheapSpec()
+	overflow.Rows, overflow.Cols = 1<<62+1, 4
+	huge := cheapSpec()
+	huge.Rows, huge.Cols = 1000, 1000
+	for _, c := range []struct {
+		name string
+		spec sidapi.Config
+	}{{"overflow", overflow}, {"1000x1000", huge}} {
+		body, _ := json.Marshal(CreateRequest{Spec: c.spec})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, msg := post("/v1/tenants", ContentTypeJSON, body)
+		runtime.ReadMemStats(&after)
+		if code != 400 {
+			t.Errorf("%s create: %d %s, want 400", c.name, code, msg)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s create allocated %d B before its 400, want ≤ 1 MiB", c.name, alloc)
+		}
+	}
 	body, _ = json.Marshal(CreateRequest{ID: "no spaces!", Spec: cheapSpec()})
 	if code, _ := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
 		t.Errorf("invalid id accepted")

@@ -166,6 +166,17 @@ func newTenant(srv *Server, id string, req CreateRequest) (*tenant, error) {
 		// Workers explicitly keeps it (results are bit-identical either way).
 		rc.Workers = 1
 	}
+	// Refuse what no chunk could ever feed before allocating per-node
+	// state: a grid whose node count overflows, or one whose smallest
+	// chunk, one sensing batch, exceeds the body limit (validateChunk's
+	// bound).
+	if err := rc.Grid.Validate(); err != nil {
+		return nil, err
+	}
+	if maxS := maxChunkS(srv.cfg.MaxBodyBytes, rc.Grid.NumNodes(), rate); rc.SampleBatch > maxS {
+		return nil, fmt.Errorf("%d nodes at %g Hz: one %gs sensing batch exceeds the %d-byte body limit",
+			rc.Grid.NumNodes(), rate, rc.SampleBatch, srv.cfg.MaxBodyBytes)
+	}
 	push, err := source.NewPush(rate, scale, rc.Grid.NumNodes())
 	if err != nil {
 		return nil, err

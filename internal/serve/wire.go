@@ -166,6 +166,8 @@ func validDuration(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
 
 // DecodeBundle parses an EncodeBundle chunk. rate and scale are taken from
 // the first non-empty node stream (0, 0 for an all-silent chunk).
+// Allocation is bounded by the input: the node table grows as entries
+// decode rather than at the count the header claims.
 func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate, scale float64, err error) {
 	var magic [8]byte
 	if _, err = io.ReadFull(r, magic[:]); err != nil {
@@ -188,18 +190,27 @@ func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate
 	if n > maxNodes {
 		return 0, nil, 0, 0, fmt.Errorf("serve: implausible bundle node count %d", n)
 	}
-	nodes = make([][]sensor.Sample, n)
-	for i := range nodes {
+	for i := 0; i < int(n); i++ {
 		var byteLen uint32
 		if err = binary.Read(r, binary.LittleEndian, &byteLen); err != nil {
 			return 0, nil, 0, 0, fmt.Errorf("serve: reading bundle node %d length: %w", i, err)
 		}
+		nodes = append(nodes, nil)
 		if byteLen == 0 {
 			continue
 		}
-		h, samples, err := trace.Read(io.LimitReader(r, int64(byteLen)))
+		entry := io.LimitReader(r, int64(byteLen))
+		h, samples, err := trace.Read(entry)
 		if err != nil {
 			return 0, nil, 0, 0, fmt.Errorf("serve: bundle node %d: %w", i, err)
+		}
+		// Skip whatever the entry holds past its trace, so the next entry
+		// starts where the length says however the reads were sized.
+		if _, err := io.Copy(io.Discard, entry); err != nil {
+			return 0, nil, 0, 0, fmt.Errorf("serve: bundle node %d: %w", i, err)
+		}
+		if len(samples) == 0 {
+			continue // a stream without samples is a silent node
 		}
 		if rate == 0 {
 			rate, scale = h.SampleRate, h.CountsPerG

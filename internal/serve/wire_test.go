@@ -2,12 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/geo"
 	"github.com/sid-wsn/sid/internal/sensor"
 	"github.com/sid-wsn/sid/internal/source"
+	"github.com/sid-wsn/sid/internal/trace"
 )
 
 func TestBundleRoundTrip(t *testing.T) {
@@ -110,4 +114,90 @@ func TestChunkSamplesConversion(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Samples() = %+v, want %+v", got, want)
 	}
+}
+
+// inflatedBundle is a 20-byte bundle header that claims the maximum node
+// count and then ends.
+func inflatedBundle() []byte {
+	body := append(bundleMagic[:], make([]byte, 12)...)
+	binary.LittleEndian.PutUint64(body[8:], math.Float64bits(1))
+	binary.LittleEndian.PutUint32(body[16:], 1<<16)
+	return body
+}
+
+// TestDecodeBundleAllocBoundedByInput: a header that claims 65,536 node
+// streams in a 20-byte body must not allocate a table for them.
+func TestDecodeBundleAllocBoundedByInput(t *testing.T) {
+	body := inflatedBundle()
+	// The minimum over a few tries discounts allocation by other goroutines.
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, _, err := DecodeBundle(bytes.NewReader(body))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("truncated bundle accepted")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Errorf("decoding a %d-byte bundle allocated %d B, want < 64 KiB", len(body), least)
+	}
+}
+
+// FuzzDecodeBundle: DecodeBundle never panics, and whatever it accepts
+// re-encodes and decodes to the same duration, rate, scale and samples.
+func FuzzDecodeBundle(f *testing.F) {
+	var valid bytes.Buffer
+	nodes := [][]sensor.Sample{{{T: 1, X: 1, Y: -2, Z: 3}, {T: 1.02, X: 4}}, nil, {{T: 1, Z: -9}}}
+	if err := EncodeBundle(&valid, 0.5, 50, 1024, nil, 3, nodes); err != nil {
+		f.Fatal(err)
+	}
+	var silent bytes.Buffer
+	if err := EncodeBundle(&silent, 1, 50, 1024, nil, 0, make([][]sensor.Sample, 4)); err != nil {
+		f.Fatal(err)
+	}
+	// One entry holding a complete SIDTRACE header and no samples: a silent
+	// node, which must not set the bundle's rate and scale.
+	var header bytes.Buffer
+	if err := trace.Write(&header, trace.Header{SampleRate: 50, CountsPerG: 1024}, nil); err != nil {
+		f.Fatal(err)
+	}
+	empty := inflatedBundle()
+	binary.LittleEndian.PutUint32(empty[16:], 1) // one node stream
+	empty = binary.LittleEndian.AppendUint32(empty, uint32(header.Len()))
+	empty = append(empty, header.Bytes()...)
+	f.Add(valid.Bytes())
+	f.Add(empty)
+	f.Add(valid.Bytes()[:valid.Len()-3]) // truncated mid-sample
+	f.Add(silent.Bytes())
+	f.Add(inflatedBundle())
+	f.Add([]byte("SIDBNDL1"))
+	f.Add([]byte("NOTMAGIC"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dur, nodes, rate, scale, err := DecodeBundle(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeBundle(&buf, dur, rate, scale, nil, 0, nodes); err != nil {
+			t.Fatalf("re-encoding an accepted bundle: %v", err)
+		}
+		dur2, nodes2, rate2, scale2, err := DecodeBundle(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("decoding a re-encoded bundle: %v", err)
+		}
+		if dur2 != dur || rate2 != rate || scale2 != scale {
+			t.Fatalf("round trip: dur/rate/scale %g/%g/%g, want %g/%g/%g", dur2, rate2, scale2, dur, rate, scale)
+		}
+		if len(nodes2) != len(nodes) {
+			t.Fatalf("round trip: %d node streams, want %d", len(nodes2), len(nodes))
+		}
+		for i := range nodes {
+			if !reflect.DeepEqual(nodes2[i], nodes[i]) {
+				t.Fatalf("round trip: node %d samples differ", i)
+			}
+		}
+	})
 }

@@ -22,6 +22,7 @@ func TestConfigValidation(t *testing.T) {
 		want string // error substring
 	}{
 		{"grid rows", func(c *Config) { c.Grid.Rows = 0 }, "grid"},
+		{"grid overflow", func(c *Config) { c.Grid.Rows, c.Grid.Cols = 1<<62+1, 4 }, "overflows"},
 		{"Hs", func(c *Config) { c.Hs = 0 }, "Hs and Tp"},
 		{"Tp", func(c *Config) { c.Tp = -1 }, "Hs and Tp"},
 		{"DriftRadius", func(c *Config) { c.DriftRadius = -1 }, "DriftRadius"},

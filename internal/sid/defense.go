@@ -1,8 +1,6 @@
 package sid
 
 import (
-	"fmt"
-
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
@@ -23,7 +21,7 @@ import (
 //     honest majority's wake-sweep structure.
 //   - Suspicion and quarantine: every piece of per-node evidence (a
 //     freshness rejection, a trimmed-by-consensus verdict in a detecting
-//     evaluation) bumps a score; past SuspicionThreshold the node's
+//     evaluation) bumps a score; past suspicionThreshold the node's
 //     reports are refused outright, which caps what a persistent
 //     compromised node can inject over a long run.
 //
@@ -37,58 +35,30 @@ import (
 // DefenseConfig configures the head-side defenses. The zero value disables
 // them all, keeping runs bit-identical to the undefended protocol.
 type DefenseConfig struct {
-	// Enabled turns the defense layer on.
+	// Enabled turns the defense layer on, with the constants below.
 	Enabled bool
-	// StaleSlack extends the freshness window into the past, beyond the
+}
+
+// The defended arm's settings.
+const (
+	// staleSlack extends the freshness window into the past, beyond the
 	// collection window itself, to absorb clock-sync residuals and
 	// multi-hop delivery delay (seconds).
-	StaleSlack float64
-	// FutureSlack is how far into the head's future an onset may claim to
+	staleSlack = 20.0
+	// futureSlack is how far into the head's future an onset may claim to
 	// be (seconds) — sync residuals make small leads legitimate.
-	FutureSlack float64
-	// MaxTrimFrac bounds the fraction of reports cluster.EvaluateRobust may
+	futureSlack = 5.0
+	// maxTrimFrac bounds the fraction of reports cluster.EvaluateRobust may
 	// discard while searching for a detecting honest subset.
-	MaxTrimFrac float64
-	// SuspicionThreshold quarantines a node when its suspicion score
-	// reaches it. 0 disables quarantine (scores still accumulate).
-	SuspicionThreshold int
-	// RobustSpeed switches the post-confirmation speed fit to the
-	// leave-one-out estimator, which survives one spoofed timestamp among
-	// the four chosen nodes.
-	RobustSpeed bool
-}
+	maxTrimFrac = 0.25
+	// suspicionThreshold quarantines a node when its suspicion score
+	// reaches it.
+	suspicionThreshold = 3
+)
 
 // DefaultDefenseConfig returns the defended-arm settings used by the
 // adversarial evaluation.
-func DefaultDefenseConfig() DefenseConfig {
-	return DefenseConfig{
-		Enabled:            true,
-		StaleSlack:         20,
-		FutureSlack:        5,
-		MaxTrimFrac:        0.25,
-		SuspicionThreshold: 3,
-		RobustSpeed:        true,
-	}
-}
-
-func (d DefenseConfig) validate() error {
-	if !d.Enabled {
-		return nil
-	}
-	if d.StaleSlack < 0 {
-		return fmt.Errorf("sid: Defense.StaleSlack must be non-negative, got %g", d.StaleSlack)
-	}
-	if d.FutureSlack < 0 {
-		return fmt.Errorf("sid: Defense.FutureSlack must be non-negative, got %g", d.FutureSlack)
-	}
-	if d.MaxTrimFrac < 0 || d.MaxTrimFrac >= 1 {
-		return fmt.Errorf("sid: Defense.MaxTrimFrac must be in [0,1), got %g", d.MaxTrimFrac)
-	}
-	if d.SuspicionThreshold < 0 {
-		return fmt.Errorf("sid: Defense.SuspicionThreshold must be non-negative, got %d", d.SuspicionThreshold)
-	}
-	return nil
-}
+func DefaultDefenseConfig() DefenseConfig { return DefenseConfig{Enabled: true} }
 
 // defenseAdmit decides whether a head folds a report into its collection.
 // The returned reason ("quarantined", "stale", "future", "energy") feeds
@@ -100,12 +70,11 @@ func (r *Runtime) defenseAdmit(head *nodeState, p ReportPayload) (bool, string) 
 	if p.Energy <= 0 {
 		return false, "energy"
 	}
-	d := r.cfg.Defense
 	headLocal := r.net.MustNode(head.id).LocalTime(r.sched.Now())
-	if p.Onset < headLocal-r.cfg.CollectWindow-d.StaleSlack {
+	if p.Onset < headLocal-r.cfg.CollectWindow-staleSlack {
 		return false, "stale"
 	}
-	if p.Onset > headLocal+d.FutureSlack {
+	if p.Onset > headLocal+futureSlack {
 		return false, "future"
 	}
 	return true, ""
@@ -136,10 +105,8 @@ func (r *Runtime) suspect(node int, reason string) {
 	}
 	r.suspicion[node]++
 	r.ctr.suspicions.Inc()
-	d := r.cfg.Defense
 	quarantined := false
-	if d.SuspicionThreshold > 0 && r.suspicion[node] >= d.SuspicionThreshold &&
-		!r.quarantined[node] && wsn.NodeID(node) != r.cfg.SinkID {
+	if r.suspicion[node] >= suspicionThreshold && !r.quarantined[node] && wsn.NodeID(node) != r.cfg.SinkID {
 		r.quarantined[node] = true
 		r.ctr.quarantines.Inc()
 		quarantined = true

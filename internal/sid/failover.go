@@ -208,6 +208,6 @@ func (r *Runtime) onTakeover(ns *nodeState, p TakeoverPayload) {
 				Energy: ns.lastReport.Energy, Resend: true,
 			})
 		}
-		r.countSend(ns.id, r.net.SendMultiHopTraced(ns.id, p.New, KindReport, ns.lastReport, r.nodes[p.New].trace))
+		r.countSend(ns.id, r.net.SendMultiHop(ns.id, p.New, KindReport, ns.lastReport, r.nodes[p.New].trace))
 	}
 }

@@ -12,7 +12,7 @@ import (
 // hundreds of multi-hop unicasts on the head's neighborhood within one
 // collection window. The hierarchy layer splits the deployment into k
 // sub-clusters around deterministically chosen sub-heads
-// (wsn.SelectRoots/BuildForest): a member hands its report to its
+// (wsn.SelectRoots/BuildTree): a member hands its report to its
 // sub-head, which buffers reports per destination head and forwards them in
 // batched summaries. The head applies exactly the same per-report
 // acceptance (dedup, defense gates, the report.accept event) to a summarized report
@@ -36,48 +36,26 @@ type HierarchyConfig struct {
 	// report directly to their cluster head and runs are bit-identical to
 	// the flat protocol.
 	Enabled bool
-	// SubHeads is the number of sub-cluster heads. 0 picks one per 64
-	// nodes (rounded up) — enough that a sub-cluster stays within a radio
+}
+
+// The aggregation tier's settings.
+const (
+	// nodesPerSubHead sizes the tier: one sub-cluster head per 64 nodes
+	// (rounded up), enough that a sub-cluster stays within a radio
 	// neighborhood on grid deployments.
-	SubHeads int
-	// FlushInterval is how long a sub-head may hold buffered reports before
+	nodesPerSubHead = 64
+	// flushInterval is how long a sub-head may hold buffered reports before
 	// forwarding them (seconds). It bounds the extra report latency the
 	// aggregation tier adds, so it must be small against CollectWindow.
-	FlushInterval float64
-	// MaxBatch flushes a sub-head's buffer early once this many reports
+	flushInterval = 2.0
+	// maxBatch flushes a sub-head's buffer early once this many reports
 	// for one head have accumulated.
-	MaxBatch int
-}
+	maxBatch = 8
+)
 
 // DefaultHierarchyConfig returns the aggregation tier's defaults (still
 // disabled; set Enabled yourself).
-func DefaultHierarchyConfig() HierarchyConfig {
-	return HierarchyConfig{FlushInterval: 2, MaxBatch: 8}
-}
-
-func (c HierarchyConfig) validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.SubHeads < 0 {
-		return fmt.Errorf("sid: Hierarchy.SubHeads must be non-negative, got %d", c.SubHeads)
-	}
-	if c.FlushInterval <= 0 {
-		return fmt.Errorf("sid: Hierarchy.FlushInterval must be positive, got %g", c.FlushInterval)
-	}
-	if c.MaxBatch < 1 {
-		return fmt.Errorf("sid: Hierarchy.MaxBatch must be ≥ 1, got %d", c.MaxBatch)
-	}
-	return nil
-}
-
-// subHeadCount resolves the configured sub-head count for n nodes.
-func (c HierarchyConfig) subHeadCount(n int) int {
-	if c.SubHeads > 0 {
-		return c.SubHeads
-	}
-	return (n + 63) / 64
-}
+func DefaultHierarchyConfig() HierarchyConfig { return HierarchyConfig{} }
 
 // SubReportPayload is a member's report traveling to its sub-head, tagged
 // with the collection head it must ultimately reach.
@@ -94,7 +72,7 @@ type SummaryPayload struct {
 
 // aggBatch is a sub-head's buffer of member reports destined for one
 // collection head. armed marks a pending flush timer; epoch invalidates
-// stale timer closures after an early (MaxBatch) flush re-arms the buffer.
+// stale timer closures after an early (maxBatch) flush re-arms the buffer.
 type aggBatch struct {
 	head    wsn.NodeID
 	reports []ReportPayload
@@ -107,14 +85,13 @@ type aggBatch struct {
 // excluded from sub-head duty; sub-heads that die later are bypassed per
 // report (see hierRoute).
 func (r *Runtime) setupHierarchy() error {
-	k := r.cfg.Hierarchy.subHeadCount(len(r.nodes))
-	roots := r.net.SelectRoots(k)
-	forest, err := r.net.BuildForest(roots)
+	roots := r.net.SelectRoots((len(r.nodes) + nodesPerSubHead - 1) / nodesPerSubHead)
+	tree, err := r.net.BuildTree(roots...)
 	if err != nil {
 		return fmt.Errorf("sid: hierarchy setup: %w", err)
 	}
 	for _, ns := range r.nodes {
-		ns.subHead = forest.Root[ns.id]
+		ns.subHead = tree.Root[ns.id]
 	}
 	r.col.Registry().Gauge("sid.subheads").Set(float64(len(roots)))
 	return nil
@@ -134,8 +111,8 @@ func (r *Runtime) hierRoute(ns *nodeState) bool {
 }
 
 // onSubReport buffers a member report at the sub-head and schedules its
-// forwarding: immediately once MaxBatch reports for the same head are
-// waiting, otherwise after FlushInterval. Runs inside a message-delivery
+// forwarding: immediately once maxBatch reports for the same head are
+// waiting, otherwise after flushInterval. Runs inside a message-delivery
 // scheduler event, so buffering is serial and deterministic.
 func (r *Runtime) onSubReport(ns *nodeState, p SubReportPayload) {
 	// A sub-head that happens to be the destination head (it joined the
@@ -156,7 +133,7 @@ func (r *Runtime) onSubReport(ns *nodeState, p SubReportPayload) {
 		b = &ns.agg[len(ns.agg)-1]
 	}
 	b.reports = append(b.reports, p.Report)
-	if len(b.reports) >= r.cfg.Hierarchy.MaxBatch {
+	if len(b.reports) >= maxBatch {
 		r.flushSummary(ns, p.Head)
 		return
 	}
@@ -165,7 +142,7 @@ func (r *Runtime) onSubReport(ns *nodeState, p SubReportPayload) {
 		b.epoch++
 		epoch := b.epoch
 		head := p.Head
-		_ = r.sched.Schedule(r.sched.Now()+r.cfg.Hierarchy.FlushInterval, func() {
+		_ = r.sched.Schedule(r.sched.Now()+flushInterval, func() {
 			for i := range ns.agg {
 				if ns.agg[i].head == head && ns.agg[i].armed && ns.agg[i].epoch == epoch {
 					r.flushSummary(ns, head)
@@ -204,6 +181,6 @@ func (r *Runtime) flushSummary(ns *nodeState, head wsn.NodeID) {
 			Sub: int(ns.id), Head: int(head), Reports: len(reports),
 		})
 	}
-	r.countSend(ns.id, r.net.SendMultiHopTraced(ns.id, head, KindSummary,
+	r.countSend(ns.id, r.net.SendMultiHop(ns.id, head, KindSummary,
 		SummaryPayload{Head: head, Reports: reports}, r.nodes[head].trace))
 }

@@ -103,11 +103,11 @@ func (r *Runtime) dispatchReport(ns *nodeState, payload ReportPayload) {
 			// for batched forwarding. Journal and trace exactly as a direct
 			// send — the report's protocol meaning is unchanged, only its
 			// radio path differs.
-			r.countSend(ns.id, r.net.SendMultiHopTraced(ns.id, ns.subHead, KindSubReport,
+			r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.subHead, KindSubReport,
 				SubReportPayload{Head: ns.headID, Report: payload}, trace))
 			return
 		}
-		r.countSend(ns.id, r.net.SendMultiHopTraced(ns.id, ns.headID, KindReport, payload, trace))
+		r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.headID, KindReport, payload, trace))
 		return
 	}
 	// SetUpTempCluster: become head, invite neighbors within six hops.
@@ -369,10 +369,10 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 	var res cluster.Result
 	var err error
 	if r.cfg.Defense.Enabled {
-		// Byzantine-tolerant path: trim up to MaxTrimFrac of the reports
+		// Byzantine-tolerant path: trim up to maxTrimFrac of the reports
 		// when the full set fails the gates. Only a detecting trimmed
 		// evaluation accuses anyone.
-		robust, rerr := cluster.EvaluateRobust(reports, r.cfg.Cluster, r.cfg.Defense.MaxTrimFrac)
+		robust, rerr := cluster.EvaluateRobust(reports, r.cfg.Cluster, maxTrimFrac)
 		res, err = robust.Result, rerr
 		trimmed = robust.Trimmed
 		evalReports = robust.Kept
@@ -424,7 +424,9 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 	var est speed.Estimate
 	var fits []speed.CandidateFit
 	var estErr error
-	if r.cfg.Defense.Enabled && r.cfg.Defense.RobustSpeed {
+	if r.cfg.Defense.Enabled {
+		// The leave-one-out fit survives one spoofed timestamp among the
+		// four chosen nodes.
 		var robust speed.RobustEstimate
 		robust, estErr = speed.RobustFromDetections(dets, res.TravelLine, r.cfg.Grid.Spacing)
 		est = robust.Estimate
@@ -461,5 +463,5 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 			r.gaugeTreeDepth()
 		}
 	}
-	r.countSend(ns.id, r.net.SendToRootTraced(tree, ns.id, KindSinkReport, sink, trace))
+	r.countSend(ns.id, r.net.SendToRoot(tree, ns.id, KindSinkReport, sink, trace))
 }

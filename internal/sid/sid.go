@@ -228,16 +228,10 @@ func (c Config) Validate() error {
 	if err := c.Failover.validate(); err != nil {
 		return err
 	}
-	if err := c.Hierarchy.validate(); err != nil {
-		return err
-	}
 	if err := c.Faults.Validate(c.Grid.NumNodes()); err != nil {
 		return err
 	}
-	if err := c.Adversary.Validate(c.Grid.NumNodes()); err != nil {
-		return err
-	}
-	return c.Defense.validate()
+	return c.Adversary.Validate(c.Grid.NumNodes())
 }
 
 // nodeState is the per-node SID protocol state (Algorithm SID's variables).

@@ -130,10 +130,6 @@ type SyntheticConfig struct {
 	// streams are identical in both modes — only the ambient-sea series
 	// synthesis differs, within the documented tolerance.
 	Synthesis SynthesisMode
-	// SpectralWindow overrides the spectral chunk length (power of two;
-	// 0 selects the ocean package default of 1024 samples). Ignored in
-	// phasor mode.
-	SpectralWindow int
 	// DisableIndex turns off the spatial wake index that spectral mode
 	// builds over Positions, forcing every node to carry every wake model
 	// and pay the per-block bound check (the pre-index behavior). The
@@ -254,8 +250,7 @@ func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
 			s.driftPad = cfg.DriftRadius + indexDriftMargin
 		}
 		s.plan, err = ocean.NewSpectralPlan(field, ocean.SpectralConfig{
-			Rate:   accel.SampleRate,
-			Window: cfg.SpectralWindow,
+			Rate: accel.SampleRate,
 			// Tolerances: half a count, the phasor-equivalence contract.
 			TolAccel: 0.5 * ocean.Gravity / accel.CountsPerG,
 			TolSlope: 0.5 / accel.CountsPerG,

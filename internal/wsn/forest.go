@@ -1,7 +1,7 @@
 package wsn
 
 import (
-	"fmt"
+	"slices"
 
 	"github.com/sid-wsn/sid/internal/geo"
 )
@@ -9,23 +9,9 @@ import (
 // Multi-level root selection: large fields cannot funnel every report
 // through one collection root, so the protocol layer partitions the
 // deployment into sub-clusters around k aggregation roots. SelectRoots picks
-// the roots deterministically; BuildForest assigns every node to its nearest
-// root by hop distance. Both are pure functions of the connectivity graph
-// and liveness at call time.
-
-// Forest is the multi-root analogue of Tree: a disjoint set of BFS trees,
-// one per root, with every alive reachable node assigned to its hop-nearest
-// root (ties broken toward the earliest root in Roots order — deterministic
-// for a deterministic root slice).
-type Forest struct {
-	Roots []NodeID
-	// Root[i] is node i's assigned root, -1 if unreachable or dead.
-	Root []NodeID
-	// Parent[i] is the next hop toward Root[i]; a root's parent is itself.
-	Parent []NodeID
-	// Hops[i] is the hop distance to Root[i], -1 if unreachable.
-	Hops []int
-}
+// the roots deterministically; BuildTree(roots...) assigns every node to its
+// nearest root by hop distance. Both are pure functions of the connectivity
+// graph and liveness at call time.
 
 // SelectRoots picks k aggregation roots over the alive nodes by
 // farthest-point sampling on Euclidean position: the first root is the
@@ -89,67 +75,6 @@ func (w *Network) SelectRoots(k int) []NodeID {
 			}
 		}
 	}
-	sortNodeIDs(roots)
+	slices.Sort(roots)
 	return roots
-}
-
-// BuildForest runs a multi-source BFS from the given roots over the alive
-// connectivity graph: every reachable node joins the tree of its
-// hop-nearest root, with ties resolved by BFS arrival order — roots are
-// seeded in slice order, and neighbor expansion is deterministic, so the
-// assignment is a pure function of (roots, graph, liveness).
-func (w *Network) BuildForest(roots []NodeID) (*Forest, error) {
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("wsn: forest needs at least one root")
-	}
-	f := &Forest{
-		Roots:  append([]NodeID(nil), roots...),
-		Root:   make([]NodeID, len(w.nodes)),
-		Parent: make([]NodeID, len(w.nodes)),
-		Hops:   make([]int, len(w.nodes)),
-	}
-	for i := range f.Hops {
-		f.Root[i] = -1
-		f.Parent[i] = -1
-		f.Hops[i] = -1
-	}
-	var queue []NodeID
-	for _, root := range roots {
-		r, err := w.Node(root)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Alive() {
-			return nil, fmt.Errorf("wsn: forest root %d is dead", root)
-		}
-		if f.Hops[root] != -1 {
-			return nil, fmt.Errorf("wsn: duplicate forest root %d", root)
-		}
-		f.Root[root] = root
-		f.Parent[root] = root
-		f.Hops[root] = 0
-		queue = append(queue, root)
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range w.Neighbors(cur) {
-			if !w.nodes[nb].Alive() || f.Hops[nb] != -1 {
-				continue
-			}
-			f.Root[nb] = f.Root[cur]
-			f.Parent[nb] = cur
-			f.Hops[nb] = f.Hops[cur] + 1
-			queue = append(queue, nb)
-		}
-	}
-	return f, nil
-}
-
-func sortNodeIDs(ids []NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

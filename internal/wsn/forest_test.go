@@ -57,15 +57,24 @@ func TestSelectRootsDeterministicAndSpread(t *testing.T) {
 	}
 }
 
-// TestBuildForestNearestRoot: every node lands in the tree of its
-// hop-nearest root, parents point toward that root, and dead or duplicate
-// roots are rejected.
+// TestBuildForestNearestRoot: with several roots, every node lands in the
+// tree of its hop-nearest root, parents point toward that root, and empty,
+// dead or duplicate root sets are rejected.
 func TestBuildForestNearestRoot(t *testing.T) {
 	w := forestNet(t, 8, 8)
 	roots := w.SelectRoots(3)
-	f, err := w.BuildForest(roots)
+	f, err := w.BuildTree(roots...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Hop distances to each root come from single-root trees.
+	dist := make(map[NodeID][]int, len(roots))
+	for _, r := range roots {
+		single, err := w.BuildTree(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist[r] = single.Hops
 	}
 	for id := range f.Root {
 		nid := NodeID(id)
@@ -73,12 +82,12 @@ func TestBuildForestNearestRoot(t *testing.T) {
 			t.Fatalf("node %d unassigned in a connected grid", id)
 		}
 		// Assigned root is hop-nearest (ties allowed).
-		own := w.HopDistance(nid, f.Root[id])
+		own := dist[f.Root[id]][id]
 		if own != f.Hops[id] {
 			t.Fatalf("node %d: forest hops %d but graph distance %d", id, f.Hops[id], own)
 		}
 		for _, r := range roots {
-			if d := w.HopDistance(nid, r); d >= 0 && d < own {
+			if d := dist[r][id]; d >= 0 && d < own {
 				t.Fatalf("node %d assigned root %d at %d hops but root %d is %d hops", id, f.Root[id], own, r, d)
 			}
 		}
@@ -95,14 +104,14 @@ func TestBuildForestNearestRoot(t *testing.T) {
 		}
 	}
 
-	if _, err := w.BuildForest(nil); err == nil {
+	if _, err := w.BuildTree(); err == nil {
 		t.Fatal("empty root set should fail")
 	}
-	if _, err := w.BuildForest([]NodeID{roots[0], roots[0]}); err == nil {
+	if _, err := w.BuildTree(roots[0], roots[0]); err == nil {
 		t.Fatal("duplicate roots should fail")
 	}
 	w.MustNode(roots[0]).Fail()
-	if _, err := w.BuildForest(roots); err == nil {
+	if _, err := w.BuildTree(roots...); err == nil {
 		t.Fatal("dead root should fail")
 	}
 }

@@ -12,6 +12,7 @@ package wsn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/sid-wsn/sid/internal/geo"
@@ -295,6 +296,11 @@ func NewNetwork(sched *sim.Scheduler, positions []geo.Vec2, radio RadioConfig) (
 	if err := radio.validate(); err != nil {
 		return nil, err
 	}
+	for i, p := range positions {
+		if math.IsNaN(p.X+p.Y) || math.IsInf(p.X+p.Y, 0) {
+			return nil, fmt.Errorf("wsn: node %d position %v is not finite", i, p)
+		}
+	}
 	net := &Network{
 		Sched:   sched,
 		Radio:   radio,
@@ -327,14 +333,32 @@ func NewNetwork(sched *sim.Scheduler, positions []geo.Vec2, radio RadioConfig) (
 	return net, nil
 }
 
+// rebuildNeighbors lists, for every node, the nodes within radio range in
+// ascending ID order. Candidates come from a geo.Index whose cells are one
+// radio range wide, so each node tests the few cells around it instead of
+// every other node: linear in the node count for any bounded density.
 func (w *Network) rebuildNeighbors() {
+	pts := make([]geo.Vec2, len(w.nodes))
+	lo, hi := w.nodes[0].Pos, w.nodes[0].Pos
+	for i, n := range w.nodes {
+		pts[i] = n.Pos
+		lo = geo.Vec2{X: math.Min(lo.X, n.Pos.X), Y: math.Min(lo.Y, n.Pos.Y)}
+		hi = geo.Vec2{X: math.Max(hi.X, n.Pos.X), Y: math.Max(hi.Y, n.Pos.Y)}
+	}
+	// A sparse layout gets wider cells, so the index never holds many more
+	// cells than there are nodes.
+	span := math.Max(hi.X-lo.X, hi.Y-lo.Y)
+	ix := geo.NewIndex(pts, math.Max(w.Radio.Range, span/math.Sqrt(float64(len(pts)))))
+	// The query box is padded by a sliver of the range so rounding in
+	// Pos ± Range never drops a pair at exactly Range; Dist decides.
+	reach := w.Radio.Range * (1 + 1e-3)
+	box := geo.Vec2{X: reach, Y: reach}
 	w.neighbors = make([][]NodeID, len(w.nodes))
+	var cand []int
 	for i, a := range w.nodes {
-		for j, b := range w.nodes {
-			if i == j {
-				continue
-			}
-			if a.Pos.Dist(b.Pos) <= w.Radio.Range {
+		cand = ix.QueryBox(a.Pos.Sub(box), a.Pos.Add(box), cand[:0])
+		for _, j := range cand {
+			if j != i && a.Pos.Dist(w.nodes[j].Pos) <= w.Radio.Range {
 				w.neighbors[i] = append(w.neighbors[i], NodeID(j))
 			}
 		}
@@ -401,15 +425,14 @@ func (w *Network) frameDelay() float64 {
 	return delay
 }
 
-// transmit models one frame over one link: loss, delay, energy, delivery.
-// Returns false if the frame was dropped at send time (dead endpoints or
-// loss); delivery itself is asynchronous. The receiver's incarnation is
+// hop moves one frame over the from -> to link. It is the link model every
+// send path shares: count the frame, charge the sender's transmit energy,
+// draw loss and then delay from the radio stream, and schedule arrive on the
+// receiver after charging its receive energy. The receiver's incarnation is
 // captured at send time: a frame in flight when the receiver fails is lost
-// even if the node revives before the frame would have arrived.
-func (w *Network) transmit(from, to *Node, msg Message) bool {
-	if !from.Alive() {
-		return false
-	}
+// even if the node revives before it would have arrived. Callers apply their
+// own rule for a dead sender. Returns false if the frame was lost.
+func (w *Network) hop(from, to *Node, msg Message, arrive func(*Node, Message)) bool {
 	w.ctr.sent.Inc()
 	if from.Battery != nil {
 		from.Battery.Consume(CostTx)
@@ -418,19 +441,37 @@ func (w *Network) transmit(from, to *Node, msg Message) bool {
 		w.ctr.lost.Inc()
 		return false
 	}
-	delay := w.frameDelay()
 	msg.From = from.ID
 	toEpoch := to.epoch
-	err := w.Sched.After(delay, func() {
+	// After fails only for a negative delay, and frame delays never are.
+	_ = w.Sched.After(w.frameDelay(), func() {
 		if !to.Alive() || to.epoch != toEpoch {
 			return
 		}
 		if to.Battery != nil {
 			to.Battery.Consume(CostRx)
 		}
-		w.deliver(to, msg)
+		arrive(to, msg)
 	})
-	return err == nil
+	return true
+}
+
+// send moves msg over one link under the radio's delivery discipline: the
+// acknowledged transport when Radio.Reliable is enabled, otherwise up to
+// Retries+1 blind same-instant attempts while the sender is alive. It
+// reports whether a frame got through; the acknowledged transport always
+// says yes, since its losses surface in Stats.ReliableDropped.
+func (w *Network) send(from, to *Node, msg Message, arrive func(*Node, Message)) bool {
+	if w.Radio.Reliable.Enabled {
+		w.sendReliable(from, to, msg, arrive)
+		return true
+	}
+	for attempt := 0; attempt <= w.Radio.Retries && from.Alive(); attempt++ {
+		if w.hop(from, to, msg, arrive) {
+			return true
+		}
+	}
+	return false
 }
 
 func (w *Network) deliver(n *Node, msg Message) {
@@ -469,16 +510,10 @@ func (w *Network) Unicast(from, to NodeID, kind string, payload interface{}) err
 		To:      to,
 		Payload: payload,
 	}
-	if w.Radio.Reliable.Enabled {
-		w.sendReliable(src, dst, msg, func(n *Node, m Message) { w.deliver(n, m) })
-		return nil
+	if !w.send(src, dst, msg, w.deliver) {
+		return fmt.Errorf("wsn: %d -> %d lost after %d attempts", from, to, w.Radio.Retries+1)
 	}
-	for attempt := 0; attempt <= w.Radio.Retries; attempt++ {
-		if w.transmit(src, dst, msg) {
-			return nil
-		}
-	}
-	return fmt.Errorf("wsn: %d -> %d lost after %d attempts", from, to, w.Radio.Retries+1)
+	return nil
 }
 
 // Flood originates a hop-limited broadcast: every node within ttl hops that
@@ -507,44 +542,25 @@ func (w *Network) Flood(from NodeID, ttl int, kind string, payload interface{}) 
 }
 
 func (w *Network) forwardFlood(n *Node, msg Message) {
-	for _, nb := range w.Neighbors(n.ID) {
-		w.transmitFlood(n, w.nodes[nb], msg)
+	for _, nb := range w.neighbors[n.ID] {
+		if n.Alive() {
+			w.hop(n, w.nodes[nb], msg, w.floodArrive)
+		}
 	}
 }
 
-func (w *Network) transmitFlood(from, to *Node, msg Message) {
-	if !from.Alive() {
+// floodArrive consumes a flooded frame: a repeat of a sequence number the
+// node already consumed is counted and dropped; a first copy is delivered
+// and rebroadcast while hop budget remains.
+func (w *Network) floodArrive(to *Node, msg Message) {
+	if _, dup := to.seen[msg.Seq]; dup {
+		w.ctr.duplicate.Inc()
 		return
 	}
-	w.ctr.sent.Inc()
-	if from.Battery != nil {
-		from.Battery.Consume(CostTx)
+	to.seen[msg.Seq] = struct{}{}
+	w.deliver(to, msg)
+	if msg.TTL > 1 {
+		msg.TTL--
+		w.forwardFlood(to, msg)
 	}
-	if w.lossy() {
-		w.ctr.lost.Inc()
-		return
-	}
-	delay := w.frameDelay()
-	fwd := msg
-	fwd.From = from.ID
-	toEpoch := to.epoch
-	_ = w.Sched.After(delay, func() {
-		if !to.Alive() || to.epoch != toEpoch {
-			return
-		}
-		if to.Battery != nil {
-			to.Battery.Consume(CostRx)
-		}
-		if _, dup := to.seen[fwd.Seq]; dup {
-			w.ctr.duplicate.Inc()
-			return
-		}
-		to.seen[fwd.Seq] = struct{}{}
-		w.deliver(to, fwd)
-		if fwd.TTL > 1 {
-			next := fwd
-			next.TTL--
-			w.forwardFlood(to, next)
-		}
-	})
 }

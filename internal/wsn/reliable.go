@@ -106,7 +106,6 @@ func (w *Network) sendReliable(from, to *Node, msg Message, cont func(*Node, Mes
 	w.arqSeq++
 	id := w.arqSeq
 	msg.ARQ = id
-	msg.From = from.ID
 	w.pending[id] = struct{}{}
 	rc := w.Radio.Reliable
 	var attempt func(k int)
@@ -134,30 +133,15 @@ func (w *Network) sendReliable(from, to *Node, msg Message, cont func(*Node, Mes
 		if k > 0 {
 			w.ctr.retrans.Inc()
 		}
-		w.ctr.sent.Inc()
-		if from.Battery != nil {
-			from.Battery.Consume(CostTx)
-		}
-		if w.lossy() {
-			w.ctr.lost.Inc()
-		} else {
-			toEpoch := to.epoch
-			_ = w.Sched.After(w.frameDelay(), func() {
-				if !to.Alive() || to.epoch != toEpoch {
-					return
-				}
-				if to.Battery != nil {
-					to.Battery.Consume(CostRx)
-				}
-				_, dup := to.seenARQ[id]
-				to.seenARQ[id] = struct{}{}
-				w.sendAck(to, from, id)
-				if !dup {
-					w.ctr.relDelivered.Inc()
-					cont(to, msg)
-				}
-			})
-		}
+		w.hop(from, to, msg, func(_ *Node, msg Message) {
+			_, dup := to.seenARQ[id]
+			to.seenARQ[id] = struct{}{}
+			w.sendAck(to, from, id)
+			if !dup {
+				w.ctr.relDelivered.Inc()
+				cont(to, msg)
+			}
+		})
 		wait := w.arqTimeout(k)
 		if k > 0 && w.col.Journaling() {
 			w.col.Emit(w.Sched.Now(), obs.KindArqRetransmit, obs.ArqHop{
@@ -195,28 +179,11 @@ func (w *Network) sendReliable(from, to *Node, msg Message, cont func(*Node, Mes
 // fire-and-forget (a lost ACK just costs one retransmission, which the
 // receiver's duplicate suppression absorbs).
 func (w *Network) sendAck(from, to *Node, id uint64) {
-	w.ctr.sent.Inc()
 	w.ctr.acks.Inc()
 	if w.col.Journaling() {
 		w.col.Emit(w.Sched.Now(), obs.KindArqAck, obs.ArqHop{
 			From: int(from.ID), To: int(to.ID), ARQ: id,
 		})
 	}
-	if from.Battery != nil {
-		from.Battery.Consume(CostTx)
-	}
-	if w.lossy() {
-		w.ctr.lost.Inc()
-		return
-	}
-	toEpoch := to.epoch
-	_ = w.Sched.After(w.frameDelay(), func() {
-		if !to.Alive() || to.epoch != toEpoch {
-			return
-		}
-		if to.Battery != nil {
-			to.Battery.Consume(CostRx)
-		}
-		delete(w.pending, id)
-	})
+	w.hop(from, to, Message{ARQ: id}, func(*Node, Message) { delete(w.pending, id) })
 }

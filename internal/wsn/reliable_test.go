@@ -139,7 +139,7 @@ func TestReliableMultiHopPaths(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if err := net.SendMultiHop(0, 5, "report", i); err != nil {
+		if err := net.SendMultiHop(0, 5, "report", i, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestReliableMultiHopPaths(t *testing.T) {
 	rootGot := 0
 	net.MustNode(0).OnMessage = func(n *Node, msg Message) { rootGot++ }
 	for i := 0; i < 20; i++ {
-		if err := net.SendToRoot(tree, 5, "up", i); err != nil {
+		if err := net.SendToRoot(tree, 5, "up", i, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

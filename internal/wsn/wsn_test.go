@@ -2,6 +2,8 @@ package wsn
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/geo"
@@ -61,6 +63,71 @@ func TestNeighborsGrid(t *testing.T) {
 	}
 	if nbs := net.Neighbors(NodeID(99)); nbs != nil {
 		t.Errorf("out-of-range ID neighbors = %v", nbs)
+	}
+}
+
+// pairwiseNeighbors is the reference neighbour build: every ordered pair
+// under the same Dist <= Range rule, in ascending ID order.
+func pairwiseNeighbors(pos []geo.Vec2, radioRange float64) [][]NodeID {
+	out := make([][]NodeID, len(pos))
+	for i, a := range pos {
+		for j, b := range pos {
+			if i != j && a.Dist(b) <= radioRange {
+				out[i] = append(out[i], NodeID(j))
+			}
+		}
+	}
+	return out
+}
+
+// TestNeighborsMatchPairwise: the index-built neighbour lists equal the
+// pairwise build, including pairs at exactly the radio range and layouts
+// far sparser than the range.
+func TestNeighborsMatchPairwise(t *testing.T) {
+	grid := func(rows, cols int, spacing float64, origin geo.Vec2) []geo.Vec2 {
+		return geo.GridSpec{Rows: rows, Cols: cols, Spacing: spacing, Origin: origin}.Positions()
+	}
+	random := func(seed int64, n int, side float64) []geo.Vec2 {
+		rng := rand.New(rand.NewSource(seed))
+		pos := make([]geo.Vec2, n)
+		for i := range pos {
+			pos[i] = geo.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
+		}
+		return pos
+	}
+	cases := []struct {
+		name       string
+		pos        []geo.Vec2
+		radioRange float64
+	}{
+		{"1x1", grid(1, 1, 25, geo.Vec2{}), 60},
+		{"1xN", grid(1, 50, 25, geo.Vec2{}), 60},
+		{"100x100", grid(100, 100, 25, geo.Vec2{}), 60},
+		// 20 m and 12 m spacings put pairs at exactly 60 m: three steps
+		// along an axis, and the (36, 48) diagonal.
+		{"exact-range", grid(15, 15, 20, geo.Vec2{}), 60},
+		{"exact-range-offset", grid(15, 15, 20, geo.Vec2{X: 0.1, Y: -7.3}), 60},
+		{"exact-diagonal", grid(12, 12, 12, geo.Vec2{X: 1e3 + 0.3, Y: 0.7}), 60},
+		{"out-of-range", grid(4, 4, 61, geo.Vec2{}), 60},
+		{"far-apart", grid(1, 3, 1e9, geo.Vec2{}), 60},
+		{"random-dense", random(1, 400, 300), 60},
+		{"random-sparse", random(2, 300, 5000), 60},
+		{"random-short-range", random(3, 500, 1000), 7.5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			radio := DefaultRadioConfig()
+			radio.Range = c.radioRange
+			net, err := NewNetwork(sim.NewScheduler(1), c.pos, radio)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range pairwiseNeighbors(c.pos, c.radioRange) {
+				if got := net.Neighbors(NodeID(i)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("node %d: neighbors %v, pairwise %v", i, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -180,6 +247,17 @@ func TestFloodReachesHopLimit(t *testing.T) {
 			t.Errorf("node %d deliveries = %d, want 0", id, got[id])
 		}
 	}
+	// Six hops — the SID temporary-cluster radius — covers the whole line.
+	clear(got)
+	if err := net.Flood(0, 6, "alarm", nil); err != nil {
+		t.Fatal(err)
+	}
+	sched.RunAll()
+	for id := NodeID(1); id < 6; id++ {
+		if got[id] != 1 {
+			t.Errorf("six-hop flood: node %d deliveries = %d, want 1", id, got[id])
+		}
+	}
 }
 
 func TestFloodDuplicateSuppression(t *testing.T) {
@@ -239,6 +317,18 @@ func TestBuildTreeAndPaths(t *testing.T) {
 	if _, err := tree.PathToRoot(99); err == nil {
 		t.Error("expected error for unknown node")
 	}
+	if _, err := net.BuildTree(99); err == nil {
+		t.Error("expected error for unknown root")
+	}
+	// With both of the root's neighbors dead the far corner is cut off.
+	net.MustNode(1).Fail()
+	net.MustNode(3).Fail()
+	if tree, err = net.BuildTree(0); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Hops[8] != -1 || tree.Root[8] != -1 {
+		t.Errorf("disconnected corner: hops %d root %d, want -1/-1", tree.Hops[8], tree.Root[8])
+	}
 }
 
 func TestBuildTreeSkipsDeadNodes(t *testing.T) {
@@ -268,7 +358,7 @@ func TestSendToRootMultiHop(t *testing.T) {
 	}
 	var got []Message
 	net.MustNode(0).OnMessage = func(n *Node, msg Message) { got = append(got, msg) }
-	if err := net.SendToRoot(tree, 4, "report", "data"); err != nil {
+	if err := net.SendToRoot(tree, 4, "report", "data", ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunAll()
@@ -285,7 +375,7 @@ func TestSendToRootFromRoot(t *testing.T) {
 	tree, _ := net.BuildTree(0)
 	count := 0
 	net.MustNode(0).OnMessage = func(n *Node, msg Message) { count++ }
-	if err := net.SendToRoot(tree, 0, "self", nil); err != nil {
+	if err := net.SendToRoot(tree, 0, "self", nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunAll()
@@ -307,7 +397,7 @@ func TestSendMultiHop(t *testing.T) {
 			}
 		}
 	}
-	if err := net.SendMultiHop(0, 5, "report", 7); err != nil {
+	if err := net.SendMultiHop(0, 5, "report", 7, ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunAll()
@@ -326,55 +416,19 @@ func TestSendMultiHopSelfAndErrors(t *testing.T) {
 	net, sched := gridNet(t, 1, 3, 25, perfectRadio(), 1)
 	count := 0
 	net.MustNode(0).OnMessage = func(n *Node, msg Message) { count++ }
-	if err := net.SendMultiHop(0, 0, "self", nil); err != nil {
+	if err := net.SendMultiHop(0, 0, "self", nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunAll()
 	if count != 1 {
 		t.Errorf("self-delivery = %d", count)
 	}
-	if err := net.SendMultiHop(0, 99, "x", nil); err == nil {
+	if err := net.SendMultiHop(0, 99, "x", nil, ""); err == nil {
 		t.Error("expected unknown-destination error")
 	}
 	net.MustNode(1).Fail()
-	if err := net.SendMultiHop(0, 2, "x", nil); err == nil {
+	if err := net.SendMultiHop(0, 2, "x", nil, ""); err == nil {
 		t.Error("expected no-path error through dead relay")
-	}
-}
-
-func TestHopDistance(t *testing.T) {
-	net, _ := gridNet(t, 3, 3, 25, perfectRadio(), 1)
-	if d := net.HopDistance(0, 0); d != 0 {
-		t.Errorf("self distance = %d", d)
-	}
-	if d := net.HopDistance(0, 8); d != 4 {
-		t.Errorf("corner distance = %d, want 4", d)
-	}
-	if d := net.HopDistance(0, 99); d != -1 {
-		t.Errorf("unknown distance = %d", d)
-	}
-	net.MustNode(1).Fail()
-	net.MustNode(3).Fail()
-	if d := net.HopDistance(0, 8); d != -1 {
-		t.Errorf("disconnected distance = %d, want -1", d)
-	}
-}
-
-func TestNodesWithinHops(t *testing.T) {
-	net, _ := gridNet(t, 1, 6, 25, perfectRadio(), 1)
-	got := net.NodesWithinHops(0, 2)
-	if len(got) != 2 {
-		t.Errorf("within 2 hops = %v", got)
-	}
-	if got := net.NodesWithinHops(0, 0); got != nil {
-		t.Errorf("zero hops = %v", got)
-	}
-	if got := net.NodesWithinHops(99, 2); got != nil {
-		t.Errorf("unknown center = %v", got)
-	}
-	// Six hops — the SID temporary-cluster radius — covers the whole line.
-	if got := net.NodesWithinHops(0, 6); len(got) != 5 {
-		t.Errorf("within 6 hops = %v", got)
 	}
 }
 

@@ -68,6 +68,13 @@ func TestDeploymentValidation(t *testing.T) {
 	if err := DefaultDeployment().Validate(); err != nil {
 		t.Errorf("Validate rejected the default deployment: %v", err)
 	}
+	// Rows×Cols must not wrap around: 2⁶²+1 rows of 4 would count as 4
+	// nodes while building positions for every row.
+	overflow := DefaultDeployment()
+	overflow.Rows, overflow.Cols = 1<<62+1, 4
+	if err := overflow.Validate(); err == nil {
+		t.Error("Validate accepted a grid whose node count overflows")
+	}
 	noM := DefaultDeployment()
 	noM.ThresholdM = 0
 	if err := noM.Validate(); err == nil {
