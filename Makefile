@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test sidperf-test sidperf-gates bench race vet fmt fuzz baseline obs replay adversarial serve serve-smoke
+.PHONY: test sidperf-test sidperf-gates bench race vet fmt fuzz baseline obs replay adversarial experiments serve serve-smoke
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -64,6 +64,13 @@ replay:
 # the regular test target (TestAdversarialGoldenCorpus).
 adversarial:
 	$(GO) run ./cmd/sidbench -exp adversarial
+
+# Regenerates the paper's evaluation behind EXPERIMENTS.md: Figs. 5–8 of
+# §III and Fig. 11, Tables I–II and Fig. 12 of §V, at sidbench's default
+# trial counts and seed. Every measured number in EXPERIMENTS.md comes from
+# one run of this target.
+experiments:
+	$(GO) run ./cmd/sidbench -exp fig5,fig6,fig7,fig8,fig11,table1,table2,fig12
 
 # Regenerates BENCH_baseline.json on this host (docs/PERFORMANCE.md): the
 # micro-benchmarks of bench_test.go, then every sidperf workload once

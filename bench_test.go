@@ -346,18 +346,6 @@ func BenchmarkDetectorPush(b *testing.B) {
 	}
 }
 
-func BenchmarkOceanFieldSample(b *testing.B) {
-	sc := eval.DefaultScenario()
-	sens, model, _, err := sc.Build(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sens.SampleAt(model, float64(i)/50)
-	}
-}
-
 // --- Wave-synthesis and FFT-plan benchmarks ---
 //
 // These back the numbers in docs/PERFORMANCE.md and BENCH_baseline.json;
@@ -384,23 +372,8 @@ func benchField(b *testing.B) *ocean.Field {
 // the runtime consumes the API.
 const seriesBlock = 500
 
-// BenchmarkFieldSeriesPerSample is the pre-batching baseline: one
-// sin/cos-per-component SampleSurface call per sample.
-func BenchmarkFieldSeriesPerSample(b *testing.B) {
-	f := benchField(b)
-	p := geo.Vec2{X: 40, Y: 60}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := float64(i)
-		for s := 0; s < seriesBlock; s++ {
-			f.SampleSurface(p, t0+float64(s)/50)
-		}
-	}
-}
-
-// BenchmarkFieldSeries synthesizes the same samples through the
-// phasor-rotation recurrence; the ns/op ratio against
-// BenchmarkFieldSeriesPerSample is the headline speedup.
+// BenchmarkFieldSeries synthesizes seriesBlock samples at a fixed point
+// through the phasor-rotation recurrence.
 func BenchmarkFieldSeries(b *testing.B) {
 	f := benchField(b)
 	p := geo.Vec2{X: 40, Y: 60}
@@ -409,7 +382,7 @@ func BenchmarkFieldSeries(b *testing.B) {
 	slopeY := make([]float64, seriesBlock)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.AccumulateSeries(p, float64(i), 1.0/50, seriesBlock, accel, slopeX, slopeY)
+		f.AccumulateSeriesMoving(p, geo.Vec2{}, float64(i), 1.0/50, seriesBlock, accel, slopeX, slopeY)
 	}
 }
 

@@ -59,8 +59,11 @@ func AutoCell(pts []Vec2) float64 {
 }
 
 // NewIndex builds a uniform-bucket index over pts. cell <= 0 selects an
-// automatic size via AutoCell. The points are copied; the argument slice is
-// not retained.
+// automatic size via AutoCell. Any cell, requested or automatic, is widened
+// to at least span/√N (span is the larger side of the points' bounding
+// box), so the bucket grid never has more than N + 2√N + 1 cells however
+// sparse or collinear the layout. The points are copied; the argument slice
+// is not retained.
 func NewIndex(pts []Vec2, cell float64) *Index {
 	if cell <= 0 {
 		cell = AutoCell(pts)
@@ -76,6 +79,9 @@ func NewIndex(pts []Vec2, cell float64) *Index {
 		ix.max.X = math.Max(ix.max.X, p.X)
 		ix.max.Y = math.Max(ix.max.Y, p.Y)
 	}
+	span := math.Max(ix.max.X-ix.min.X, ix.max.Y-ix.min.Y)
+	cell = math.Max(cell, span/math.Sqrt(float64(len(pts))))
+	ix.cell = cell
 	ix.cols = int((ix.max.X-ix.min.X)/cell) + 1
 	ix.rows = int((ix.max.Y-ix.min.Y)/cell) + 1
 	ix.buckets = make([][]int32, ix.rows*ix.cols)

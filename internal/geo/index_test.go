@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -188,6 +189,35 @@ func TestIndexEdgeCases(t *testing.T) {
 	}
 	if got := empty.QueryRegion(func(_, _ Vec2) bool { return true }, nil); len(got) != 0 {
 		t.Fatalf("empty index region returned %v", got)
+	}
+}
+
+// TestIndexCellsBoundedByPointCount pins the bucket-grid bound: however
+// sparse or collinear the layout, and whatever cell is requested, the grid
+// has at most N + 2√N + 1 cells and every point stays findable.
+func TestIndexCellsBoundedByPointCount(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pts  []Vec2
+		cell float64
+	}{
+		{"1x3 at 1e6 m, auto", GridSpec{Rows: 1, Cols: 3, Spacing: 1e6}.Positions(), 0},
+		{"1x3 at 1e6 m, 60 m cell", GridSpec{Rows: 1, Cols: 3, Spacing: 1e6}.Positions(), 60},
+		{"1x100 line, auto", GridSpec{Rows: 1, Cols: 100, Spacing: 25}.Positions(), 0},
+		{"100x1 line, 1 m cell", GridSpec{Rows: 100, Cols: 1, Spacing: 25}.Positions(), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := NewIndex(tc.pts, tc.cell)
+			rows, cols := ix.Cells()
+			n := float64(len(tc.pts))
+			if bound := n + 2*math.Sqrt(n) + 1; float64(rows*cols) > bound {
+				t.Errorf("%d×%d cells, want at most %.0f", rows, cols, bound)
+			}
+			all := ix.QueryBox(Vec2{X: -1e12, Y: -1e12}, Vec2{X: 1e12, Y: 1e12}, nil)
+			if len(all) != len(tc.pts) {
+				t.Errorf("whole-plane query found %d of %d points", len(all), len(tc.pts))
+			}
+		})
 	}
 }
 

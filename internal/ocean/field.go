@@ -187,76 +187,21 @@ func (f *Field) Slope(p geo.Vec2, t float64) geo.Vec2 {
 	return geo.Vec2{X: sx, Y: sy}
 }
 
-// SampleSurface returns the vertical acceleration and surface slope in a
-// single pass over the components (the sensor samples both every tick;
-// fusing the loops halves the dominant cost of large simulations).
-func (f *Field) SampleSurface(p geo.Vec2, t float64) (accel float64, slope geo.Vec2) {
-	for _, c := range f.comps {
-		phase := c.kx*p.X + c.ky*p.Y - c.omega*t + c.phase
-		sin, cos := math.Sincos(phase)
-		accel -= c.amp * c.omega * c.omega * cos
-		s := -c.amp * sin
-		slope.X += s * c.kx
-		slope.Y += s * c.ky
-	}
-	return accel, slope
-}
-
-// SurfaceSeries is a block of uniformly spaced surface samples at one fixed
-// point, as produced by Field.SampleSeries. Slice s corresponds to time
-// t0 + s·dt.
-type SurfaceSeries struct {
-	// Accel[s] is the vertical surface acceleration ∂²η/∂t² in m/s².
-	Accel []float64
-	// SlopeX and SlopeY are the surface gradient components ∂η/∂x and
-	// ∂η/∂y (dimensionless).
-	SlopeX, SlopeY []float64
-}
-
-// SampleSeries synthesizes n consecutive surface samples at the fixed point
-// p, starting at time t0 with spacing dt seconds. It is the batched
-// equivalent of calling SampleSurface at each instant, but advances every
-// spectral component with a phasor-rotation recurrence — two multiplies and
-// two adds per component per sample instead of a sin/cos evaluation — which
-// makes it several times faster on long blocks.
-//
-// The result is deterministic: the same field, point, and time grid always
-// produce bit-identical series, regardless of how many goroutines sample
-// the field concurrently. The recurrence is resynchronized against the
-// exact phase every resyncInterval samples, so it stays within a few ulps
-// of the direct evaluation for blocks of any length.
-func (f *Field) SampleSeries(p geo.Vec2, t0, dt float64, n int) SurfaceSeries {
-	s := SurfaceSeries{
-		Accel:  make([]float64, n),
-		SlopeX: make([]float64, n),
-		SlopeY: make([]float64, n),
-	}
-	f.AccumulateSeries(p, t0, dt, n, s.Accel, s.SlopeX, s.SlopeY)
-	return s
-}
-
 // resyncInterval bounds the rounding drift of the phasor-rotation
 // recurrence: after this many steps each component's phasor is recomputed
 // exactly from its phase angle.
 const resyncInterval = 512
 
-// AccumulateSeries adds the field's contribution over a block of n samples
-// (fixed point p, start time t0, spacing dt seconds) into the caller's
-// buffers: accel in m/s², slopeX/slopeY dimensionless. All three buffers
-// must have length ≥ n. It performs the same phasor-rotation synthesis as
-// SampleSeries without allocating, so composite surface models can sum
-// several sources into one block.
-func (f *Field) AccumulateSeries(p geo.Vec2, t0, dt float64, n int, accel, slopeX, slopeY []float64) {
-	f.AccumulateSeriesMoving(p, geo.Vec2{}, t0, dt, n, accel, slopeX, slopeY)
-}
-
-// AccumulateSeriesMoving is AccumulateSeries for an observer moving at
-// constant velocity v (m/s) through the field: sample s is evaluated at
-// position p0 + v·s·dt. A linearly moving observer only Doppler-shifts
-// each component — the per-sample phase step becomes (k·v − ω)·dt, still a
-// constant rotation — so the recurrence stays two multiplies per component
-// per sample. The sensor layer uses this to track slow mooring drift
-// within a block to second order instead of freezing the buoy position.
+// AccumulateSeriesMoving adds the field's contribution for the n instants
+// t0, t0+dt, … into the caller's buffers (accel in m/s², slopes
+// dimensionless, all of length ≥ n), as seen by an observer at p0 + v·s·dt
+// (v = 0 is a fixed observer). It is the batched equivalent of
+// VerticalAccel and Slope: a constant-velocity observer only
+// Doppler-shifts each component, so every component advances by a fixed
+// phasor rotation of (k·v − ω)·dt per sample — two multiplies and two adds
+// instead of a sin/cos — resynchronized against the exact phase every
+// resyncInterval samples. The result is deterministic and stays within a
+// few ulps of the exact evaluation for blocks of any length.
 func (f *Field) AccumulateSeriesMoving(p0, v geo.Vec2, t0, dt float64, n int, accel, slopeX, slopeY []float64) {
 	if n <= 0 {
 		return

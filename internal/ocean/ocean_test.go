@@ -294,17 +294,3 @@ func TestFieldDefaultsApplied(t *testing.T) {
 		t.Error("no components synthesized with defaults")
 	}
 }
-
-func TestSampleSurfaceMatchesSeparateCalls(t *testing.T) {
-	f := newTestField(t, 6)
-	for _, tm := range []float64{0, 7.3, 123.4} {
-		p := geo.Vec2{X: 12, Y: -8}
-		a, sl := f.SampleSurface(p, tm)
-		if a != f.VerticalAccel(p, tm) {
-			t.Fatalf("t=%v: accel fast path diverges", tm)
-		}
-		if sl != f.Slope(p, tm) {
-			t.Fatalf("t=%v: slope fast path diverges", tm)
-		}
-	}
-}

@@ -301,9 +301,8 @@ func (p *SpectralPlan) Field() *Field { return p.field }
 // synthesizing chunks as the read position moves.
 //
 // A stream implements sensor.StreamSampler (the block path), plus the
-// SurfaceModel/SurfaceSampler point interfaces by delegating to the exact
-// phasor field — so per-sample consumers (calibration, evaluation plots) see
-// the exact field while the pipeline's block path gets the FFT synthesis.
+// SurfaceModel point interface by delegating to the exact phasor field, the
+// reference the equivalence tests compare the FFT synthesis against.
 //
 // Streams are NOT safe for concurrent use: each stream belongs to one node
 // and the pipeline guarantees per-node calls are sequential (the Source
@@ -353,11 +352,6 @@ func (s *SpectralStream) VerticalAccel(p geo.Vec2, t float64) float64 {
 // Slope implements sensor.SurfaceModel via the exact phasor field.
 func (s *SpectralStream) Slope(p geo.Vec2, t float64) geo.Vec2 {
 	return s.plan.field.Slope(p, t)
-}
-
-// SampleSurface implements sensor.SurfaceSampler via the exact phasor field.
-func (s *SpectralStream) SampleSurface(p geo.Vec2, t float64) (float64, geo.Vec2) {
-	return s.plan.field.SampleSurface(p, t)
 }
 
 // AccumulateStream adds the field's contribution for the n samples

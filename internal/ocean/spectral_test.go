@@ -104,18 +104,9 @@ func TestSpectralMatchesPhasor(t *testing.T) {
 		t0 := 100 * rng.Float64()
 		// Phasor "blocks" must resync against the exact phase the way the
 		// pipeline does, so serve the reference in pipeline-sized blocks.
-		ref := SurfaceSeries{
-			Accel:  make([]float64, n),
-			SlopeX: make([]float64, n),
-			SlopeY: make([]float64, n),
-		}
-		f.AccumulateSeries(pos, t0, dt, n, ref.Accel, ref.SlopeX, ref.SlopeY)
+		ref := phasorBlock(f, pos, geo.Vec2{}, t0, dt, n)
 
-		got := SurfaceSeries{
-			Accel:  make([]float64, n),
-			SlopeX: make([]float64, n),
-			SlopeY: make([]float64, n),
-		}
+		got := newBlock(n)
 		accumulateBlocks(plan.NewStream(pos), t0, dt, n, 25, got.Accel, got.SlopeX, got.SlopeY)
 
 		da := maxAbsDiff(ref.Accel, got.Accel)
@@ -142,12 +133,8 @@ func TestSpectralBoundaryContinuity(t *testing.T) {
 	pos := geo.Vec2{X: 31, Y: -47}
 	t0 := 12.34
 
-	serve := func(blockLen int) SurfaceSeries {
-		out := SurfaceSeries{
-			Accel:  make([]float64, n),
-			SlopeX: make([]float64, n),
-			SlopeY: make([]float64, n),
-		}
+	serve := func(blockLen int) block {
+		out := newBlock(n)
 		accumulateBlocks(plan.NewStream(pos), t0, dt, n, blockLen, out.Accel, out.SlopeX, out.SlopeY)
 		return out
 	}
@@ -176,11 +163,7 @@ func TestSpectralGapContinuity(t *testing.T) {
 	plan := testPlan(t, f, SpectralConfig{Rate: rate})
 	pos := geo.Vec2{X: 5, Y: 5}
 
-	full := SurfaceSeries{
-		Accel:  make([]float64, n),
-		SlopeX: make([]float64, n),
-		SlopeY: make([]float64, n),
-	}
+	full := newBlock(n)
 	accumulateBlocks(plan.NewStream(pos), 0, dt, n, 25, full.Accel, full.SlopeX, full.SlopeY)
 
 	// Serve only every 4th 25-sample block, like a duty-cycled node.
@@ -225,17 +208,8 @@ func TestSpectralCullingBudget(t *testing.T) {
 	}
 
 	pos := geo.Vec2{X: 12, Y: 80}
-	ref := SurfaceSeries{
-		Accel:  make([]float64, n),
-		SlopeX: make([]float64, n),
-		SlopeY: make([]float64, n),
-	}
-	f.AccumulateSeries(pos, 0, dt, n, ref.Accel, ref.SlopeX, ref.SlopeY)
-	got := SurfaceSeries{
-		Accel:  make([]float64, n),
-		SlopeX: make([]float64, n),
-		SlopeY: make([]float64, n),
-	}
+	ref := phasorBlock(f, pos, geo.Vec2{}, 0, dt, n)
+	got := newBlock(n)
 	accumulateBlocks(plan.NewStream(pos), 0, dt, n, 25, got.Accel, got.SlopeX, got.SlopeY)
 	if da := maxAbsDiff(ref.Accel, got.Accel); da > cullAccel+halfLSBAccel {
 		t.Errorf("culled accel deviates %g, above budget+tolerance %g", da, cullAccel+halfLSBAccel)
@@ -258,12 +232,8 @@ func TestSpectralMovingStreamDeterminism(t *testing.T) {
 	posAt := func(t float64) geo.Vec2 {
 		return geo.Vec2{X: 3 * math.Sin(2*math.Pi*t/60), Y: 2 * math.Cos(2*math.Pi*t/45)}
 	}
-	mk := func() SurfaceSeries {
-		out := SurfaceSeries{
-			Accel:  make([]float64, n),
-			SlopeX: make([]float64, n),
-			SlopeY: make([]float64, n),
-		}
+	mk := func() block {
+		out := newBlock(n)
 		accumulateBlocks(plan.NewMovingStream(posAt), 0, dt, n, 25, out.Accel, out.SlopeX, out.SlopeY)
 		return out
 	}
@@ -446,7 +416,7 @@ func TestSpectralConcurrentStreams(t *testing.T) {
 		n       = 2600
 		dt      = 1.0 / 50
 	)
-	run := func(w int) SurfaceSeries {
+	run := func(w int) block {
 		pos := geo.Vec2{X: float64(37 * w), Y: float64(-23 * w)}
 		s := plan.NewStream(pos)
 		if w%2 == 1 {
@@ -454,19 +424,15 @@ func TestSpectralConcurrentStreams(t *testing.T) {
 				return pos.Add(geo.Vec2{X: math.Sin(t / 20), Y: math.Cos(t / 30)})
 			})
 		}
-		out := SurfaceSeries{
-			Accel:  make([]float64, n),
-			SlopeX: make([]float64, n),
-			SlopeY: make([]float64, n),
-		}
+		out := newBlock(n)
 		accumulateBlocks(s, 3.3, dt, n, 25, out.Accel, out.SlopeX, out.SlopeY)
 		return out
 	}
-	serial := make([]SurfaceSeries, workers)
+	serial := make([]block, workers)
 	for w := range serial {
 		serial[w] = run(w)
 	}
-	concurrent := make([]SurfaceSeries, workers)
+	concurrent := make([]block, workers)
 	var wg sync.WaitGroup
 	for w := range concurrent {
 		wg.Add(1)

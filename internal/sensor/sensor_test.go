@@ -99,7 +99,8 @@ func TestStillWaterReadsOneG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smp := s.SampleAt(StillWater{}, 0)
+	var buf BlockBuffers
+	smp := s.SampleBlock(StillWater{}, 0, 1, &buf)[0]
 	if smp.Z != 1024 {
 		t.Errorf("still-water z = %d counts, want 1024", smp.Z)
 	}
@@ -235,12 +236,109 @@ func TestSeriesExtractors(t *testing.T) {
 	}
 }
 
-func TestCompositeSampleSurfaceFastPath(t *testing.T) {
-	f := oceanField(t, 77)
-	c := Composite{f, StillWater{}}
-	p := geo.Vec2{X: 3, Y: 4}
-	a, sl := c.SampleSurface(p, 9)
-	if a != c.VerticalAccel(p, 9) || sl != c.Slope(p, 9) {
-		t.Error("composite fast path diverges from slow path")
+// exactSamples is the reference a recording approximates: VerticalAccel and
+// Slope at the drifted buoy position for every sample from t0 on, composed
+// with s's noise stream.
+func exactSamples(s *Sensor, model SurfaceModel, t0 float64, n int) []Sample {
+	out := make([]Sample, n)
+	for i := range out {
+		tm := t0 + float64(i)/s.Accel.SampleRate
+		p := s.Buoy.Position(tm)
+		out[i] = s.compose(tm, model.VerticalAccel(p, tm), model.Slope(p, tm))
+	}
+	return out
+}
+
+// countDiffers fails the test when any channel of rec is more than one count
+// from want, and returns how many channel samples differ at all.
+func countDiffers(t *testing.T, rec, want []Sample) int {
+	t.Helper()
+	differ := 0
+	for i, got := range rec {
+		for _, d := range []int16{got.X - want[i].X, got.Y - want[i].Y, got.Z - want[i].Z} {
+			if d != 0 {
+				differ++
+			}
+			if d > 1 || d < -1 {
+				t.Fatalf("sample %d: block engine %+v, exact %+v", i, got, want[i])
+			}
+		}
+	}
+	return differ
+}
+
+// driftingSensor returns a sensor on a buoy with 2 m drift.
+func driftingSensor(t *testing.T) *Sensor {
+	t.Helper()
+	s, err := NewSensor(NewBuoy(BuoyConfig{DriftRadius: 2, Seed: 5}), DefaultAccelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestRecordMatchesExactWithinOneCount pins what recording through the
+// block engine costs against the exact per-sample evaluation with the same
+// noise stream. Over 400 s with 2 m drift and a 10 kn crossing, every
+// channel stays within one count of the exact reading and fewer than 1 % of
+// channel samples differ at all.
+func TestRecordMatchesExactWithinOneCount(t *testing.T) {
+	f := oceanField(t, 14)
+	track := geo.NewLine(geo.Vec2{X: -1000, Y: -25}, geo.Vec2{X: 1, Y: 0})
+	ship, err := wake.NewShip(track, geo.Knots(10), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship.Time0 = 0
+	const dur = 400
+	if arr := ship.ArrivalTime(geo.Vec2{}); arr < 60 || arr > dur-60 {
+		t.Fatalf("wake arrives at %.0f s, outside the recording", arr)
+	}
+	model := Composite{f, wake.Field{Ship: ship}}
+	rec := driftingSensor(t).Record(model, 0, dur)
+	ref := driftingSensor(t)
+	if len(rec) != dur*int(ref.Accel.SampleRate) {
+		t.Fatalf("record length = %d", len(rec))
+	}
+	differ := countDiffers(t, rec, exactSamples(ref, model, 0, len(rec)))
+	if total := 3 * len(rec); differ*100 >= total {
+		t.Errorf("%d of %d channel samples differ from the exact evaluation, want under 1 %%", differ, total)
+	}
+	t.Logf("%d of %d channel samples differ by one count", differ, 3*len(rec))
+}
+
+// TestRecordBlockSplit pins how Record cuts a recording into half-second
+// blocks: any duration, from none through a lone short block to whole
+// blocks plus a remainder, yields its samples from t0 on within one count
+// of the exact evaluation, and each whole block reads the same whatever
+// the recording's length, because a block's drift linearization and noise
+// draws depend only on where it starts.
+func TestRecordBlockSplit(t *testing.T) {
+	f := oceanField(t, 21)
+	const t0 = 17.3
+	long := driftingSensor(t).Record(f, t0, 12)
+	block := int(driftingSensor(t).Accel.SampleRate / 2)
+	for _, tc := range []struct {
+		name string
+		dur  float64
+		n    int
+	}{
+		{"empty", 0, 0},
+		{"shorter than a block", 0.3, 15},
+		{"whole blocks", 10, 500},
+		{"short final block", 10.3, 515},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := driftingSensor(t).Record(f, t0, tc.dur)
+			if len(rec) != tc.n {
+				t.Fatalf("%g s recorded %d samples, want %d", tc.dur, len(rec), tc.n)
+			}
+			countDiffers(t, rec, exactSamples(driftingSensor(t), f, t0, len(rec)))
+			for i := 0; i < tc.n/block*block; i++ {
+				if rec[i] != long[i] {
+					t.Fatalf("sample %d in a whole block: %+v, in a 12 s recording %+v", i, rec[i], long[i])
+				}
+			}
+		})
 	}
 }

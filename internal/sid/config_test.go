@@ -41,22 +41,6 @@ func TestConfigValidation(t *testing.T) {
 		{"cluster CThreshold", func(c *Config) { c.Cluster.CThreshold = 2 }, "CThreshold"},
 		{"cluster MinRows", func(c *Config) { c.Cluster.MinRows = 0 }, "MinRows"},
 		{"cluster SweepThreshold", func(c *Config) { c.Cluster.SweepThreshold = 1.5 }, "SweepThreshold"},
-		{"failover heartbeat period", func(c *Config) {
-			c.Failover = DefaultFailoverConfig()
-			c.Failover.HeartbeatPeriod = 0
-		}, "HeartbeatPeriod"},
-		{"failover heartbeat miss", func(c *Config) {
-			c.Failover = DefaultFailoverConfig()
-			c.Failover.HeartbeatMiss = 0
-		}, "HeartbeatMiss"},
-		{"failover election gap", func(c *Config) {
-			c.Failover = DefaultFailoverConfig()
-			c.Failover.ElectionGap = 0
-		}, "ElectionGap"},
-		{"failover extend window", func(c *Config) {
-			c.Failover = DefaultFailoverConfig()
-			c.Failover.ExtendWindow = -1
-		}, "ExtendWindow"},
 		{"fault crash node", func(c *Config) {
 			c.Faults.Crashes = []fault.Crash{{Node: 999, At: 10}}
 		}, "outside"},

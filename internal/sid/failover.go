@@ -1,8 +1,6 @@
 package sid
 
 import (
-	"fmt"
-
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
@@ -12,10 +10,10 @@ import (
 // mid-collection, every member report it gathered dies with it and the
 // intrusion goes unreported. With failover enabled the head leases its
 // role instead of owning it: it floods a heartbeat through the cluster
-// every HeartbeatPeriod, members run a watchdog, and when HeartbeatMiss
+// every heartbeatPeriod, members run a watchdog, and when heartbeatMiss
 // periods pass silently the members elect a replacement by the
 // deterministic lowest-ID-alive rule — each candidate waits
-// ElectionGap·(id+1) before claiming the role, so the lowest alive ID
+// electionGap·(id+1) before claiming the role, so the lowest alive ID
 // claims first and its takeover flood cancels every later candidacy.
 // Members retain their last report and re-send it to the new head, which
 // restarts collection against the original membership window. Everything
@@ -36,66 +34,39 @@ type TakeoverPayload struct {
 	Old, New wsn.NodeID
 }
 
-// FailoverConfig parametrizes cluster-head failover. The zero value
-// disables it, keeping default runs bit-identical to the pre-failover
-// protocol.
+// FailoverConfig enables cluster-head failover. The zero value disables
+// it, keeping default runs bit-identical to the pre-failover protocol.
 type FailoverConfig struct {
 	// Enabled turns heartbeats, watchdogs and elections on.
 	Enabled bool
-	// HeartbeatPeriod is the head's lease-renewal interval in seconds.
-	HeartbeatPeriod float64
-	// HeartbeatMiss is how many silent periods a member tolerates before
+}
+
+// Failover timings, tuned for the default 90 s collection window.
+const (
+	// heartbeatPeriod is the head's lease-renewal interval in seconds.
+	heartbeatPeriod = 5.0
+	// heartbeatMiss is how many silent periods a member tolerates before
 	// declaring the head dead and starting an election.
-	HeartbeatMiss int
-	// ElectionGap staggers candidacies: a member with ID k claims the role
-	// ElectionGap·(k+1) seconds after declaring the head dead, so the
+	heartbeatMiss = 3
+	// electionGap staggers candidacies: a member with ID k claims the role
+	// electionGap·(k+1) seconds after declaring the head dead, so the
 	// lowest alive ID wins deterministically. It must exceed the cluster's
 	// flood propagation time (a few frame delays).
-	ElectionGap float64
-	// ExtendWindow grants the head one deadline extension of this many
-	// seconds when a report arrived within the last ExtendWindow seconds
+	electionGap = 0.05
+	// extendWindow grants the head one deadline extension of this many
+	// seconds when a report arrived within the last extendWindow seconds
 	// of the collection window — reports are still trickling in, often
-	// because retransmissions or a failover delayed them. 0 disables.
-	ExtendWindow float64
-}
+	// because retransmissions or a failover delayed them.
+	extendWindow = 15.0
+)
 
-// DefaultFailoverConfig returns an enabled failover tuned for the default
-// 90 s collection window: 5 s heartbeats, head declared dead after 3
-// silent periods, 50 ms election stagger, one 15 s extension.
-func DefaultFailoverConfig() FailoverConfig {
-	return FailoverConfig{
-		Enabled:         true,
-		HeartbeatPeriod: 5,
-		HeartbeatMiss:   3,
-		ElectionGap:     0.05,
-		ExtendWindow:    15,
-	}
-}
-
-func (c FailoverConfig) validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.HeartbeatPeriod <= 0 {
-		return fmt.Errorf("sid: failover HeartbeatPeriod must be positive, got %g", c.HeartbeatPeriod)
-	}
-	if c.HeartbeatMiss < 1 {
-		return fmt.Errorf("sid: failover HeartbeatMiss must be ≥ 1, got %d", c.HeartbeatMiss)
-	}
-	if c.ElectionGap <= 0 {
-		return fmt.Errorf("sid: failover ElectionGap must be positive, got %g", c.ElectionGap)
-	}
-	if c.ExtendWindow < 0 {
-		return fmt.Errorf("sid: failover ExtendWindow must be non-negative, got %g", c.ExtendWindow)
-	}
-	return nil
-}
+// DefaultFailoverConfig returns an enabled failover.
+func DefaultFailoverConfig() FailoverConfig { return FailoverConfig{Enabled: true} }
 
 // startHeartbeats begins the head's lease-renewal loop for the collection
 // window ending at deadline. The loop stops on its own when the node loses
 // the head role (deadline passed, failover elsewhere) or dies.
 func (r *Runtime) startHeartbeats(ns *nodeState, deadline float64) {
-	period := r.cfg.Failover.HeartbeatPeriod
 	var beat func()
 	beat = func() {
 		if !ns.isHead || ns.deadline != deadline {
@@ -105,23 +76,21 @@ func (r *Runtime) startHeartbeats(ns *nodeState, deadline float64) {
 			return
 		}
 		r.countSend(ns.id, r.net.Flood(ns.id, r.cfg.ClusterHops, KindHeartbeat, ns.id))
-		_ = r.sched.After(period, beat)
+		_ = r.sched.After(heartbeatPeriod, beat)
 	}
-	_ = r.sched.After(period, beat)
+	_ = r.sched.After(heartbeatPeriod, beat)
 }
 
 // observeHead records proof of life for the member's head and re-arms the
 // watchdog. Called on invite, heartbeat, and takeover receipt.
 func (r *Runtime) observeHead(ns *nodeState) {
-	fo := r.cfg.Failover
-	if !fo.Enabled {
+	if !r.cfg.Failover.Enabled {
 		return
 	}
 	ns.lastBeat = r.sched.Now()
 	ns.electEpoch++
 	epoch := ns.electEpoch
-	silence := fo.HeartbeatPeriod * float64(fo.HeartbeatMiss)
-	_ = r.sched.After(silence, func() { r.watchdogFired(ns, epoch) })
+	_ = r.sched.After(heartbeatPeriod*heartbeatMiss, func() { r.watchdogFired(ns, epoch) })
 }
 
 // watchdogFired runs when a member has heard nothing from its head for the
@@ -137,7 +106,7 @@ func (r *Runtime) watchdogFired(ns *nodeState, epoch int) {
 	}
 	// Head presumed dead: stagger this node's candidacy by its ID so the
 	// lowest alive member claims the role first.
-	delay := r.cfg.Failover.ElectionGap * float64(ns.id+1)
+	delay := electionGap * float64(ns.id+1)
 	_ = r.sched.After(delay, func() { r.claimHead(ns, epoch) })
 }
 

@@ -11,32 +11,8 @@ import (
 )
 
 func TestFailoverConfigValidation(t *testing.T) {
-	mk := func(mut func(*FailoverConfig)) Config {
-		c := DefaultConfig()
-		fo := DefaultFailoverConfig()
-		mut(&fo)
-		c.Failover = fo
-		return c
-	}
-	bad := []Config{
-		mk(func(f *FailoverConfig) { f.HeartbeatPeriod = 0 }),
-		mk(func(f *FailoverConfig) { f.HeartbeatMiss = 0 }),
-		mk(func(f *FailoverConfig) { f.ElectionGap = 0 }),
-		mk(func(f *FailoverConfig) { f.ExtendWindow = -1 }),
-	}
-	for i, c := range bad {
-		if _, err := NewRuntime(c); err == nil {
-			t.Errorf("case %d: expected failover validation error", i)
-		}
-	}
-	// Disabled zero value passes regardless of the other fields.
+	// Fault plans are validated through the config.
 	c := DefaultConfig()
-	c.Failover = FailoverConfig{Enabled: false, ElectionGap: -5}
-	if _, err := NewRuntime(c); err != nil {
-		t.Errorf("disabled failover should validate: %v", err)
-	}
-	// Fault plans are validated through the config too.
-	c = DefaultConfig()
 	c.Faults = fault.Plan{Crashes: []fault.Crash{{Node: 999, At: 1}}}
 	if _, err := NewRuntime(c); err == nil {
 		t.Error("expected fault-plan validation error")

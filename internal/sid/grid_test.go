@@ -60,32 +60,42 @@ func TestGridSmoke(t *testing.T) {
 	}
 }
 
+// unindexedSource hides the synthetic source's PrepareBatch, so the
+// pipeline never stages per-batch composites and every Block carries every
+// wake: the unindexed path.
+type unindexedSource struct {
+	source.Source
+	source.Appender
+}
+
 // TestGridIndexParity runs the large-field configuration on 12×12 three
-// ways: indexed at Workers=1, unindexed (DisableIndex) at Workers=1 and
+// ways: indexed at Workers=1, unindexed (no PrepareBatch) at Workers=1 and
 // indexed at Workers=2. The spatial wake index and the worker fan-out must
 // change nothing the runtime reports: node reports, sink reports and every
 // cluster evaluation are identical across the three. History is unbounded
 // so complete histories are compared, not surviving tails.
 func TestGridIndexParity(t *testing.T) {
-	run := func(disableIndex bool, workers int) *Runtime {
+	run := func(unindexed bool, workers int) *Runtime {
 		t.Helper()
 		cfg := largeFieldConfig(12, 12)
 		cfg.Seed = 7
 		cfg.HistoryWindow = 0
 		cfg.Workers = workers
 		src, err := source.NewSynthetic(source.SyntheticConfig{
-			Positions:    cfg.Grid.Positions(),
-			Hs:           cfg.Hs,
-			Tp:           cfg.Tp,
-			DriftRadius:  cfg.DriftRadius,
-			Seed:         cfg.Seed,
-			Synthesis:    cfg.Synthesis,
-			DisableIndex: disableIndex,
+			Positions:   cfg.Grid.Positions(),
+			Hs:          cfg.Hs,
+			Tp:          cfg.Tp,
+			DriftRadius: cfg.DriftRadius,
+			Seed:        cfg.Seed,
+			Synthesis:   cfg.Synthesis,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Source = src
+		if unindexed {
+			cfg.Source = unindexedSource{src, src}
+		}
 		rt, err := NewRuntime(cfg)
 		if err != nil {
 			t.Fatal(err)

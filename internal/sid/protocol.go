@@ -326,11 +326,10 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 	}
 	// One-time extension when reports are still trickling in — typically
 	// because retransmissions or a failover delayed the tail.
-	fo := r.cfg.Failover
-	if fo.Enabled && fo.ExtendWindow > 0 && !ns.extended &&
-		len(ns.reports) > 0 && deadline-ns.lastReportAt <= fo.ExtendWindow {
+	if r.cfg.Failover.Enabled && !ns.extended &&
+		len(ns.reports) > 0 && deadline-ns.lastReportAt <= extendWindow {
 		ns.extended = true
-		next := deadline + fo.ExtendWindow
+		next := deadline + extendWindow
 		ns.deadline = next
 		ns.membership = next
 		r.ctr.deadlineExt.Inc()
@@ -340,9 +339,7 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 			})
 		}
 		_ = r.sched.Schedule(next, func() { r.headDeadline(ns, next) })
-		if fo.HeartbeatPeriod > 0 {
-			r.startHeartbeats(ns, next)
-		}
+		r.startHeartbeats(ns, next)
 		return
 	}
 	ns.isHead = false

@@ -89,10 +89,10 @@ type Config struct {
 	// DriftRadius is the buoy mooring drift in meters (2 in the paper).
 	// Only used when Source is nil.
 	DriftRadius float64
-	// BatteryJ equips each non-sink node with a battery when positive.
+	// BatteryJ equips each non-sink node with a battery of this many
+	// joules when positive; batteries charge the iMote2 costs of
+	// wsn.DefaultEnergyConfig.
 	BatteryJ float64
-	// Energy is the per-operation cost model (used when BatteryJ > 0).
-	Energy wsn.EnergyConfig
 	// SampleBatch is the sensing granularity in seconds: nodes process
 	// their accumulated samples in batches this long (0.5 s default).
 	SampleBatch float64
@@ -224,9 +224,6 @@ func (c Config) Validate() error {
 	}
 	if c.HistoryWindow < 0 {
 		return fmt.Errorf("sid: HistoryWindow must be non-negative, got %g", c.HistoryWindow)
-	}
-	if err := c.Failover.validate(); err != nil {
-		return err
 	}
 	if err := c.Faults.Validate(c.Grid.NumNodes()); err != nil {
 		return err
@@ -485,7 +482,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		r.nodes = append(r.nodes, ns)
 		node := net.MustNode(id)
 		if cfg.BatteryJ > 0 && id != cfg.SinkID {
-			b, err := wsn.NewBattery(cfg.BatteryJ, cfg.Energy)
+			b, err := wsn.NewBattery(cfg.BatteryJ, wsn.DefaultEnergyConfig())
 			if err != nil {
 				return nil, err
 			}

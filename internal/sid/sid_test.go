@@ -160,7 +160,6 @@ func TestPacketLossStillDetects(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatteryJ = 50
-	cfg.Energy = wsn.DefaultEnergyConfig()
 	cfg.Seed = 106
 	rt, err := NewRuntime(cfg)
 	if err != nil {
@@ -248,13 +247,31 @@ func TestTwoShipsTwoDetections(t *testing.T) {
 	}
 }
 
+// TestBatteryJAloneDrains pins that BatteryJ by itself equips batteries
+// that charge the iMote2 costs: 0.05 J runs every battery of the default
+// grid flat within 30 s.
+func TestBatteryJAloneDrains(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatteryJ = 0.05
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	e := rt.Energy()
+	if n := cfg.Grid.NumNodes() - 1; e.NodesWithBattery != n || e.DeadNodes != n || e.MeanFraction != 0 {
+		t.Errorf("0.05 J batteries after 30 s: %+v, want all %d dead and drained", e, n)
+	}
+}
+
 func TestDutyCycleSavesEnergyAndStillDetects(t *testing.T) {
 	run := func(duty float64) (detections int, meanBattery float64) {
 		cfg := DefaultConfig()
 		cfg.Grid = geo.GridSpec{Rows: 5, Cols: 5, Spacing: 25}
 		cfg.DutyCycle = duty
 		cfg.BatteryJ = 100
-		cfg.Energy = wsn.DefaultEnergyConfig()
 		cfg.Seed = 202
 		rt, err := NewRuntime(cfg)
 		if err != nil {

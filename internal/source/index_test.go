@@ -8,18 +8,17 @@ import (
 )
 
 // indexedSynth builds a spectral deployment on a rows×cols grid with a ship
-// wake and a maneuver wake, with the spatial index on or off.
-func indexedSynth(t *testing.T, rows, cols int, drift float64, disable bool) *Synthetic {
+// wake and a maneuver wake.
+func indexedSynth(t *testing.T, rows, cols int, drift float64) *Synthetic {
 	t.Helper()
 	positions := geo.GridSpec{Rows: rows, Cols: cols, Spacing: 25}.Positions()
 	s, err := NewSynthetic(SyntheticConfig{
-		Positions:    positions,
-		Hs:           0.25,
-		Tp:           4.0,
-		DriftRadius:  drift,
-		Seed:         4242,
-		Synthesis:    SynthSpectral,
-		DisableIndex: disable,
+		Positions:   positions,
+		Hs:          0.25,
+		Tp:          4.0,
+		DriftRadius: drift,
+		Seed:        4242,
+		Synthesis:   SynthSpectral,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,14 +42,17 @@ func indexedSynth(t *testing.T, rows, cols int, drift float64, disable bool) *Sy
 }
 
 // runBlocks drives the source through the pipeline's contract — serial
-// PrepareBatch, then every node's Block for the batch — and returns all
-// samples flattened per node.
-func runBlocks(s *Synthetic, batches, perBatch int) [][]int16 {
+// PrepareBatch when prepare is set, then every node's Block for the batch —
+// and returns all samples flattened per node. Without PrepareBatch every
+// Block carries every indexed wake: the unindexed path.
+func runBlocks(s *Synthetic, batches, perBatch int, prepare bool) [][]int16 {
 	out := make([][]int16, s.NumNodes())
 	for b := 0; b < batches; b++ {
 		idx := b * perBatch
 		t0 := float64(idx) / s.Rate()
-		s.PrepareBatch(idx, t0, perBatch)
+		if prepare {
+			s.PrepareBatch(idx, t0, perBatch)
+		}
 		for node := 0; node < s.NumNodes(); node++ {
 			for _, smp := range s.Block(node, idx, t0, perBatch) {
 				out[node] = append(out[node], smp.X, smp.Y, smp.Z)
@@ -60,17 +62,18 @@ func runBlocks(s *Synthetic, batches, perBatch int) [][]int16 {
 	return out
 }
 
-// TestIndexedSynthesisBitIdentical is the tentpole safety contract: routing
+// TestIndexedSynthesisBitIdentical is the index's safety contract: routing
 // wakes through the spatial index must not change a single quantized sample
-// relative to the unindexed spectral path, with and without buoy drift. The
-// index may only skip node-blocks the sensor's own cull would have skipped.
+// relative to the unindexed spectral path (an identical source whose Blocks
+// run without PrepareBatch), with and without buoy drift. The index may
+// only skip node-blocks the sensor's own cull would have skipped.
 func TestIndexedSynthesisBitIdentical(t *testing.T) {
 	for _, drift := range []float64{0, 2} {
-		indexed := indexedSynth(t, 8, 8, drift, false)
-		plain := indexedSynth(t, 8, 8, drift, true)
+		indexed := indexedSynth(t, 8, 8, drift)
+		plain := indexedSynth(t, 8, 8, drift)
 		const perBatch, batches = 25, 260 // 130 s at 50 Hz: both wakes cross
-		a := runBlocks(indexed, batches, perBatch)
-		b := runBlocks(plain, batches, perBatch)
+		a := runBlocks(indexed, batches, perBatch, true)
+		b := runBlocks(plain, batches, perBatch, false)
 		for node := range a {
 			if len(a[node]) != len(b[node]) {
 				t.Fatalf("drift %g node %d: %d vs %d samples", drift, node, len(a[node]), len(b[node]))
@@ -96,31 +99,8 @@ func TestIndexedSynthesisBitIdentical(t *testing.T) {
 		if hr := st.IndexHitRate(); hr <= 0 || hr >= 1 {
 			t.Fatalf("implausible index hit rate %g", hr)
 		}
-		if ps := plain.SynthesisStats(); ps.IndexNodesOffered != 0 || ps.IndexedWakes != 0 {
-			t.Fatalf("disabled index reported activity: %+v", ps)
-		}
-	}
-}
-
-// TestUnpreparedBlockMatchesUnindexed pins the direct-caller fallback: Block
-// without a PrepareBatch for the same batch idx must carry every indexed
-// wake, i.e. behave exactly like the unindexed path.
-func TestUnpreparedBlockMatchesUnindexed(t *testing.T) {
-	indexed := indexedSynth(t, 4, 4, 0, false)
-	plain := indexedSynth(t, 4, 4, 0, true)
-	const perBatch, batches = 25, 80
-	for b := 0; b < batches; b++ {
-		idx := b * perBatch
-		t0 := float64(idx) / 50
-		for node := 0; node < indexed.NumNodes(); node++ {
-			// No PrepareBatch call on either side.
-			ba := indexed.Block(node, idx, t0, perBatch)
-			bb := plain.Block(node, idx, t0, perBatch)
-			for i := range ba {
-				if ba[i] != bb[i] {
-					t.Fatalf("node %d batch %d sample %d: %+v != %+v", node, b, i, ba[i], bb[i])
-				}
-			}
+		if ps := plain.SynthesisStats(); ps.IndexNodesOffered != 0 {
+			t.Fatalf("unprepared run reported index filtering: %+v", ps)
 		}
 	}
 }
@@ -130,7 +110,7 @@ func TestUnpreparedBlockMatchesUnindexed(t *testing.T) {
 // (bound above threshold at its drifted position) is in the index's
 // selection for that batch.
 func TestIndexSelectionIsConservative(t *testing.T) {
-	s := indexedSynth(t, 10, 10, 2, false)
+	s := indexedSynth(t, 10, 10, 2)
 	const perBatch = 25
 	for b := 0; b < 200; b += 5 {
 		idx := b * perBatch

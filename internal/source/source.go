@@ -130,13 +130,6 @@ type SyntheticConfig struct {
 	// streams are identical in both modes — only the ambient-sea series
 	// synthesis differs, within the documented tolerance.
 	Synthesis SynthesisMode
-	// DisableIndex turns off the spatial wake index that spectral mode
-	// builds over Positions, forcing every node to carry every wake model
-	// and pay the per-block bound check (the pre-index behavior). The
-	// indexed and unindexed paths are bit-identical — the flag exists for
-	// cross-checks and A/B benchmarks, not correctness. Ignored in phasor
-	// mode, which never indexes.
-	DisableIndex bool
 }
 
 // cullFraction sets the culling floors as a fraction of one ADC count: a
@@ -161,8 +154,8 @@ type synthNode struct {
 	sens  *sensor.Sensor
 	bufs  sensor.BlockBuffers
 	model sensor.Composite // spectral mode only; phasor mode shares Synthetic.model
-	// batch is the per-batch active composite when the spatial index is on:
-	// model plus only the indexed wakes whose region bound reaches this
+	// batch is the per-batch active composite (spectral mode only): model
+	// plus only the indexed wakes whose region bound reaches this
 	// node's cell. Rebuilt by PrepareBatch (serial) and read by Block
 	// (parallel, this node's goroutine only); capacity is reused.
 	batch sensor.Composite
@@ -185,7 +178,7 @@ type Synthetic struct {
 	plan    *ocean.SpectralPlan // spectral mode only
 	perNode bool
 
-	// Spatial index state (spectral mode, unless disabled). boxed holds the
+	// Spatial index state (spectral mode only). boxed holds the
 	// region-boundable wakes routed through the index instead of being
 	// appended to every node's composite; PrepareBatch queries the index
 	// once per boxed wake per batch and stages each node's active list.
@@ -241,14 +234,12 @@ func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
 	}
 	if cfg.Synthesis == SynthSpectral {
 		s.perNode = true
-		if !cfg.DisableIndex {
-			s.index = geo.NewIndex(cfg.Positions, 0)
-			s.cull = cull
-			// Index cells are inflated by the mooring drift radius plus a
-			// margin, so the region bound covers every position a node
-			// bucketed in the cell can observe from.
-			s.driftPad = cfg.DriftRadius + indexDriftMargin
-		}
+		s.index = geo.NewIndex(cfg.Positions, 0)
+		s.cull = cull
+		// Index cells are inflated by the mooring drift radius plus a
+		// margin, so the region bound covers every position a node
+		// bucketed in the cell can observe from.
+		s.driftPad = cfg.DriftRadius + indexDriftMargin
 		s.plan, err = ocean.NewSpectralPlan(field, ocean.SpectralConfig{
 			Rate: accel.SampleRate,
 			// Tolerances: half a count, the phasor-equivalence contract.
@@ -307,10 +298,10 @@ func (s *Synthetic) Synthesis() SynthesisMode { return s.mode }
 // Block implements Source: the node's sensor synthesizes n samples from
 // the node's model (phasor mode: the shared composite; spectral mode: the
 // node's own stream-headed composite), reusing the node's scratch buffers.
-// With the spatial index active the node's per-batch staged composite is
-// used when PrepareBatch ran for this batch; un-staged calls (direct Block
-// users outside the pipeline) conservatively carry every indexed wake, so
-// they are exactly the unindexed path. idx otherwise only identifies the
+// In spectral mode the node's per-batch staged composite is used when
+// PrepareBatch ran for this batch; un-staged calls (direct Block users
+// outside the pipeline) conservatively carry every indexed wake, which is
+// the unindexed path. idx otherwise only identifies the
 // batch — synthesis is a pure function of (t0, n) and the node's sequential
 // noise stream.
 func (s *Synthetic) Block(node, idx int, t0 float64, n int) []sensor.Sample {
@@ -318,7 +309,7 @@ func (s *Synthetic) Block(node, idx int, t0 float64, n int) []sensor.Sample {
 	model := s.model
 	if s.perNode {
 		model = ns.model
-		if s.index != nil && len(s.boxed) > 0 {
+		if len(s.boxed) > 0 {
 			if s.preparedFor == int64(idx) {
 				model = ns.batch
 			} else {
@@ -342,7 +333,7 @@ func (s *Synthetic) Block(node, idx int, t0 float64, n int) []sensor.Sample {
 // index drops is provably one whose sensor would have culled the wake
 // anyway, and indexed synthesis stays bit-identical to unindexed.
 func (s *Synthetic) PrepareBatch(idx int, t0 float64, n int) {
-	if s.index == nil || len(s.boxed) == 0 {
+	if len(s.boxed) == 0 {
 		return
 	}
 	for i := range s.nodes {
@@ -376,20 +367,18 @@ func (s *Synthetic) PrepareBatch(idx int, t0 float64, n int) {
 // between pipeline runs — blocks synthesized after the call see the new
 // source. In spectral mode the model is appended to every node's composite
 // (each node owns its model so its spectral stream can head it), except
-// that with the spatial index active, region-boundable wakes are instead
-// routed through the index: PrepareBatch adds them only to the nodes their
-// region bound can reach each batch.
+// that region-boundable wakes are instead routed through the spatial index:
+// PrepareBatch adds them only to the nodes their region bound can reach
+// each batch.
 func (s *Synthetic) AddSource(m sensor.SurfaceModel) {
 	s.model = append(s.model, m)
 	if !s.perNode {
 		return
 	}
 	s.preparedFor = -1 // staged batch composites no longer cover the model set
-	if s.index != nil {
-		if bm, ok := m.(sensor.RegionBoundedModel); ok {
-			s.boxed = append(s.boxed, bm)
-			return
-		}
+	if bm, ok := m.(sensor.RegionBoundedModel); ok {
+		s.boxed = append(s.boxed, bm)
+		return
 	}
 	for i := range s.nodes {
 		s.nodes[i].model = append(s.nodes[i].model, m)

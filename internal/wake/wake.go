@@ -390,10 +390,10 @@ func (f Field) slopeNormal(p geo.Vec2) geo.Vec2 {
 	return normal
 }
 
-// Note: Field deliberately does not implement the batched
-// sensor.SurfaceSeriesSampler fast path. The batched path freezes the
-// observation point for a whole block, which is harmless for the ambient
-// sea (statistics-critical) but shifts the wake packet's arrival phase at
-// a drifting buoy — and those onset times are exactly what the four-node
-// speed estimator consumes. The wake is a single packet evaluation per
-// sample, so the exact per-sample path costs little.
+// Note: Field deliberately implements no batched sensor path, so
+// sensor.SampleBlock evaluates it per sample at the exact drifted buoy
+// position. The ambient sea's batched path approximates the drift within a
+// block, which is harmless for its statistics; the wake packet's arrival
+// phase at a drifting buoy sets the onset times the four-node speed
+// estimator consumes, so it stays exact. The wake is a single packet
+// evaluation per sample, so the exact path costs little.

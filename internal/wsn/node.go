@@ -335,20 +335,15 @@ func NewNetwork(sched *sim.Scheduler, positions []geo.Vec2, radio RadioConfig) (
 
 // rebuildNeighbors lists, for every node, the nodes within radio range in
 // ascending ID order. Candidates come from a geo.Index whose cells are one
-// radio range wide, so each node tests the few cells around it instead of
-// every other node: linear in the node count for any bounded density.
+// radio range wide (wider for layouts sparser than one node per cell), so
+// each node tests the few cells around it instead of every other node:
+// linear in the node count for any bounded density.
 func (w *Network) rebuildNeighbors() {
 	pts := make([]geo.Vec2, len(w.nodes))
-	lo, hi := w.nodes[0].Pos, w.nodes[0].Pos
 	for i, n := range w.nodes {
 		pts[i] = n.Pos
-		lo = geo.Vec2{X: math.Min(lo.X, n.Pos.X), Y: math.Min(lo.Y, n.Pos.Y)}
-		hi = geo.Vec2{X: math.Max(hi.X, n.Pos.X), Y: math.Max(hi.Y, n.Pos.Y)}
 	}
-	// A sparse layout gets wider cells, so the index never holds many more
-	// cells than there are nodes.
-	span := math.Max(hi.X-lo.X, hi.Y-lo.Y)
-	ix := geo.NewIndex(pts, math.Max(w.Radio.Range, span/math.Sqrt(float64(len(pts)))))
+	ix := geo.NewIndex(pts, w.Radio.Range)
 	// The query box is padded by a sliver of the range so rounding in
 	// Pos ± Range never drops a pair at exactly Range; Dist decides.
 	reach := w.Radio.Range * (1 + 1e-3)

@@ -254,9 +254,6 @@ func (cfg Config) runtimeConfig() sid.Config {
 	rc.Cluster.RowSpacing = cfg.SpacingM
 	rc.Radio.LossProb = cfg.PacketLoss
 	rc.BatteryJ = cfg.BatteryJ
-	if cfg.BatteryJ > 0 {
-		rc.Energy = wsn.DefaultEnergyConfig()
-	}
 	rc.Seed = cfg.Seed
 	rc.Workers = cfg.Workers
 	if cfg.SpectralSynthesis {
