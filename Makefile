@@ -47,16 +47,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFFTRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzSTFTFraming$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 # Record→replay smoke: record the single-10kn golden scenario into per-node
 # SIDTRACE files, replay them through the detection pipeline, and require the
 # result to be bit-identical to the originating simulation
 # (see docs/STREAMING.md).
-REPLAY_TMP := $(shell mktemp -d)
 replay:
-	$(GO) run ./cmd/sidtrace record -scenario single-10kn -dir $(REPLAY_TMP)
-	$(GO) run ./cmd/sidtrace replay -dir $(REPLAY_TMP) -verify
-	@rm -rf $(REPLAY_TMP)
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) run ./cmd/sidtrace record -scenario single-10kn -dir $$tmp || exit 1; \
+	$(GO) run ./cmd/sidtrace replay -dir $$tmp -verify
 
 # Paired-seed byzantine sweep behind docs/RESILIENCE.md's threat-model
 # table: detection per compromised-node fraction, undefended vs defended
@@ -109,10 +109,9 @@ serve-smoke:
 
 # Observability smoke: journal one golden scenario and render it with
 # sidwatch (see docs/OBSERVABILITY.md). Fails if the report comes out empty.
-OBS_TMP := $(shell mktemp -d)
 obs:
-	$(GO) run ./cmd/sidbench -exp scenarios -only single-10kn -journal $(OBS_TMP)
-	$(GO) run ./cmd/sidwatch $(OBS_TMP)/single-10kn.jsonl > $(OBS_TMP)/report.txt
-	@test -s $(OBS_TMP)/report.txt || { echo "obs: empty sidwatch report"; exit 1; }
-	@cat $(OBS_TMP)/report.txt
-	@rm -rf $(OBS_TMP)
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) run ./cmd/sidbench -exp scenarios -only single-10kn -journal $$tmp || exit 1; \
+	$(GO) run ./cmd/sidwatch $$tmp/single-10kn.jsonl > $$tmp/report.txt || exit 1; \
+	test -s $$tmp/report.txt || { echo "obs: empty sidwatch report"; exit 1; }; \
+	cat $$tmp/report.txt

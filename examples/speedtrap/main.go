@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := sensor.Composite{field, wake.Field{Ship: ship}}
+	model := sensor.Composite{field, ship.Wake()}
 
 	fmt.Printf("lane watch: %.0f kn vessel, heading %.0f°; four buoys at D = %.0f m\n\n", actual, heading, d)
 	names := []string{"Si ", "S'i", "Sj ", "S'j"}

@@ -38,7 +38,7 @@ func synth(t *testing.T, pos geo.Vec2, dur float64, withShip bool, seed int64) (
 		raw := ship.ArrivalTime(pos)
 		ship.Time0 = dur*0.6 - raw
 		arrival = ship.ArrivalTime(pos)
-		model = append(model, wake.Field{Ship: ship})
+		model = append(model, ship.Wake())
 	}
 	b := sensor.NewBuoy(sensor.BuoyConfig{Anchor: pos, DriftRadius: 2, Seed: seed})
 	sn, err := sensor.NewSensor(b, sensor.DefaultAccelConfig())
@@ -181,7 +181,7 @@ func TestEnergyDecreasesWithDistance(t *testing.T) {
 		ship.Time0 = 240 - ship.ArrivalTime(pos)
 		b := sensor.NewBuoy(sensor.BuoyConfig{Anchor: pos, Seed: 41})
 		sn, _ := sensor.NewSensor(b, sensor.DefaultAccelConfig())
-		rec := sn.Record(sensor.Composite{field, wake.Field{Ship: ship}}, 0, 400)
+		rec := sn.Record(sensor.Composite{field, ship.Wake()}, 0, 400)
 		cfg := DefaultConfig()
 		cfg.AnomalyThreshold = 0.3
 		d, _ := New(cfg)

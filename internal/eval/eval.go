@@ -84,7 +84,7 @@ func (sc Scenario) Build(arrival float64) (*sensor.Sensor, sensor.SurfaceModel, 
 			ship.WaveCoeff = sc.WaveCoeff
 		}
 		ship.Time0 = arrival - (ship.ArrivalTime(geo.Vec2{}) - ship.Time0)
-		model = append(model, wake.Field{Ship: ship})
+		model = append(model, ship.Wake())
 	}
 	drift := 0.0
 	if sc.Drift {

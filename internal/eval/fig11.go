@@ -147,7 +147,7 @@ func recordMultiPass(sc Scenario, dur float64, arrivals []float64) ([]float64, e
 			ship.WaveCoeff = sc.WaveCoeff
 		}
 		ship.Time0 = arr - (ship.ArrivalTime(geo.Vec2{}) - ship.Time0)
-		model = append(model, wake.Field{Ship: ship})
+		model = append(model, ship.Wake())
 	}
 	drift := 0.0
 	if sc.Drift {

@@ -134,7 +134,7 @@ func fig12Run(cfg Fig12Config, actualKn, angleDeg float64, seed int64) (float64,
 	if err != nil {
 		return 0, false, err
 	}
-	model := sensor.Composite{field, wake.Field{Ship: ship}}
+	model := sensor.Composite{field, ship.Wake()}
 
 	clockRNG := newClockRNG(seed, cfg.SyncRMS)
 	onsets := make([]float64, len(positions))

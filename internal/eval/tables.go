@@ -133,7 +133,7 @@ func tableTrial(cfg TableConfig, rows int, m, speed float64, withShip bool, seed
 			return 0, false, err
 		}
 		ship.Time0 = tableArrive - (ship.ArrivalTime(grid.Center()) - ship.Time0)
-		model = append(model, wake.Field{Ship: ship})
+		model = append(model, ship.Wake())
 	}
 
 	// Node-level: each node runs the detector at multiplier M. For

@@ -22,7 +22,7 @@ import (
 )
 
 // SurfaceModel is anything that contributes surface motion at a point:
-// ocean.Field and wake.Field both satisfy it.
+// ocean.Field and wake.ManeuverField (every ship wake) both satisfy it.
 type SurfaceModel interface {
 	// VerticalAccel returns the vertical surface acceleration in m/s².
 	VerticalAccel(p geo.Vec2, t float64) float64
@@ -79,7 +79,7 @@ type BoundedModel interface {
 // layer's spatial index evaluates it once per index cell (inflated by the
 // buoy drift radius) to decide whether any node bucketed there needs the
 // model in its composite at all — the region analogue of the per-block
-// cull. Wake fields implement it; see wake.Field.BoundsBox.
+// cull. Wake fields implement it; see wake.ManeuverField.BoundsBox.
 type RegionBoundedModel interface {
 	BoundedModel
 	// BoundsBox returns upper bounds on |VerticalAccel| (m/s²) and |Slope|

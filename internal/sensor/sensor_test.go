@@ -179,7 +179,7 @@ func TestWakeRaisesZVariance(t *testing.T) {
 	// Quiet window well before arrival vs disturbed window around arrival.
 	quiet := s.Record(f, arrival-60, 20)
 	s2, _ := NewSensor(NewBuoy(BuoyConfig{Anchor: geo.Vec2{X: 0, Y: 0}, Seed: 7}), cfg)
-	disturbed := s2.Record(Composite{f, wake.Field{Ship: ship}}, arrival-2, 20)
+	disturbed := s2.Record(Composite{f, ship.Wake()}, arrival-2, 20)
 	_, dQuiet := stats.MeanStd(ZSeries(quiet))
 	_, dDist := stats.MeanStd(ZSeries(disturbed))
 	if dDist < 1.3*dQuiet {
@@ -294,7 +294,7 @@ func TestRecordMatchesExactWithinOneCount(t *testing.T) {
 	if arr := ship.ArrivalTime(geo.Vec2{}); arr < 60 || arr > dur-60 {
 		t.Fatalf("wake arrives at %.0f s, outside the recording", arr)
 	}
-	model := Composite{f, wake.Field{Ship: ship}}
+	model := Composite{f, ship.Wake()}
 	rec := driftingSensor(t).Record(model, 0, dur)
 	ref := driftingSensor(t)
 	if len(rec) != dur*int(ref.Accel.SampleRate) {

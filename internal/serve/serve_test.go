@@ -606,6 +606,11 @@ func TestServeAPIErrors(t *testing.T) {
 	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
 		t.Errorf("CThreshold 2: %d %s", code, msg)
 	}
+	// A stream at another rate than the detectors are tuned for.
+	body, _ = json.Marshal(CreateRequest{Spec: cheapSpec(), RateHz: 100})
+	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
+		t.Errorf("rate_hz 100: %d %s", code, msg)
+	}
 	// A grid whose node count overflows an int, and a grid no chunk can
 	// feed (one 0.5 s batch of 1000×1000 nodes is 150 MB against the
 	// 32 MiB body limit), are refused before any deployment is built.

@@ -49,7 +49,7 @@ type tenant struct {
 	id       string
 	srv      *Server
 	rt       *isid.Runtime
-	push     *source.Push
+	push     *source.Trace
 	col      *obs.Collector
 	tracer   *obs.Tracer // nil unless the tenant was created with Trace
 	rate     float64
@@ -266,7 +266,7 @@ func (t *tenant) enqueue(dur float64, nodes [][]sensor.Sample, samples int) (Ing
 }
 
 // loop is the tenant's single pipeline goroutine: it alternates feeding
-// and running (the Push source's contract), broadcasts the resulting
+// and running (the push trace's contract), broadcasts the resulting
 // events, and on close drains whatever was already accepted before
 // emitting the terminal event and releasing the subscribers.
 func (t *tenant) loop() {

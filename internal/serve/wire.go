@@ -200,7 +200,7 @@ func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate
 			continue
 		}
 		entry := io.LimitReader(r, int64(byteLen))
-		h, samples, err := trace.Read(entry)
+		h, samples, err := decodeEntry(entry, int(byteLen))
 		if err != nil {
 			return 0, nil, 0, 0, fmt.Errorf("serve: bundle node %d: %w", i, err)
 		}
@@ -221,6 +221,29 @@ func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate
 		nodes[i] = samples
 	}
 	return durationS, nodes, rate, scale, nil
+}
+
+// decodeEntry decodes one bundle entry of byteLen bytes. The header's
+// sample count is untrusted: one the entry's length cannot carry is refused
+// before anything is allocated for it, so the decode allocates at most
+// what the entry's bytes can hold.
+func decodeEntry(entry io.Reader, byteLen int) (trace.Header, []sensor.Sample, error) {
+	dec, err := trace.NewDecoder(entry)
+	if err != nil {
+		return trace.Header{}, nil, err
+	}
+	h := dec.Header()
+	if room := (byteLen - trace.HeaderBytes) / trace.SampleBytes; h.NumSamples > room {
+		return trace.Header{}, nil, fmt.Errorf("header claims %d samples, the %d-byte entry holds at most %d",
+			h.NumSamples, byteLen, room)
+	}
+	samples := make([]sensor.Sample, h.NumSamples)
+	if len(samples) > 0 {
+		if _, err := dec.Next(samples); err != nil {
+			return trace.Header{}, nil, err
+		}
+	}
+	return h, samples, nil
 }
 
 // ChunksFromSource slices a replayable source (typically a Recording's

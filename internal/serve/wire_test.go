@@ -125,24 +125,46 @@ func inflatedBundle() []byte {
 	return body
 }
 
-// TestDecodeBundleAllocBoundedByInput: a header that claims 65,536 node
-// streams in a 20-byte body must not allocate a table for them.
-func TestDecodeBundleAllocBoundedByInput(t *testing.T) {
-	body := inflatedBundle()
-	// The minimum over a few tries discounts allocation by other goroutines.
-	least := uint64(math.MaxUint64)
-	for try := 0; try < 5; try++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, _, _, err := DecodeBundle(bytes.NewReader(body))
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatal("truncated bundle accepted")
-		}
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
+// lyingEntryBundle is a 94-byte bundle whose one entry carries one sample
+// under a SIDTRACE header claiming 32,768.
+func lyingEntryBundle() []byte {
+	var entry bytes.Buffer
+	if err := trace.Write(&entry, trace.Header{SampleRate: 50, CountsPerG: 1024}, make([]sensor.Sample, 1)); err != nil {
+		panic(err)
 	}
-	if least >= 64<<10 {
-		t.Errorf("decoding a %d-byte bundle allocated %d B, want < 64 KiB", len(body), least)
+	e := entry.Bytes()
+	binary.LittleEndian.PutUint64(e[trace.HeaderBytes-8:], 1<<15) // the header's last field is the count
+	body := inflatedBundle()
+	binary.LittleEndian.PutUint32(body[16:], 1) // one node stream
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(e)))
+	return append(body, e...)
+}
+
+// TestDecodeBundleAllocBoundedByInput: neither a header that claims 65,536
+// node streams in a 20-byte body nor an entry that claims 32,768 samples in
+// 70 bytes may allocate for what it claims.
+func TestDecodeBundleAllocBoundedByInput(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"node count", inflatedBundle()}, {"sample count", lyingEntryBundle()}} {
+		t.Run(c.name, func(t *testing.T) {
+			// The minimum over a few tries discounts allocation by other goroutines.
+			least := uint64(math.MaxUint64)
+			for try := 0; try < 5; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, _, _, _, err := DecodeBundle(bytes.NewReader(c.body))
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Fatal("lying bundle accepted")
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least >= 64<<10 {
+				t.Errorf("decoding a %d-byte bundle allocated %d B, want < 64 KiB", len(c.body), least)
+			}
+		})
 	}
 }
 
@@ -173,6 +195,7 @@ func FuzzDecodeBundle(f *testing.F) {
 	f.Add(valid.Bytes()[:valid.Len()-3]) // truncated mid-sample
 	f.Add(silent.Bytes())
 	f.Add(inflatedBundle())
+	f.Add(lyingEntryBundle())
 	f.Add([]byte("SIDBNDL1"))
 	f.Add([]byte("NOTMAGIC"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -16,6 +16,13 @@ import (
 // case per rule, each asserting on a fragment of the error message so a
 // rule can't silently swap for another.
 func TestConfigValidation(t *testing.T) {
+	push := func(rate, scale float64) source.Source {
+		src, err := source.NewPush(rate, scale, DefaultConfig().Grid.NumNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -29,6 +36,9 @@ func TestConfigValidation(t *testing.T) {
 		{"detector M", func(c *Config) { c.Detect.M = 0 }, "M must be positive"},
 		{"detector AnomalyThreshold", func(c *Config) { c.Detect.AnomalyThreshold = 1.5 }, "AnomalyThreshold"},
 		{"detector SampleRate", func(c *Config) { c.Detect.SampleRate = 0 }, "SampleRate"},
+		{"detector rate vs sensor", func(c *Config) { c.Detect.SampleRate = 100 }, "detectors expect 100 Hz"},
+		{"source rate", func(c *Config) { c.Source = push(100, 1024) }, "source serves 100 Hz"},
+		{"source scale", func(c *Config) { c.Source = push(50, 512) }, "at 512 counts/g"},
 		{"ClusterHops", func(c *Config) { c.ClusterHops = 0 }, "ClusterHops"},
 		{"CollectWindow", func(c *Config) { c.CollectWindow = 0 }, "CollectWindow"},
 		{"MinReports", func(c *Config) { c.MinReports = 0 }, "MinReports"},

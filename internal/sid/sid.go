@@ -195,6 +195,18 @@ func (c Config) Validate() error {
 	if err := c.Detect.Validate(); err != nil {
 		return err
 	}
+	// The detectors are tuned for one rate and ADC scale (the low-pass
+	// cutoff, the window lengths, the 1 g level), so a source serving
+	// another would run every one of them mis-tuned.
+	accel := sensor.DefaultAccelConfig()
+	rate, scale := accel.SampleRate, accel.CountsPerG
+	if c.Source != nil {
+		rate, scale = c.Source.Rate(), c.Source.Scale()
+	}
+	if rate != c.Detect.SampleRate || scale != c.Detect.GravityCounts {
+		return fmt.Errorf("sid: source serves %g Hz at %g counts/g, the detectors expect %g Hz at %g counts/g",
+			rate, scale, c.Detect.SampleRate, c.Detect.GravityCounts)
+	}
 	if err := c.Cluster.Validate(); err != nil {
 		return err
 	}
@@ -524,7 +536,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 // AddShip introduces an intruder into the surface model. Panics when the
 // sample source is not appendable (see AddSource).
 func (r *Runtime) AddShip(s *wake.Ship) {
-	r.AddSource(wake.Field{Ship: s})
+	r.AddSource(s.Wake())
 }
 
 // AddSource introduces an arbitrary surface-motion source (e.g. a

@@ -28,7 +28,7 @@ func indexedSynth(t *testing.T, rows, cols int, drift float64) *Synthetic {
 		t.Fatal(err)
 	}
 	sh.Time0 = -10
-	s.AddSource(wake.Field{Ship: sh})
+	s.AddSource(sh.Wake())
 	m, err := wake.NewManeuver(5, 8, []wake.Waypoint{
 		{Pos: geo.Vec2{X: -150, Y: 120}, Speed: 4},
 		{Pos: geo.Vec2{X: 100, Y: 100}, Speed: 7},

@@ -39,9 +39,9 @@ func TestPushValidation(t *testing.T) {
 	}
 }
 
-// TestPushBlockMirrorsTrace pins Push's replay semantics: samples are
-// served by global index with times recomputed from the batch clock, and
-// consumed samples are dropped.
+// TestPushBlockMirrorsTrace pins a pushed stream's replay semantics:
+// samples are served by global index with times recomputed from the batch
+// clock, and consumed samples are dropped.
 func TestPushBlockMirrorsTrace(t *testing.T) {
 	const rate = 50.0
 	p, err := NewPush(rate, 1024, 1)
@@ -65,15 +65,15 @@ func TestPushBlockMirrorsTrace(t *testing.T) {
 	if err := p.Append(0, pushSamples(25, 0.5, rate, 25)); err != nil {
 		t.Fatal(err)
 	}
-	if p.Pending() != 50 {
-		t.Errorf("pending %d, want 50 (nothing dropped until the next Block)", p.Pending())
+	if n := len(p.nodes[0].pending); n != 50 {
+		t.Errorf("pending %d, want 50 (nothing dropped until the next Block)", n)
 	}
 	blk = p.Block(0, 25, 0.5, 25)
 	if len(blk) != 25 || blk[0].X != 25 || blk[0].T != 0.5 {
 		t.Fatalf("second block: len=%d first=%+v", len(blk), blk[0])
 	}
-	if p.Pending() != 25 {
-		t.Errorf("pending %d after consuming block, want 25", p.Pending())
+	if n := len(p.nodes[0].pending); n != 25 {
+		t.Errorf("pending %d after consuming block, want 25", n)
 	}
 
 	// A gap or an overlap is a stream error, not a silent misalignment.
@@ -97,7 +97,7 @@ func TestPushBlockMirrorsTrace(t *testing.T) {
 	}
 }
 
-// TestPushLateStart pins the Trace-like behavior for a stream whose first
+// TestPushLateStart pins the replay behavior for a pushed stream whose first
 // sample arrives mid-run: earlier blocks are silent, the stream then
 // serves from its pinned global start index.
 func TestPushLateStart(t *testing.T) {

@@ -22,10 +22,7 @@ type Recording struct {
 	scale float64
 	pos   []geo.Vec2
 	seed  int64
-	start []float64 // first recorded sample time per node
-	next  []int     // next expected global sample index per node
-	data  [][]sensor.Sample
-	began []bool
+	nodes []window // one per node, never drained
 	err   error
 }
 
@@ -34,32 +31,18 @@ type Recording struct {
 func (r *Recording) Init(rate, scale float64, positions []geo.Vec2, seed int64) {
 	r.rate, r.scale, r.seed = rate, scale, seed
 	r.pos = append([]geo.Vec2(nil), positions...)
-	n := len(positions)
-	r.start = make([]float64, n)
-	r.next = make([]int, n)
-	r.data = make([][]sensor.Sample, n)
-	r.began = make([]bool, n)
+	r.nodes = make([]window, len(positions))
 	r.err = nil
 }
 
 // Append records one consumed block for node, whose first sample has global
-// index idx. Blocks must be contiguous per node; a gap marks the recording
-// broken (see Err).
+// index idx. Blocks must be contiguous per node; the first gap marks the
+// recording broken (see Err).
 func (r *Recording) Append(node, idx int, block []sensor.Sample) {
-	if len(block) == 0 {
-		return
+	if err := r.nodes[node].add(idx, block); err != nil && r.err == nil {
+		r.err = fmt.Errorf("source: node %d %w — "+
+			"duty-cycled nodes that skip batches cannot be recorded for replay", node, err)
 	}
-	if !r.began[node] {
-		r.began[node] = true
-		r.start[node] = block[0].T
-		r.next[node] = idx
-	}
-	if idx != r.next[node] && r.err == nil {
-		r.err = fmt.Errorf("source: node %d stream has a gap at sample %d (expected %d) — "+
-			"duty-cycled nodes that skip batches cannot be recorded for replay", node, idx, r.next[node])
-	}
-	r.next[node] = idx + len(block)
-	r.data[node] = append(r.data[node], block...)
 }
 
 // Err reports whether the recorded streams are replayable (nil) or broken
@@ -71,7 +54,11 @@ func (r *Recording) Source() (*Trace, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	t, err := TraceFromSamples(r.rate, r.scale, r.data)
+	data := make([][]sensor.Sample, len(r.nodes))
+	for i := range r.nodes {
+		data[i] = r.nodes[i].pending
+	}
+	t, err := TraceFromSamples(r.rate, r.scale, data)
 	if err != nil {
 		return nil, err
 	}
@@ -89,13 +76,16 @@ func (r *Recording) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for node, samples := range r.data {
+	for node := range r.nodes {
+		samples := r.nodes[node].pending
 		h := trace.Header{
 			SampleRate: r.rate,
 			CountsPerG: r.scale,
 			Pos:        r.pos[node],
-			StartTime:  r.start[node],
 			Seed:       r.seed,
+		}
+		if len(samples) > 0 {
+			h.StartTime = samples[0].T
 		}
 		f, err := os.Create(TraceFile(dir, node))
 		if err != nil {

@@ -10,7 +10,8 @@
 //     (SynthPhasor, the exact reference, or SynthSpectral, FFT-based block
 //     synthesis; see docs/SYNTHESIS.md), and
 //   - Trace: replayed SIDTRACE recordings — the stand-in for the paper's
-//     sea-trial data — streamed per node with bounded memory.
+//     sea-trial data — streamed per node with bounded memory, or samples
+//     pushed by an external producer (NewPush, the serving layer).
 //
 // The contract mirrors the pipeline's batch loop: the runtime asks each
 // node for the block of samples covering one sensing batch, identified both

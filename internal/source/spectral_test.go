@@ -32,7 +32,7 @@ func synthFor(t *testing.T, mode SynthesisMode, drift float64, ship bool) *Synth
 			t.Fatal(err)
 		}
 		sh.Time0 = -20
-		s.AddSource(wake.Field{Ship: sh})
+		s.AddSource(sh.Wake())
 	}
 	return s
 }

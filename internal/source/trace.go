@@ -19,29 +19,84 @@ import (
 // replay an unbounded stream.
 const decodeChunk = 1024
 
-// traceNode is one node's replay state: a streaming decoder (nil once
-// drained or for a fully in-memory trace) plus the bounded pending window.
-type traceNode struct {
-	dec      *trace.Decoder
-	closer   io.Closer
-	startIdx int             // global sample index of the recording's first sample
-	pending  []sensor.Sample // decoded, not yet served
-	pendIdx  int             // global index of pending[0]
-	out      []sensor.Sample // reused per-call output block
-	eof      bool
+// window is one node's index-addressed sample buffer, the one mechanism
+// behind replay, the push feed and Recording: pending holds the samples
+// with global indices [idx, idx+len(pending)). A replay window opened by
+// OpenTraceDir also owns the node's streaming decoder (nil once drained)
+// and its file.
+type window struct {
+	pending []sensor.Sample // held, not yet served
+	idx     int             // global index of pending[0]
+	began   bool            // idx is pinned: the stream has started
+	out     []sensor.Sample // reused per-call output block
+	dec     *trace.Decoder
+	file    io.Closer
+}
+
+// add appends samples whose first has global index idx. The first
+// non-empty add pins the window's start; every later one must continue
+// exactly where the window ends, because serving by index would silently
+// misalign onsets after a gap or an overlap.
+func (w *window) add(idx int, samples []sensor.Sample) error {
+	if len(samples) == 0 {
+		return nil
+	}
+	if !w.began {
+		w.began = true
+		w.idx = idx
+	} else if want := w.idx + len(w.pending); idx != want {
+		return fmt.Errorf("stream has a gap at sample %d (expected %d)", idx, want)
+	}
+	w.pending = append(w.pending, samples...)
+	return nil
+}
+
+// block serves the samples with global indices in [idx, idx+n), with
+// times recomputed as t0 + (j−idx)/rate — the exact formula
+// sensor.SampleBlock uses, which is what makes replayed and pushed onsets
+// bit-identical to the originating simulation. It first decodes from the
+// node's file, if it has one, until the window covers the batch; then it
+// drops everything before idx, since per-node batches arrive in strictly
+// increasing idx order, which keeps the window bounded.
+func (w *window) block(idx int, t0 float64, n int, rate float64) []sensor.Sample {
+	for w.dec != nil && w.idx+len(w.pending) < idx+n {
+		chunk := make([]sensor.Sample, max(idx+n-(w.idx+len(w.pending)), decodeChunk))
+		got, err := w.dec.Next(chunk)
+		w.pending = append(w.pending, chunk[:got]...)
+		if err != nil {
+			// EOF ends the stream cleanly; a short or corrupt file also
+			// ends it — the pipeline treats the node as silent from here.
+			w.dec = nil
+		}
+	}
+	if drop := min(idx-w.idx, len(w.pending)); drop > 0 {
+		w.pending = w.pending[drop:]
+		w.idx += drop
+	}
+	w.out = w.out[:0]
+	for j := max(idx, w.idx); j < idx+n && j-w.idx < len(w.pending); j++ {
+		s := w.pending[j-w.idx]
+		s.T = t0 + float64(j-idx)/rate
+		w.out = append(w.out, s)
+	}
+	if len(w.out) == 0 {
+		return nil
+	}
+	return w.out
 }
 
 // Trace replays SIDTRACE recordings, one per node, through the detection
-// pipeline. Construct with TraceFromSamples (in-memory) or OpenTraceDir
-// (streaming from disk). Sample times are recomputed from the pipeline's
-// batch clock — not the stored times — so a replay is bit-identical in time
-// to the synthesis that recorded it.
+// pipeline. Construct with TraceFromSamples (in-memory), OpenTraceDir
+// (streaming from disk) or NewPush (fed by an external producer). Sample
+// times are recomputed from the pipeline's batch clock — not the stored
+// times — so a replay is bit-identical in time to the synthesis that
+// recorded it.
 type Trace struct {
 	rate  float64
 	scale float64
 	pos   []geo.Vec2
 	seed  int64
-	nodes []traceNode
+	nodes []window
 }
 
 // TraceFromSamples builds an in-memory replay source: nodes[i] is node i's
@@ -54,14 +109,54 @@ func TraceFromSamples(rate, scale float64, nodes [][]sensor.Sample) (*Trace, err
 	}
 	t := &Trace{rate: rate, scale: scale, pos: make([]geo.Vec2, len(nodes))}
 	for _, samples := range nodes {
-		tn := traceNode{pending: samples, eof: true}
-		if len(samples) > 0 {
-			tn.startIdx = globalIndex(samples[0].T, rate)
-			tn.pendIdx = tn.startIdx
+		w := window{pending: samples, began: len(samples) > 0}
+		if w.began {
+			w.idx = globalIndex(samples[0].T, rate)
 		}
-		t.nodes = append(t.nodes, tn)
+		t.nodes = append(t.nodes, w)
 	}
 	return t, nil
+}
+
+// NewPush returns an empty trace serving numNodes node streams, which an
+// external producer — the detection server's ingest path — feeds through
+// Append. A pushed stream is served by global index exactly like a replay,
+// so it is bit-identical through the pipeline to the synthesis that
+// produced it.
+func NewPush(rate, scale float64, numNodes int) (*Trace, error) {
+	if rate <= 0 || scale <= 0 {
+		return nil, fmt.Errorf("source: push rate and scale must be positive, got %g, %g", rate, scale)
+	}
+	if numNodes <= 0 {
+		return nil, fmt.Errorf("source: push needs at least one node stream, got %d", numNodes)
+	}
+	return &Trace{rate: rate, scale: scale, pos: make([]geo.Vec2, numNodes), nodes: make([]window, numNodes)}, nil
+}
+
+// Append feeds one node's next samples into a trace built by NewPush. The
+// first append pins the stream's global start index from its first sample
+// time (round(T·rate), as TraceFromSamples does); every later append must
+// continue exactly where the previous one ended, or it is an error. An
+// empty append is a no-op (the node is silent for this chunk). Append
+// copies the samples.
+//
+// The feed-then-run discipline is the memory bound: each Append is followed
+// by a Run covering it, Block drops consumed samples, and the window never
+// holds more than one chunk plus one batch. Append must not run
+// concurrently with Block — the producer and the pipeline alternate (the
+// serving layer's per-tenant loop guarantees this); Block calls on
+// distinct nodes may be concurrent, per the Source contract.
+func (t *Trace) Append(node int, samples []sensor.Sample) error {
+	if node < 0 || node >= len(t.nodes) {
+		return fmt.Errorf("source: push has no node %d", node)
+	}
+	if len(samples) == 0 {
+		return nil
+	}
+	if err := t.nodes[node].add(globalIndex(samples[0].T, t.rate), samples); err != nil {
+		return fmt.Errorf("source: push node %d %w", node, err)
+	}
+	return nil
 }
 
 // globalIndex converts a sample time to its global index at the given rate.
@@ -103,10 +198,9 @@ func OpenTraceDir(dir string) (*Trace, error) {
 			return nil, fmt.Errorf("source: node %d rate/scale %g/%g differs from node 0's %g/%g",
 				node, h.SampleRate, h.CountsPerG, t.rate, t.scale)
 		}
-		start := globalIndex(h.StartTime, h.SampleRate)
 		t.pos = append(t.pos, h.Pos)
-		t.nodes = append(t.nodes, traceNode{
-			dec: dec, closer: f, startIdx: start, pendIdx: start,
+		t.nodes = append(t.nodes, window{
+			idx: globalIndex(h.StartTime, h.SampleRate), began: true, dec: dec, file: f,
 		})
 	}
 	if len(t.nodes) == 0 {
@@ -119,11 +213,11 @@ func OpenTraceDir(dir string) (*Trace, error) {
 func (t *Trace) Close() error {
 	var first error
 	for i := range t.nodes {
-		if c := t.nodes[i].closer; c != nil {
-			if err := c.Close(); err != nil && first == nil {
+		if f := t.nodes[i].file; f != nil {
+			if err := f.Close(); err != nil && first == nil {
 				first = err
 			}
-			t.nodes[i].closer = nil
+			t.nodes[i].file = nil
 		}
 	}
 	return first
@@ -145,50 +239,8 @@ func (t *Trace) Seed() int64 { return t.seed }
 // Positions returns the recorded buoy positions, indexed by node.
 func (t *Trace) Positions() []geo.Vec2 { return t.pos }
 
-// Block implements Source: serve the recorded samples with global indices
-// in [idx, idx+n), with times recomputed as t0 + i/rate — the exact formula
-// sensor.SampleBlock uses, which is what makes replayed onsets bit-identical
-// to the originating simulation. Consumed samples are dropped, keeping the
-// pending window bounded.
+// Block implements Source. Decoding happens here, on the goroutine that
+// owns this node for the batch.
 func (t *Trace) Block(node, idx int, t0 float64, n int) []sensor.Sample {
-	ns := &t.nodes[node]
-	// Refill the pending window until it covers the batch (or the stream
-	// ends). Decoding happens here, on the goroutine that owns this node
-	// for the batch.
-	for !ns.eof && ns.pendIdx+len(ns.pending) < idx+n {
-		want := idx + n - (ns.pendIdx + len(ns.pending))
-		if want < decodeChunk {
-			want = decodeChunk
-		}
-		chunk := make([]sensor.Sample, want)
-		got, err := ns.dec.Next(chunk)
-		ns.pending = append(ns.pending, chunk[:got]...)
-		if err != nil {
-			// EOF ends the stream cleanly; a short or corrupt file also
-			// ends it — the pipeline treats the node as silent from here.
-			ns.eof = true
-		}
-	}
-	// Drop anything before the batch: per-node batches arrive in strictly
-	// increasing idx order, so earlier samples are never requested again.
-	if drop := idx - ns.pendIdx; drop > 0 {
-		if drop > len(ns.pending) {
-			drop = len(ns.pending)
-		}
-		ns.pending = ns.pending[drop:]
-		ns.pendIdx += drop
-	}
-	ns.out = ns.out[:0]
-	for j := ns.pendIdx; j < idx+n && j-ns.pendIdx < len(ns.pending); j++ {
-		if j < idx {
-			continue
-		}
-		s := ns.pending[j-ns.pendIdx]
-		s.T = t0 + float64(j-idx)/t.rate
-		ns.out = append(ns.out, s)
-	}
-	if len(ns.out) == 0 {
-		return nil
-	}
-	return ns.out
+	return t.nodes[node].block(idx, t0, n, t.rate)
 }

@@ -1,6 +1,6 @@
 // Package trace defines the accelerometer trace format the project uses in
 // place of the paper's proprietary sea-trial recordings: a self-describing
-// binary container (and a CSV form for interoperability) holding one
+// binary container (exportable as CSV for interoperability) holding one
 // buoy's three-axis samples plus the metadata needed to replay them
 // through the detection pipeline — sample rate, sensor scale, deployment
 // position, and the generating scenario's seed for provenance.
@@ -14,8 +14,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strconv"
-	"strings"
 
 	"github.com/sid-wsn/sid/internal/geo"
 	"github.com/sid-wsn/sid/internal/sensor"
@@ -26,6 +24,9 @@ var Magic = [8]byte{'S', 'I', 'D', 'T', 'R', 'C', '0', '1'}
 
 // SampleBytes is one encoded sample: an x/y/z int16 triplet.
 const SampleBytes = 6
+
+// HeaderBytes is the encoded header: the magic and seven 8-byte fields.
+const HeaderBytes = len(Magic) + 7*8
 
 // Header describes a recording.
 type Header struct {
@@ -134,9 +135,6 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // Header returns the recording's metadata.
 func (d *Decoder) Header() Header { return d.h }
 
-// Decoded returns how many samples have been decoded so far.
-func (d *Decoder) Decoded() int { return d.read }
-
 // Next decodes up to len(dst) samples into dst and returns how many were
 // filled. Sample times are reconstructed as StartTime + i/SampleRate. At the
 // end of the recording it returns 0, io.EOF; a short file surfaces as
@@ -216,79 +214,4 @@ func WriteCSV(w io.Writer, h Header, samples []sensor.Sample) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses the CSV form produced by WriteCSV.
-func ReadCSV(r io.Reader) (Header, []sensor.Sample, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var h Header
-	var samples []sensor.Sample
-	lineNo := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		lineNo++
-		switch {
-		case line == "" || line == "t,x,y,z":
-			continue
-		case strings.HasPrefix(line, "#"):
-			if err := parseCSVHeader(line, &h); err != nil {
-				return Header{}, nil, err
-			}
-		default:
-			parts := strings.Split(line, ",")
-			if len(parts) != 4 {
-				return Header{}, nil, fmt.Errorf("trace: line %d: want 4 fields, got %d", lineNo, len(parts))
-			}
-			t, err := strconv.ParseFloat(parts[0], 64)
-			if err != nil {
-				return Header{}, nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-			var xyz [3]int16
-			for i := 0; i < 3; i++ {
-				v, err := strconv.ParseInt(parts[i+1], 10, 16)
-				if err != nil {
-					return Header{}, nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-				}
-				xyz[i] = int16(v)
-			}
-			samples = append(samples, sensor.Sample{T: t, X: xyz[0], Y: xyz[1], Z: xyz[2]})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return Header{}, nil, err
-	}
-	h.NumSamples = len(samples)
-	if err := h.validate(); err != nil {
-		return Header{}, nil, err
-	}
-	return h, samples, nil
-}
-
-func parseCSVHeader(line string, h *Header) error {
-	for _, tok := range strings.Fields(line) {
-		kv := strings.SplitN(tok, "=", 2)
-		if len(kv) != 2 {
-			continue
-		}
-		var err error
-		switch kv[0] {
-		case "rate":
-			h.SampleRate, err = strconv.ParseFloat(kv[1], 64)
-		case "countsPerG":
-			h.CountsPerG, err = strconv.ParseFloat(kv[1], 64)
-		case "posX":
-			h.Pos.X, err = strconv.ParseFloat(kv[1], 64)
-		case "posY":
-			h.Pos.Y, err = strconv.ParseFloat(kv[1], 64)
-		case "start":
-			h.StartTime, err = strconv.ParseFloat(kv[1], 64)
-		case "seed":
-			h.Seed, err = strconv.ParseInt(kv[1], 10, 64)
-		}
-		if err != nil {
-			return fmt.Errorf("trace: header field %s: %w", kv[0], err)
-		}
-	}
-	return nil
 }

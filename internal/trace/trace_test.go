@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -202,53 +201,70 @@ func TestReadInflatedHeaderBoundedAlloc(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
+// TestWriteCSV pins the text `sidtrace -csv` emits: the comment header,
+// the column line, then one t,x,y,z row per sample.
+func TestWriteCSV(t *testing.T) {
 	h, samples := sampleTrace()
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, h, samples); err != nil {
 		t.Fatal(err)
 	}
-	h2, got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	want := "# sid-trace rate=50 countsPerG=1024 posX=25 posY=50 start=100 seed=42\n" +
+		"t,x,y,z\n" +
+		"100.0000,1,-2,1024\n" +
+		"100.0200,15,3,1100\n" +
+		"100.0400,-7,0,950\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV emitted\n%s\nwant\n%s", got, want)
 	}
-	if h2.SampleRate != 50 || h2.CountsPerG != 1024 || h2.Seed != 42 ||
-		h2.Pos != (geo.Vec2{X: 25, Y: 50}) || h2.StartTime != 100 {
-		t.Errorf("CSV header = %+v", h2)
-	}
-	if len(got) != len(samples) {
-		t.Fatalf("samples = %d", len(got))
-	}
-	for i := range samples {
-		if got[i].X != samples[i].X || got[i].Z != samples[i].Z {
-			t.Errorf("sample %d = %+v", i, got[i])
-		}
+	if err := WriteCSV(io.Discard, Header{SampleRate: 0, CountsPerG: 1024}, nil); err == nil {
+		t.Error("WriteCSV accepted a zero rate")
 	}
 }
 
-func TestCSVRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"# sid-trace rate=50 countsPerG=1024\n1,2,3\n",         // 3 fields
-		"# sid-trace rate=50 countsPerG=1024\nx,2,3,4\n",       // bad float
-		"# sid-trace rate=50 countsPerG=1024\n1.0,a,3,4\n",     // bad int
-		"# sid-trace rate=50 countsPerG=1024\n1.0,99999,3,4\n", // int16 overflow
-		"# sid-trace rate=bogus countsPerG=1024\n",             // bad header
-		"1.0,1,2,3\n", // no header
+// FuzzTraceDecode: the decoder never panics on arbitrary bytes, and a
+// stream Read accepts re-encodes with Write to exactly HeaderBytes plus
+// SampleBytes per sample, then decodes to the same header and samples.
+func FuzzTraceDecode(f *testing.F) {
+	h, samples := sampleTrace()
+	var valid bytes.Buffer
+	if err := Write(&valid, h, samples); err != nil {
+		f.Fatal(err)
 	}
-	for i, s := range bad {
-		if _, _, err := ReadCSV(strings.NewReader(s)); err == nil {
-			t.Errorf("case %d: expected parse error", i)
+	nanRate := h
+	nanRate.SampleRate = math.NaN()
+	f.Add(valid.Bytes())
+	f.Add(rawHeader(h, 0))                                  // header only
+	f.Add(valid.Bytes()[:valid.Len()-SampleBytes/2])        // truncated mid-sample
+	f.Add(rawHeader(nanRate, 3))                            // NaN rate
+	f.Add(rawHeader(h, 1<<28+1))                            // count above 2^28
+	f.Add(append([]byte("SIDTRCXX"), valid.Bytes()[8:]...)) // bad magic
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
 		}
-	}
-}
-
-func TestCSVSkipsBlankAndColumnHeader(t *testing.T) {
-	in := "# sid-trace rate=50 countsPerG=1024 posX=1 posY=2 start=0 seed=9\n\nt,x,y,z\n0.00,1,2,3\n"
-	h, samples, err := ReadCSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 1 || h.Seed != 9 {
-		t.Errorf("h=%+v samples=%v", h, samples)
-	}
+		var buf bytes.Buffer
+		if err := Write(&buf, h, got); err != nil {
+			t.Fatalf("re-encoding an accepted stream: %v", err)
+		}
+		if want := HeaderBytes + len(got)*SampleBytes; buf.Len() != want {
+			t.Fatalf("re-encoded %d samples into %d bytes, want %d", len(got), buf.Len(), want)
+		}
+		h2, again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded stream: %v", err)
+		}
+		if h2 != h {
+			t.Fatalf("header %+v re-decoded as %+v", h, h2)
+		}
+		if len(again) != len(got) {
+			t.Fatalf("%d samples re-decoded as %d", len(got), len(again))
+		}
+		for i := range got {
+			if again[i] != got[i] {
+				t.Fatalf("sample %d: %+v re-decoded as %+v", i, got[i], again[i])
+			}
+		}
+	})
 }

@@ -101,45 +101,30 @@ func boxTrackRange(track geo.Line, min, max geo.Vec2) (alongLo, alongHi, dMin, d
 // the rectangle [min, max]: for all p in the box, Bounds(p, t0, t1) is
 // dominated componentwise. It implements sensor.RegionBoundedModel so the
 // source layer's spatial index can skip whole buckets of nodes per block.
-func (f Field) BoundsBox(min, max geo.Vec2, t0, t1 float64) (accel, slope float64) {
-	s := f.Ship
-	alongLo, alongHi, dMin, dMax := boxTrackRange(s.Track, min, max)
-	// Amplitude and envelope width use the decay-clamped distance, exactly
-	// as signalFor does; the arrival geometry uses the raw distance, exactly
-	// as ArrivalTime does.
-	dLo := math.Max(dMin, MinDecayDistance)
-	dHi := math.Max(dMax, MinDecayDistance)
-	coeff := s.EffectiveCoeff()
-	tanK := math.Tan(KelvinHalfAngle)
-	b := packetBoxBound{
-		ampMax: coeff*math.Pow(dLo, -1.0/3.0)/2 + coeff*math.Pow(dLo, -0.5)/2*transverseWeight,
-		sigLo:  s.Duration(dLo) / 2,
-		sigHi:  s.Duration(dHi) / 2,
-		wMax:   2 * math.Pi * math.Max(s.WakeFreq(), s.TransverseFreq()),
-		kMax:   ocean.WavenumberFor(s.WakeFreq()),
-		arrLo:  s.Time0 + (alongLo+dMin/tanK)/s.Speed,
-		arrHi:  s.Time0 + (alongHi+dMax/tanK)/s.Speed,
-	}
-	return b.bounds(t0, t1)
-}
-
-// BoundsBox is the region form of ManeuverField.Bounds: per covering leg,
-// the projection/distance intervals come from the rectangle's corners, the
-// generation-speed interval from the (monotone) leg kinematics over the
-// clamped foot range, and the frequency/wavenumber extremes from the slow
-// end of that interval — the phase speed V·cosΘ(V) grows with V, so the
-// observed frequency and wavenumber peak at the minimum generation speed.
-// Contributions of all possibly-covering legs add, as in Bounds.
+//
+// Per covering leg, the projection/distance intervals come from the
+// rectangle's corners, the generation-speed interval from the (monotone)
+// leg kinematics over the foot range (clamped to the leg unless it is
+// open), and the frequency/wavenumber extremes from the slow end of that
+// interval — the phase speed V·cosΘ(V) grows with V, so the observed
+// frequency and wavenumber peak at the minimum generation speed.
+// Amplitude and envelope width use the decay-clamped distance, exactly as
+// signalFor does; the arrival geometry uses the raw distance, exactly as
+// legSignal does. Contributions of all possibly-covering legs add, as in
+// Bounds.
 func (f ManeuverField) BoundsBox(min, max geo.Vec2, t0, t1 float64) (accel, slope float64) {
 	m := f.M
 	tanK := math.Tan(KelvinHalfAngle)
 	for _, l := range m.legs {
 		alongLo, alongHi, dMin, dMax := boxTrackRange(l.track, min, max)
-		if alongHi < 0 || alongLo > l.length {
-			continue // no point of the box has its perpendicular foot on this leg
+		sLo, sHi := alongLo, alongHi
+		if !l.open {
+			if alongHi < 0 || alongLo > l.length {
+				continue // no point of the box has its perpendicular foot on this leg
+			}
+			sLo = math.Max(alongLo, 0)
+			sHi = math.Min(alongHi, l.length)
 		}
-		sLo := math.Max(alongLo, 0)
-		sHi := math.Min(alongHi, l.length)
 		vA, vB := l.speedAtS(sLo), l.speedAtS(sHi)
 		vMin, vMax := math.Min(vA, vB), math.Max(vA, vB)
 		dLo := math.Max(dMin, MinDecayDistance)

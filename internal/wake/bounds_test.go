@@ -15,7 +15,7 @@ func TestFieldBoundsDominate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Field{Ship: ship}
+	f := ship.Wake()
 	points := []geo.Vec2{
 		{X: 0, Y: 25}, {X: 50, Y: -40}, {X: -120, Y: 12}, {X: 200, Y: 80}, {X: 10, Y: 3},
 	}
@@ -46,7 +46,7 @@ func TestFieldBoundsCullFarWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Field{Ship: ship}
+	f := ship.Wake()
 	p := geo.Vec2{X: 0, Y: 25}
 	arrival := ship.ArrivalTime(p)
 	const (

@@ -42,7 +42,7 @@ func samplePoints(min, max geo.Vec2, n int) []geo.Vec2 {
 
 // TestFieldBoundsBoxDominates is the safety property the spatial index
 // rests on: for a randomized population of ships, rectangles, and sample
-// windows, Field.BoundsBox dominates Field.Bounds at every point inside the
+// windows, a ship's Wake().BoundsBox dominates its Bounds at every point inside the
 // rectangle. If this holds, an index-skipped node would also have been
 // skipped by the sensor's own per-block cull, so indexing cannot change a
 // single sample.
@@ -57,7 +57,7 @@ func TestFieldBoundsBoxDominates(t *testing.T) {
 			t.Fatal(err)
 		}
 		ship.Time0 = rng.Float64() * 100
-		f := Field{Ship: ship}
+		f := ship.Wake()
 
 		for q := 0; q < 10; q++ {
 			c := geo.Vec2{X: rng.Float64()*600 - 300, Y: rng.Float64()*600 - 300}
@@ -127,7 +127,7 @@ func TestBoundsBoxFarFieldTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Field{Ship: ship}
+	f := ship.Wake()
 	ba, bs := f.BoundsBox(geo.Vec2{X: 0, Y: 2000}, geo.Vec2{X: 100, Y: 2100}, 0, 1)
 	if ba > 1e-6 || bs > 1e-6 {
 		t.Fatalf("far-field box bound not tiny: accel %g slope %g", ba, bs)

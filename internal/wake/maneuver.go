@@ -51,6 +51,10 @@ type leg struct {
 	v0, v1 float64  // speeds at leg start and end
 	accel  float64  // (v1−v0)/(t1−t0)
 	last   bool
+	// open marks a leg that is a whole sailing line (Ship.Wake): it
+	// covers feet before its start as well as after, and has infinite
+	// length, zero acceleration and t1 = +Inf.
+	open bool
 }
 
 // NewManeuver validates and builds a maneuver: the vessel is at wps[0] at
@@ -171,24 +175,21 @@ func (m *Maneuver) SpeedAt(t float64) float64 {
 	return l.speedAtS(l.sAt(math.Min(math.Max(t, l.t0), l.t1)))
 }
 
-// HeadingAt returns the unit sailing direction at time t (clamped).
-func (m *Maneuver) HeadingAt(t float64) geo.Vec2 { return m.legAt(t).track.Dir }
-
 // legSignal returns the wake packet the leg contributes at p. A leg
 // contributes iff the perpendicular foot of p falls within it — the segment
-// of track that generated the divergent waves observed at p. Legs partition
-// the trajectory half-open ([0, length) except the last, which includes its
-// end), so a collinear chain of legs covers each point exactly once and a
-// constant-speed multi-leg straight run reproduces Ship bit for bit. Near a
-// turn a point can see the wakes of both adjoining legs, or neither —
-// wake caustics and shadow sectors, the price of the piecewise model.
+// of track that generated the divergent waves observed at p; an open leg
+// (Ship.Wake) covers every point. Legs partition the trajectory half-open
+// ([0, length) except the last, which includes its end), so a collinear
+// chain of legs covers each point exactly once. Near a turn a point can see
+// the wakes of both adjoining legs, or neither — wake caustics and shadow
+// sectors, the price of the piecewise model.
 //
 // The packet parameters use the speed the vessel had at the foot (the
 // generation speed); the front arrival extrapolates the leg's kinematics to
 // the cusp-locus lead position, per ArrivalTime's geometry.
 func (m *Maneuver) legSignal(l leg, p geo.Vec2) (Signal, bool) {
 	s := l.track.Project(p)
-	if s < 0 || s > l.length || (s == l.length && !l.last) {
+	if !l.open && (s < 0 || s > l.length || (s == l.length && !l.last)) {
 		return Signal{}, false
 	}
 	d := l.track.Dist(p)
@@ -252,14 +253,18 @@ func (m *Maneuver) GenerationHeading(p geo.Vec2) (geo.Vec2, bool) {
 	return dir, ok
 }
 
-// ManeuverField adapts a Maneuver into a surface-motion source with the
-// same interface shape as Field. Contributions of all covering legs add —
-// the linear superposition that also composes concurrent vessels.
+// ManeuverField adapts a Maneuver into a surface-motion source — the one
+// wake model, behind both waypoint maneuvers and Ship.Wake. Contributions
+// of all covering legs add — the linear superposition that also composes
+// concurrent vessels.
 //
-// Like Field, ManeuverField deliberately has no batched series path: wake
-// packets are onset-critical for the speed estimator, so every sample is
-// evaluated at the exact drifted buoy position (see the note at the bottom
-// of wake.go). The ambient sea keeps its phasor-rotation fast path.
+// ManeuverField deliberately implements no batched sensor path, so
+// sensor.SampleBlock evaluates it per sample at the exact drifted buoy
+// position. The ambient sea's batched path approximates the drift within a
+// block, which is harmless for its statistics; the wake packet's arrival
+// phase at a drifting buoy sets the onset times the four-node speed
+// estimator consumes, so it stays exact. The wake is one packet
+// evaluation per covering leg and sample, so the exact path costs little.
 type ManeuverField struct {
 	M *Maneuver
 }
@@ -307,8 +312,9 @@ func (f ManeuverField) Bounds(p geo.Vec2, t0, t1 float64) (accel, slope float64)
 }
 
 // Slope returns the wake-induced surface slope at p and t, summing each
-// covering leg's contribution along its own away-from-track normal (the
-// same point-local approximation as Field.Slope).
+// covering leg's contribution along its own away-from-track normal. The
+// packet model is point-local, so the slope is approximated as k·η along
+// that normal, with k the wavenumber of the leg's divergent waves.
 func (f ManeuverField) Slope(p geo.Vec2, t float64) geo.Vec2 {
 	var out geo.Vec2
 	for _, l := range f.M.legs {

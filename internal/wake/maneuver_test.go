@@ -7,9 +7,9 @@ import (
 	"github.com/sid-wsn/sid/internal/geo"
 )
 
-// A single-leg maneuver at constant speed must reproduce Ship exactly: same
-// arrival, same packet, same field samples. This pins the refactor that
-// extracted signalFor/thetaFor out of Ship.
+// A finite single-leg maneuver at constant speed must reproduce the ship's
+// open leg (Ship.Wake) on the stretch it covers: same arrival, same packet,
+// same field samples.
 func TestManeuverMatchesShipOnConstantLeg(t *testing.T) {
 	track := geo.LineThrough(geo.Vec2{X: -50, Y: 30}, geo.Vec2{X: 450, Y: 80})
 	ship, err := NewShip(track, 6.0, 12)
@@ -38,7 +38,7 @@ func TestManeuverMatchesShipOnConstantLeg(t *testing.T) {
 		if math.Abs(at-want.Arrival) > 1e-9 {
 			t.Errorf("arrival at %v: maneuver %g, ship %g", p, at, want.Arrival)
 		}
-		sf, ff := Field{Ship: ship}, ManeuverField{M: m}
+		sf, ff := ship.Wake(), ManeuverField{M: m}
 		for _, tm := range []float64{want.Arrival - 3, want.Arrival, want.Arrival + 4, want.Arrival + 9} {
 			if a, b := sf.VerticalAccel(p, tm), ff.VerticalAccel(p, tm); math.Abs(a-b) > 1e-9 {
 				t.Errorf("accel at %v t=%g: ship %g, maneuver %g", p, tm, a, b)

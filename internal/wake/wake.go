@@ -112,11 +112,6 @@ func (s *Ship) Position(t float64) geo.Vec2 {
 	return s.Track.At(s.Speed * (t - s.Time0))
 }
 
-// FroudeNumber returns F_d = V / sqrt(g·L).
-func (s *Ship) FroudeNumber() float64 {
-	return s.Speed / math.Sqrt(ocean.Gravity*s.Length)
-}
-
 // thetaFor returns Θ = 35.27°·(1 − e^{12(F_d−1)}) in radians (eq. 2) for a
 // hull of the given length at the given speed, clamped to [0, 35.27°] for
 // super-critical Froude numbers. Shared by Ship and Maneuver so a vessel's
@@ -151,42 +146,12 @@ func (s *Ship) WakeFreq() float64 {
 	return ocean.FreqForPhaseSpeed(s.WakeWaveSpeed())
 }
 
-// TransverseFreq returns the frequency of the transverse wake waves, whose
-// phase speed matches the ship speed.
-func (s *Ship) TransverseFreq() float64 {
-	return ocean.FreqForPhaseSpeed(s.Speed)
-}
-
 // refSpeed is the speed at which WaveCoeff applies directly; the paper's
 // eq. (1) notes c is "a parameter related to the speed of the passing
 // ship", and wake height grows roughly linearly with speed in the
 // semi-planing regime of small craft, so the effective coefficient is
 // WaveCoeff·(V/refSpeed).
 const refSpeed = 5.0
-
-// EffectiveCoeff returns the speed-scaled wave-making coefficient.
-func (s *Ship) EffectiveCoeff() float64 {
-	return s.WaveCoeff * s.Speed / refSpeed
-}
-
-// CuspHeight returns the divergent-wave maximum height Hm = c·d^(−1/3)
-// (eq. 1) at perpendicular distance d from the sailing line. Distances
-// below MinDecayDistance are clamped to keep the near-field finite.
-func (s *Ship) CuspHeight(d float64) float64 {
-	if d < MinDecayDistance {
-		d = MinDecayDistance
-	}
-	return s.EffectiveCoeff() * math.Pow(d, -1.0/3.0)
-}
-
-// TransverseHeight returns the transverse-wave height c·d^(−1/2) at
-// perpendicular distance d.
-func (s *Ship) TransverseHeight(d float64) float64 {
-	if d < MinDecayDistance {
-		d = MinDecayDistance
-	}
-	return s.EffectiveCoeff() * math.Pow(d, -0.5)
-}
 
 // MinDecayDistance clamps the decay laws' singularity at the sailing line
 // (meters).
@@ -201,16 +166,6 @@ func (s *Ship) ArrivalTime(p geo.Vec2) float64 {
 	d := s.Track.Dist(p)
 	lead := d / math.Tan(KelvinHalfAngle)
 	return s.Time0 + (along+lead)/s.Speed
-}
-
-// Duration returns the wave-train duration at perpendicular distance d,
-// growing as the fourth root of distance (frequency dispersion slowly
-// stretches the packet).
-func (s *Ship) Duration(d float64) float64 {
-	if d < MinDecayDistance {
-		d = MinDecayDistance
-	}
-	return s.BaseDuration * math.Pow(d/25.0, 0.25)
 }
 
 // Signal is the deterministic wake packet observed at one fixed point: a
@@ -235,6 +190,28 @@ type Signal struct {
 func (s *Ship) SignalAt(p geo.Vec2) Signal {
 	return signalFor(s.Speed, s.Length, s.WaveCoeff, s.BaseDuration,
 		s.Track.Dist(p), s.ArrivalTime(p))
+}
+
+// Wake returns the ship's wake as a surface model: a one-leg maneuver
+// whose open leg is the ship's whole sailing line, so every point sees
+// exactly SignalAt's packet. It copies the ship's fields, so call it after
+// setting Time0.
+func (s *Ship) Wake() ManeuverField {
+	return ManeuverField{M: &Maneuver{
+		Length:       s.Length,
+		WaveCoeff:    s.WaveCoeff,
+		BaseDuration: s.BaseDuration,
+		legs: []leg{{
+			track:  s.Track,
+			length: math.Inf(1),
+			t0:     s.Time0,
+			t1:     math.Inf(1),
+			v0:     s.Speed,
+			v1:     s.Speed,
+			last:   true,
+			open:   true,
+		}},
+	}}
 }
 
 // signalFor assembles the wake packet observed at perpendicular distance d
@@ -344,56 +321,3 @@ func (g Signal) Bounds(t0, t1, k float64) (accel, slope float64) {
 	slope = k * ampSum * math.Exp(-ug*ug/(2*s2))
 	return accel, slope
 }
-
-// Field adapts a Ship into a position-dependent acceleration source with
-// the same interface shape as ocean.Field, for composition by the sensor
-// model.
-type Field struct {
-	Ship *Ship
-}
-
-// Elevation returns the wake elevation contribution at p and t.
-func (f Field) Elevation(p geo.Vec2, t float64) float64 {
-	return f.Ship.SignalAt(p).Elevation(t)
-}
-
-// VerticalAccel returns the wake's vertical acceleration at p and t.
-func (f Field) VerticalAccel(p geo.Vec2, t float64) float64 {
-	return f.Ship.SignalAt(p).VerticalAccel(t)
-}
-
-// Slope returns the wake-induced surface slope. The packet model is
-// point-local; slope is approximated from the divergent wave's wavenumber
-// along the propagation direction (perpendicular-ish to the cusp line).
-// Its magnitude is |∂η/∂x| ≈ k·η with k from the wake frequency.
-func (f Field) Slope(p geo.Vec2, t float64) geo.Vec2 {
-	e := f.Ship.SignalAt(p).Elevation(t)
-	return f.slopeNormal(p).Scale(ocean.WavenumberFor(f.Ship.WakeFreq()) * e)
-}
-
-// Bounds implements sensor.BoundedModel: conservative upper bounds on the
-// wake's |VerticalAccel| and |Slope| at p over [t0, t1], letting the sensor
-// skip the per-sample evaluation for blocks the packet provably cannot
-// reach above the quantization floor.
-func (f Field) Bounds(p geo.Vec2, t0, t1 float64) (accel, slope float64) {
-	return f.Ship.SignalAt(p).Bounds(t0, t1, ocean.WavenumberFor(f.Ship.WakeFreq()))
-}
-
-// slopeNormal is the unit direction the wake slope points along at p: away
-// from the sailing line.
-func (f Field) slopeNormal(p geo.Vec2) geo.Vec2 {
-	side := f.Ship.Track.SignedDist(p)
-	normal := geo.Vec2{X: -f.Ship.Track.Dir.Y, Y: f.Ship.Track.Dir.X}
-	if side < 0 {
-		normal = normal.Scale(-1)
-	}
-	return normal
-}
-
-// Note: Field deliberately implements no batched sensor path, so
-// sensor.SampleBlock evaluates it per sample at the exact drifted buoy
-// position. The ambient sea's batched path approximates the drift within a
-// block, which is harmless for its statistics; the wake packet's arrival
-// phase at a drifting buoy sets the onset times the four-node speed
-// estimator consumes, so it stays exact. The wake is a single packet
-// evaluation per sample, so the exact path costs little.

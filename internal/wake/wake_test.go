@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/geo"
+	"github.com/sid-wsn/sid/internal/ocean"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -57,10 +58,6 @@ func TestShipPosition(t *testing.T) {
 
 func TestFroudeAndTheta(t *testing.T) {
 	s := testShip(t, geo.Knots(10)) // 5.14 m/s, L=12 → Fd ≈ 0.474
-	fd := s.FroudeNumber()
-	if math.Abs(fd-0.474) > 0.01 {
-		t.Errorf("Froude = %v, want ~0.474", fd)
-	}
 	// For sub-critical Froude numbers Θ is near 35.27°.
 	th := geo.ToDeg(s.Theta())
 	if th < 35.0 || th > 35.27 {
@@ -90,32 +87,36 @@ func TestWakeWaveSpeedAndFreq(t *testing.T) {
 		t.Errorf("WakeFreq = %v Hz, want in [0.25, 1]", f)
 	}
 	// Transverse waves are slower in frequency (phase speed = V).
-	if tf := s.TransverseFreq(); tf >= f {
+	if tf := s.SignalAt(geo.Vec2{X: 100, Y: 25}).TransFreq; tf >= f {
 		t.Errorf("TransverseFreq %v should be below divergent freq %v", tf, f)
 	}
 }
 
+// offTrack returns the point at perpendicular distance d from testShip's track.
+func offTrack(d float64) geo.Vec2 { return geo.Vec2{X: 100, Y: d} }
+
 func TestDecayLaws(t *testing.T) {
 	s := testShip(t, 5)
 	// Hm = c·d^(-1/3): doubling distance scales by 2^(-1/3).
-	h25 := s.CuspHeight(25)
-	h50 := s.CuspHeight(50)
+	h25 := s.SignalAt(offTrack(25)).Amp
+	h50 := s.SignalAt(offTrack(50)).Amp
 	if !almostEq(h50/h25, math.Pow(2, -1.0/3.0), 1e-9) {
 		t.Errorf("cusp decay ratio = %v", h50/h25)
 	}
 	// Transverse decays faster: ratio 2^(-1/2).
-	t25 := s.TransverseHeight(25)
-	t50 := s.TransverseHeight(50)
+	t25 := s.SignalAt(offTrack(25)).TransAmp
+	t50 := s.SignalAt(offTrack(50)).TransAmp
 	if !almostEq(t50/t25, math.Pow(2, -0.5), 1e-9) {
 		t.Errorf("transverse decay ratio = %v", t50/t25)
 	}
 	// Far from the ship, transverse waves are negligible relative to
 	// divergent waves (both same c here, so ratio shrinks with d).
-	if s.TransverseHeight(400)/s.CuspHeight(400) >= s.TransverseHeight(25)/s.CuspHeight(25) {
+	ratio := func(d float64) float64 { g := s.SignalAt(offTrack(d)); return g.TransAmp / g.Amp }
+	if ratio(400) >= ratio(25) {
 		t.Error("transverse/divergent ratio should fall with distance")
 	}
 	// Near-field clamp keeps heights finite.
-	if math.IsInf(s.CuspHeight(0), 0) || s.CuspHeight(0) != s.CuspHeight(MinDecayDistance) {
+	if h0 := s.SignalAt(offTrack(0)).Amp; math.IsInf(h0, 0) || h0 != s.SignalAt(offTrack(MinDecayDistance)).Amp {
 		t.Error("near-field clamp failed")
 	}
 }
@@ -160,15 +161,18 @@ func TestArrivalOrderAcrossRow(t *testing.T) {
 	}
 }
 
+// TestDurationGrowsWithDistance: the packet lasts BaseDuration at 25 m and
+// grows as d^(1/4) (its envelope width σ is half the duration).
 func TestDurationGrowsWithDistance(t *testing.T) {
 	s := testShip(t, 5)
-	if !almostEq(s.Duration(25), s.BaseDuration, 1e-12) {
-		t.Errorf("Duration(25) = %v, want %v", s.Duration(25), s.BaseDuration)
+	dur := func(d float64) float64 { return 2 * s.SignalAt(offTrack(d)).Sigma }
+	if !almostEq(dur(25), s.BaseDuration, 1e-12) {
+		t.Errorf("duration at 25 m = %v, want %v", dur(25), s.BaseDuration)
 	}
-	if s.Duration(100) <= s.Duration(25) {
-		t.Error("duration should grow with distance")
+	if !almostEq(dur(400)/dur(25), 2, 1e-12) {
+		t.Errorf("duration ratio 400 m / 25 m = %v, want 16^(1/4) = 2", dur(400)/dur(25))
 	}
-	if s.Duration(0) != s.Duration(MinDecayDistance) {
+	if dur(0) != dur(MinDecayDistance) {
 		t.Error("duration clamp failed")
 	}
 }
@@ -233,17 +237,24 @@ func TestWakeAmplitudeDecaysAcrossRows(t *testing.T) {
 	}
 }
 
+// TestFieldComposition: the ship's wake model is exactly its SignalAt
+// packet, bit for bit.
 func TestFieldComposition(t *testing.T) {
 	s := testShip(t, geo.Knots(10))
-	f := Field{Ship: s}
+	s.Time0 = -12.5
+	f := s.Wake()
 	p := geo.Vec2{X: 100, Y: 25}
 	sig := s.SignalAt(p)
 	tm := sig.Arrival + packetCenterLag*sig.Sigma
 	if f.Elevation(p, tm) != sig.Elevation(tm) {
-		t.Error("Field.Elevation disagrees with SignalAt")
+		t.Error("Wake().Elevation disagrees with SignalAt")
 	}
 	if f.VerticalAccel(p, tm) != sig.VerticalAccel(tm) {
-		t.Error("Field.VerticalAccel disagrees with SignalAt")
+		t.Error("Wake().VerticalAccel disagrees with SignalAt")
+	}
+	ga, gs := sig.Bounds(tm-1, tm+1, ocean.WavenumberFor(s.WakeFreq()))
+	if a, sl := f.Bounds(p, tm-1, tm+1); a != ga || sl != gs {
+		t.Errorf("Wake().Bounds = %g, %g; SignalAt's packet bounds %g, %g", a, sl, ga, gs)
 	}
 	// Slope points away from the track (positive side → +Y-ish normal),
 	// and is finite.
