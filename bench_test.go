@@ -12,6 +12,7 @@ package sid
 // baseline` records this suite's numbers in BENCH_baseline.json.
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/cluster"
@@ -24,6 +25,7 @@ import (
 	isid "github.com/sid-wsn/sid/internal/sid"
 	"github.com/sid-wsn/sid/internal/sim"
 	"github.com/sid-wsn/sid/internal/source"
+	"github.com/sid-wsn/sid/internal/trace"
 	"github.com/sid-wsn/sid/internal/wake"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
@@ -356,6 +358,54 @@ func BenchmarkDetectorPush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		det.Push(float64(i)/50, 1024+float64(i%13))
 	}
+}
+
+// BenchmarkDetectorPushBlock feeds BenchmarkDetectorPush's signal one
+// 25-sample node-block (a 0.5 s sensing batch at 50 Hz) per op, the way
+// the runtime's consume phase does.
+func BenchmarkDetectorPushBlock(b *testing.B) {
+	const perBatch = 25
+	det, err := detect.New(detect.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ts, zs [perBatch]float64
+	var wins []detect.BlockWindow
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range zs {
+			k := i*perBatch + j
+			ts[j], zs[j] = float64(k)/50, 1024+float64(k%13)
+		}
+		wins = det.PushBlock(ts[:], zs[:], wins[:0])
+	}
+}
+
+// BenchmarkTraceDecode decodes one 4,096-sample SIDTRACE node recording
+// per op from memory, in the 1,024-sample reads a replay node refills with.
+func BenchmarkTraceDecode(b *testing.B) {
+	samples := make([]sensor.Sample, 4096)
+	for i := range samples {
+		samples[i] = sensor.Sample{T: float64(i) / 50, X: int16(i), Y: int16(-i), Z: int16(1024 + i%97)}
+	}
+	var rec bytes.Buffer
+	if err := trace.Write(&rec, trace.Header{SampleRate: 50, CountsPerG: 1024}, samples); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]sensor.Sample, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec, err := trace.NewDecoder(bytes.NewReader(rec.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := dec.Next(buf); err != nil {
+				break
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
 }
 
 // --- Wave-synthesis and FFT-plan benchmarks ---

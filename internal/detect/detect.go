@@ -342,7 +342,44 @@ func (d *Detector) deviation(folded float64) float64 {
 // anomaly window completes, its statistics are returned with ok = true.
 // Samples must arrive in time order at the configured rate.
 func (d *Detector) Push(t float64, zCounts float64) (ws WindowStat, ok bool) {
-	filtered := d.stream.Push(zCounts)
+	return d.step(t, d.stream.Push(zCounts))
+}
+
+// BlockWindow is a Δt window that completed inside a PushBlock call: At is
+// the index, within the block, of the sample whose Push would have returned
+// Stat.
+type BlockWindow struct {
+	At   int
+	Stat WindowStat
+}
+
+// blockChunk bounds the filtered samples PushBlock holds at once, so its
+// scratch lives on the stack whatever the block length.
+const blockChunk = 64
+
+// PushBlock feeds the raw z samples z[i] (ADC counts) taken at times t[i],
+// in order, and appends every window that completes to dst. It is exactly
+// len(z) calls of Push — the same windows, completing at the same samples,
+// and the same detector state afterwards — with the low-pass filter run
+// over the block at once (dsp.Stream.PushBlock). t must be at least as long
+// as z.
+func (d *Detector) PushBlock(t, z []float64, dst []BlockWindow) []BlockWindow {
+	var filtered [blockChunk]float64
+	for off := 0; off < len(z); off += blockChunk {
+		f := filtered[:min(blockChunk, len(z)-off)]
+		d.stream.PushBlock(f, z[off:off+len(f)])
+		for i, v := range f {
+			if ws, ok := d.step(t[off+i], v); ok {
+				dst = append(dst, BlockWindow{At: off + i, Stat: ws})
+			}
+		}
+	}
+	return dst
+}
+
+// step advances the detector by one filter output, the low-pass of the raw
+// sample taken at time t.
+func (d *Detector) step(t, filtered float64) (ws WindowStat, ok bool) {
 	d.samplesSeen++
 	// Discard the filter's startup transient: until the delay line is
 	// fully primed its output ramps from zero and would wreck the
@@ -474,10 +511,16 @@ func (d *Detector) ReportOf(ws WindowStat) Report {
 // and returns every completed window. Convenient for offline evaluation.
 func (d *Detector) ProcessSeries(t0 float64, z []float64) []WindowStat {
 	var out []WindowStat
-	for i, v := range z {
-		t := t0 + float64(i)/d.cfg.SampleRate
-		if ws, ok := d.Push(t, v); ok {
-			out = append(out, ws)
+	var ts [blockChunk]float64
+	var wins []BlockWindow
+	for off := 0; off < len(z); off += blockChunk {
+		blk := z[off:min(off+blockChunk, len(z))]
+		for i := range blk {
+			ts[i] = t0 + float64(off+i)/d.cfg.SampleRate
+		}
+		wins = d.PushBlock(ts[:len(blk)], blk, wins[:0])
+		for _, w := range wins {
+			out = append(out, w.Stat)
 		}
 	}
 	return out

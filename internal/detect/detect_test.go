@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/geo"
@@ -375,5 +376,82 @@ func TestDetectedAndReportOf(t *testing.T) {
 	r := d.ReportOf(ws)
 	if r.Onset != 5 || r.Energy != 42 || r.AnomalyFreq != 0.7 {
 		t.Errorf("report = %+v", r)
+	}
+}
+
+// sameWindow reports whether two window stats are equal bit for bit (NaN
+// onsets included).
+func sameWindow(a, b WindowStat) bool {
+	fa := [...]float64{a.Start, a.End, a.AnomalyFreq, a.Energy, a.Onset, a.Threshold, a.Mean, a.Std}
+	fb := [...]float64{b.Start, b.End, b.AnomalyFreq, b.Energy, b.Onset, b.Threshold, b.Mean, b.Std}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.Crossings == b.Crossings
+}
+
+// TestPushBlockMatchesPush: over a ship-pass series cut into random block
+// lengths (1 to 200 samples, so some blocks span several filter chunks),
+// PushBlock yields the same windows at the same samples as Push, for the
+// default detector and for the other gate, threshold and freeze settings.
+func TestPushBlockMatchesPush(t *testing.T) {
+	z, _ := synth(t, geo.Vec2{X: 50, Y: 0}, 180, true, 7)
+	cfgs := map[string]func(*Config){
+		"default":       func(*Config) {},
+		"sample-zscore": func(c *Config) { c.Gate, c.Mode = GateSample, ThresholdModeZScore },
+		"frozen":        func(c *Config) { c.FreezeAfterWarmup = true },
+	}
+	for name, mut := range cfgs {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		times := make([]float64, len(z))
+		for i := range times {
+			times[i] = 3 + float64(i)/cfg.SampleRate
+		}
+		ref, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []BlockWindow
+		for i := range z {
+			if ws, ok := ref.Push(times[i], z[i]); ok {
+				want = append(want, BlockWindow{At: i, Stat: ws})
+			}
+		}
+		crossed := 0
+		for _, w := range want {
+			if w.Stat.Crossings > 0 {
+				crossed++
+			}
+		}
+		if len(want) < 100 || crossed == 0 {
+			t.Fatalf("%s: Push gives %d windows, %d with crossings", name, len(want), crossed)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			det, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, blk []BlockWindow
+			for off := 0; off < len(z); {
+				n := min(1+rng.Intn(200), len(z)-off)
+				blk = det.PushBlock(times[off:off+n], z[off:off+n], blk[:0])
+				for _, w := range blk {
+					got = append(got, BlockWindow{At: off + w.At, Stat: w.Stat})
+				}
+				off += n
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, split %d: %d windows, Push gives %d", name, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].At != want[i].At || !sameWindow(got[i].Stat, want[i].Stat) {
+					t.Fatalf("%s, split %d: window %d = %+v, Push gives %+v", name, seed, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

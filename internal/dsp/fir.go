@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // FIR is a finite-impulse-response filter described by its tap coefficients.
@@ -117,7 +118,67 @@ func (s *Stream) Push(x float64) float64 {
 	return acc
 }
 
-// Reset clears the stream state.
+// blockPool holds PushBlock's scratch: the taps in application order and
+// the delay line unrolled in front of the block. It is pooled rather than
+// kept on the Stream because a field runs one stream per node, and a
+// per-stream copy would add its bytes to every node's resident state.
+var blockPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// PushBlock feeds the samples of src in order and writes their outputs to
+// dst, which must be at least as long; dst may be src itself. Every output
+// equals, bit for bit, what Push returns for the same sample: each is
+// summed in Push's order, taps[L−1] (against the oldest sample) first. The
+// block form gains by computing four outputs at once, four independent
+// accumulator chains where Push has one dependent chain per sample.
+func (s *Stream) PushBlock(dst, src []float64) {
+	n := len(src)
+	if n == 0 {
+		return
+	}
+	L := len(s.taps)
+	sp := blockPool.Get().(*[]float64)
+	if cap(*sp) < 2*L-1+n {
+		*sp = make([]float64, 2*L-1+n)
+	}
+	// rev is the taps in the order Push applies them. h is the input in
+	// time order: the L−1 newest samples of the delay line (buf[pos] is
+	// the oldest of L), then the block. Output j sums rev[k]·h[j+k] over
+	// k = 0…L−1, and with both slices running forward the inner loops need
+	// no bounds checks.
+	rev, h := (*sp)[:L], (*sp)[L:2*L-1+n]
+	for k := range rev {
+		rev[k] = s.taps[L-1-k]
+	}
+	m := copy(h[:L-1], s.buf[s.pos+1:])
+	copy(h[m:L-1], s.buf[:s.pos])
+	copy(h[L-1:], src)
+	dst = dst[:n]
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		w0, w1, w2, w3 := h[j:][:L], h[j+1:][:L], h[j+2:][:L], h[j+3:][:L]
+		var a0, a1, a2, a3 float64
+		for k, c := range rev {
+			a0 += c * w0[k]
+			a1 += c * w1[k]
+			a2 += c * w2[k]
+			a3 += c * w3[k]
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
+	}
+	for ; j < n; j++ {
+		w := h[j:][:L]
+		var acc float64
+		for k, c := range rev {
+			acc += c * w[k]
+		}
+		dst[j] = acc
+	}
+	// The delay line keeps the L newest samples, oldest at pos.
+	copy(s.buf, h[len(h)-L:])
+	s.pos = 0
+	blockPool.Put(sp)
+}
+
 // MemBytes returns the stream's resident state in bytes: tap and delay-line
 // slices plus the cursor. Each detector builds its own filter, so the taps
 // count against the owning node's budget.
@@ -125,6 +186,7 @@ func (s *Stream) MemBytes() int {
 	return (cap(s.taps)+cap(s.buf))*8 + 8
 }
 
+// Reset clears the stream state.
 func (s *Stream) Reset() {
 	for i := range s.buf {
 		s.buf[i] = 0

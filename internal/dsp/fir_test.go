@@ -1,7 +1,10 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -215,5 +218,110 @@ func TestGoertzelMatchesFFTBin(t *testing.T) {
 	}
 	if g := Goertzel(x, 5, 0); g != 0 {
 		t.Errorf("Goertzel with zero rate = %v", g)
+	}
+}
+
+// randomStream returns a stream over n random signed taps.
+func randomStream(rng *rand.Rand, n int) *Stream {
+	taps := make([]float64, n)
+	for i := range taps {
+		taps[i] = rng.NormFloat64()
+	}
+	return (&FIR{Taps: taps}).Stream()
+}
+
+// cloneStream copies a stream's delay line and cursor; the taps are shared.
+func cloneStream(s *Stream) *Stream {
+	return &Stream{taps: s.taps, buf: append([]float64(nil), s.buf...), pos: s.pos}
+}
+
+// samePush fails unless got equals want bit for bit.
+func samePush(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: output %d = %v (%#x), Push gives %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestStreamPushBlockMatchesPush: for 1, 3, 101 and 201 taps, a block of
+// every length from 1 to 2N+1, entered at every ring offset, yields Push's
+// outputs bit for bit and leaves the delay line where Push leaves it (the
+// sample after the block filters the same either way).
+func TestStreamPushBlockMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, taps := range []int{1, 3, 101, 201} {
+		s := randomStream(rng, taps)
+		maxLen := 2*taps + 1
+		in := make([]float64, maxLen+1)
+		want := make([]float64, maxLen+1)
+		got := make([]float64, maxLen)
+		for off := 0; off < taps; off++ {
+			// Prime the whole delay line, leaving the cursor at off.
+			primed := cloneStream(s)
+			for i := 0; i < taps+off; i++ {
+				primed.Push(float64(rng.Intn(4096) - 2048))
+			}
+			if primed.pos != off {
+				t.Fatalf("%d taps: cursor %d after priming, want %d", taps, primed.pos, off)
+			}
+			ref := cloneStream(primed)
+			for i := range in {
+				in[i] = rng.NormFloat64() * 1000
+				want[i] = ref.Push(in[i])
+			}
+			for n := 1; n <= maxLen; n++ {
+				blk := cloneStream(primed)
+				blk.PushBlock(got, in[:n])
+				what := fmt.Sprintf("%d taps, offset %d, block %d", taps, off, n)
+				samePush(t, what, got[:n], want[:n])
+				samePush(t, what+", next Push", []float64{blk.Push(in[n])}, want[n:n+1])
+			}
+		}
+	}
+}
+
+// TestStreamPushBlockConcurrent: streams filtered on 8 goroutines at once
+// (sharing PushBlock's pooled scratch) equal a serial run. Run it under
+// -race.
+func TestStreamPushBlockConcurrent(t *testing.T) {
+	const streams, blocks, blockLen = 8, 200, 25
+	rng := rand.New(rand.NewSource(3))
+	var protos []*Stream
+	inputs := make([][]float64, streams)
+	for g := range inputs {
+		protos = append(protos, randomStream(rng, 101))
+		inputs[g] = make([]float64, blocks*blockLen)
+		for i := range inputs[g] {
+			inputs[g][i] = float64(rng.Intn(4096))
+		}
+	}
+	run := func(g int) []float64 {
+		s := cloneStream(protos[g])
+		out := make([]float64, len(inputs[g]))
+		for b := 0; b < blocks; b++ {
+			lo := b * blockLen
+			s.PushBlock(out[lo:lo+blockLen], inputs[g][lo:lo+blockLen])
+		}
+		return out
+	}
+	serial := make([][]float64, streams)
+	for g := range serial {
+		serial[g] = run(g)
+	}
+	concurrent := make([][]float64, streams)
+	var wg sync.WaitGroup
+	for g := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[g] = run(g)
+		}()
+	}
+	wg.Wait()
+	for g := range serial {
+		samePush(t, fmt.Sprintf("stream %d", g), concurrent[g], serial[g])
 	}
 }

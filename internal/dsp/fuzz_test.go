@@ -139,3 +139,69 @@ func FuzzSTFTFraming(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStreamPushBlock checks that PushBlock equals Push bit for bit for
+// random taps, inputs and block splits. Each split byte either pushes one
+// sample through Push (even bytes, which moves the ring offset the next
+// block enters at) or a block of 1 + b/2 samples through PushBlock (odd
+// bytes); the reference stream pushes every sample through Push. Seeds
+// cover the 1-, 3-, 101- and 201-tap shapes, blocks longer than the delay
+// line, and dst aliasing src.
+func FuzzStreamPushBlock(f *testing.F) {
+	ramp := func(n int, step byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i) * step
+		}
+		return b
+	}
+	f.Add(ramp(1, 3), ramp(40, 7), []byte{1, 3, 0, 5}, false)
+	f.Add(ramp(3, 11), ramp(64, 5), []byte{0, 0, 7, 2, 9}, true)
+	f.Add(ramp(101, 13), ramp(600, 29), []byte{49, 2, 51, 4, 255, 0, 201}, false)
+	f.Add(ramp(201, 17), ramp(900, 31), []byte{255, 6, 255, 1, 8, 255}, true)
+	f.Add([]byte{0x80}, []byte{0x7f, 0x80, 0, 1}, []byte{}, false)
+	f.Fuzz(func(t *testing.T, tapBytes, input, splits []byte, inPlace bool) {
+		if len(tapBytes) == 0 || len(tapBytes) > 512 || len(input) > 8192 {
+			return
+		}
+		taps := make([]float64, len(tapBytes))
+		for i, b := range tapBytes {
+			taps[i] = float64(int8(b)) / 16
+		}
+		x := make([]float64, len(input))
+		for i, b := range input {
+			x[i] = float64(int8(b)) * 8.25
+		}
+		fir := &FIR{Taps: taps}
+		ref, blk := fir.Stream(), fir.Stream()
+		want := make([]float64, len(x))
+		for i, v := range x {
+			want[i] = ref.Push(v)
+		}
+		if len(splits) == 0 {
+			splits = []byte{255}
+		}
+		got := make([]float64, len(x))
+		for i, k := 0, 0; i < len(x); k++ {
+			b := splits[k%len(splits)]
+			if b%2 == 0 {
+				got[i] = blk.Push(x[i])
+				i++
+				continue
+			}
+			n := min(1+int(b/2), len(x)-i)
+			if inPlace {
+				copy(got[i:i+n], x[i:i+n])
+				blk.PushBlock(got[i:i+n], got[i:i+n])
+			} else {
+				blk.PushBlock(got[i:i+n], x[i:i+n])
+			}
+			i += n
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d taps: output %d = %v, Push gives %v", len(taps), i, got[i], want[i])
+			}
+		}
+	})
+}

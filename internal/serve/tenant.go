@@ -35,11 +35,20 @@ type event struct {
 
 // subscriber is one attached event-stream consumer. Events are delivered
 // through a buffered channel; gone is closed by unsubscribe so a stalled
-// delivery can abandon a departed consumer.
+// delivery can abandon a departed consumer. stalled marks a consumer that
+// let a closing tenant wait closeStall on one event; only the tenant loop
+// touches it.
 type subscriber struct {
-	ch   chan event
-	gone chan struct{}
+	ch      chan event
+	gone    chan struct{}
+	stalled bool
 }
+
+// closeStall bounds how long a closing tenant waits on a subscriber whose
+// channel is full. A consumer that is merely behind still gets every event
+// of the drain; one that stopped reading costs the drain this long once,
+// and from then on gets only what fits in its channel.
+const closeStall = 2 * time.Second
 
 // tenant is one served surveillance field: a facade-configured pipeline, a
 // push source, a bounded ingest queue and a fan-out of event subscribers.
@@ -400,8 +409,8 @@ func (t *tenant) emit(kind string, data any) {
 // subscriber. Delivery into a full subscriber channel blocks — that stall
 // propagates to the tenant loop, the ingest queue fills, and producers
 // see 429: bounded buffering end to end. The two unblock paths are the
-// subscriber departing (gone) and tenant close, which downgrades to
-// best-effort so draining can never deadlock on a stalled consumer.
+// subscriber departing (gone) and tenant close, which bounds the wait at
+// closeStall so draining can never deadlock on a stalled consumer.
 func (t *tenant) deliver(ev event) {
 	t.mu.Lock()
 	subs := make([]*subscriber, 0, len(t.subs))
@@ -414,14 +423,35 @@ func (t *tenant) deliver(ev event) {
 		case sub.ch <- ev:
 		case <-sub.gone:
 		case <-t.closing:
-			select {
-			case sub.ch <- ev:
-			case <-sub.gone:
-			default:
-				t.srv.ctrDropped.Inc()
-			}
+			t.deliverClosing(sub, ev)
 		}
 	}
+}
+
+// deliverClosing delivers one event of a closing tenant's drain: when the
+// subscriber's channel is full it waits up to closeStall for room, and not
+// at all once the subscriber has stalled.
+func (t *tenant) deliverClosing(sub *subscriber, ev event) {
+	select {
+	case sub.ch <- ev:
+		return
+	case <-sub.gone:
+		return
+	default:
+	}
+	if !sub.stalled {
+		timer := time.NewTimer(closeStall)
+		defer timer.Stop()
+		select {
+		case sub.ch <- ev:
+			return
+		case <-sub.gone:
+			return
+		case <-timer.C:
+			sub.stalled = true
+		}
+	}
+	t.srv.ctrDropped.Inc()
 }
 
 // subscribe attaches an event-stream consumer. Subscribers attached after

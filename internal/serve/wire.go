@@ -16,12 +16,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/sid-wsn/sid/internal/geo"
 	"github.com/sid-wsn/sid/internal/sensor"
@@ -167,23 +169,25 @@ func validDuration(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
 // DecodeBundle parses an EncodeBundle chunk. rate and scale are taken from
 // the first non-empty node stream (0, 0 for an all-silent chunk).
 // Allocation is bounded by the input: the node table grows as entries
-// decode rather than at the count the header claims.
+// decode rather than at the count the header claims, and the whole body is
+// read through one buffer, which every entry's decoder shares.
 func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate, scale float64, err error) {
+	br := bufio.NewReader(r)
 	var magic [8]byte
-	if _, err = io.ReadFull(r, magic[:]); err != nil {
+	if _, err = io.ReadFull(br, magic[:]); err != nil {
 		return 0, nil, 0, 0, fmt.Errorf("serve: reading bundle magic: %w", err)
 	}
 	if magic != bundleMagic {
 		return 0, nil, 0, 0, errors.New("serve: bad magic (not a chunk bundle)")
 	}
-	if err = binary.Read(r, binary.LittleEndian, &durationS); err != nil {
+	if err = binary.Read(br, binary.LittleEndian, &durationS); err != nil {
 		return 0, nil, 0, 0, fmt.Errorf("serve: reading bundle duration: %w", err)
 	}
 	if !validDuration(durationS) {
 		return 0, nil, 0, 0, fmt.Errorf("serve: bundle duration must be positive and finite, got %g", durationS)
 	}
 	var n uint32
-	if err = binary.Read(r, binary.LittleEndian, &n); err != nil {
+	if err = binary.Read(br, binary.LittleEndian, &n); err != nil {
 		return 0, nil, 0, 0, fmt.Errorf("serve: reading bundle node count: %w", err)
 	}
 	const maxNodes = 1 << 16
@@ -192,21 +196,20 @@ func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate
 	}
 	for i := 0; i < int(n); i++ {
 		var byteLen uint32
-		if err = binary.Read(r, binary.LittleEndian, &byteLen); err != nil {
+		if err = binary.Read(br, binary.LittleEndian, &byteLen); err != nil {
 			return 0, nil, 0, 0, fmt.Errorf("serve: reading bundle node %d length: %w", i, err)
+		}
+		if len(nodes) == cap(nodes) {
+			// Doubling keeps the table's allocations, summed over its
+			// growth, within twice its final size.
+			nodes = slices.Grow(nodes, len(nodes)+1)
 		}
 		nodes = append(nodes, nil)
 		if byteLen == 0 {
 			continue
 		}
-		entry := io.LimitReader(r, int64(byteLen))
-		h, samples, err := decodeEntry(entry, int(byteLen))
+		h, samples, err := decodeEntry(br, int(byteLen))
 		if err != nil {
-			return 0, nil, 0, 0, fmt.Errorf("serve: bundle node %d: %w", i, err)
-		}
-		// Skip whatever the entry holds past its trace, so the next entry
-		// starts where the length says however the reads were sized.
-		if _, err := io.Copy(io.Discard, entry); err != nil {
 			return 0, nil, 0, 0, fmt.Errorf("serve: bundle node %d: %w", i, err)
 		}
 		if len(samples) == 0 {
@@ -223,12 +226,17 @@ func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate
 	return durationS, nodes, rate, scale, nil
 }
 
-// decodeEntry decodes one bundle entry of byteLen bytes. The header's
-// sample count is untrusted: one the entry's length cannot carry is refused
-// before anything is allocated for it, so the decode allocates at most
-// what the entry's bytes can hold.
-func decodeEntry(entry io.Reader, byteLen int) (trace.Header, []sensor.Sample, error) {
-	dec, err := trace.NewDecoder(entry)
+// decodeEntry decodes one bundle entry of byteLen bytes from br and leaves
+// br at the next entry. The header's sample count is untrusted: one the
+// entry's length cannot carry is refused before anything is allocated for
+// it, so the decode allocates at most what the entry's bytes can hold and
+// never reads past the entry.
+func decodeEntry(br *bufio.Reader, byteLen int) (trace.Header, []sensor.Sample, error) {
+	if byteLen < trace.HeaderBytes {
+		return trace.Header{}, nil, fmt.Errorf("the %d-byte entry is shorter than a SIDTRACE header (%d B)",
+			byteLen, trace.HeaderBytes)
+	}
+	dec, err := trace.NewDecoder(br)
 	if err != nil {
 		return trace.Header{}, nil, err
 	}
@@ -242,6 +250,13 @@ func decodeEntry(entry io.Reader, byteLen int) (trace.Header, []sensor.Sample, e
 		if _, err := dec.Next(samples); err != nil {
 			return trace.Header{}, nil, err
 		}
+	}
+	// Skip whatever the entry holds past its trace, so the next entry
+	// starts where the length says. A body that ends inside the skipped
+	// bytes fails at the next entry's length, if there is one.
+	rest := byteLen - trace.HeaderBytes - len(samples)*trace.SampleBytes
+	if _, err := br.Discard(rest); err != nil && err != io.EOF {
+		return trace.Header{}, nil, err
 	}
 	return h, samples, nil
 }

@@ -140,15 +140,44 @@ func lyingEntryBundle() []byte {
 	return append(body, e...)
 }
 
+// entriesBundle is a bundle of n node streams, each one SIDTRACE recording
+// of the given samples.
+func entriesBundle(n int, samples []sensor.Sample) []byte {
+	var entry bytes.Buffer
+	if err := trace.Write(&entry, trace.Header{SampleRate: 50, CountsPerG: 1024}, samples); err != nil {
+		panic(err)
+	}
+	body := inflatedBundle()
+	binary.LittleEndian.PutUint32(body[16:], uint32(n))
+	for range n {
+		body = binary.LittleEndian.AppendUint32(body, uint32(entry.Len()))
+		body = append(body, entry.Bytes()...)
+	}
+	return body
+}
+
 // TestDecodeBundleAllocBoundedByInput: neither a header that claims 65,536
 // node streams in a 20-byte body nor an entry that claims 32,768 samples in
-// 70 bytes may allocate for what it claims.
+// 70 bytes may allocate for what it claims. A valid bundle of many small
+// entries — 65,536 header-only streams (4,456,468 B) or 1,000 one-sample
+// streams (74,020 B) — allocates under 4× its length.
 func TestDecodeBundleAllocBoundedByInput(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		body []byte
-	}{{"node count", inflatedBundle()}, {"sample count", lyingEntryBundle()}} {
+		name   string
+		body   []byte
+		accept bool
+		limit  uint64
+	}{
+		{"node count", inflatedBundle(), false, 64 << 10},
+		{"sample count", lyingEntryBundle(), false, 64 << 10},
+		{"header-only entries", entriesBundle(1<<16, nil), true, 0},
+		{"one-sample entries", entriesBundle(1000, make([]sensor.Sample, 1)), true, 0},
+	} {
 		t.Run(c.name, func(t *testing.T) {
+			limit := c.limit
+			if limit == 0 {
+				limit = 4 * uint64(len(c.body))
+			}
 			// The minimum over a few tries discounts allocation by other goroutines.
 			least := uint64(math.MaxUint64)
 			for try := 0; try < 5; try++ {
@@ -156,13 +185,16 @@ func TestDecodeBundleAllocBoundedByInput(t *testing.T) {
 				runtime.ReadMemStats(&before)
 				_, _, _, _, err := DecodeBundle(bytes.NewReader(c.body))
 				runtime.ReadMemStats(&after)
-				if err == nil {
+				if c.accept && err != nil {
+					t.Fatalf("valid bundle refused: %v", err)
+				}
+				if !c.accept && err == nil {
 					t.Fatal("lying bundle accepted")
 				}
 				least = min(least, after.TotalAlloc-before.TotalAlloc)
 			}
-			if least >= 64<<10 {
-				t.Errorf("decoding a %d-byte bundle allocated %d B, want < 64 KiB", len(c.body), least)
+			if least >= limit {
+				t.Errorf("decoding a %d-byte bundle allocated %d B, want < %d B", len(c.body), least, limit)
 			}
 		})
 	}

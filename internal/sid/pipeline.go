@@ -118,17 +118,30 @@ func (r *Runtime) senseGate(ns *nodeState, sampleIdx, perBatch int, rate float64
 
 // consumeBlock feeds one node's sample block into its detector and reacts
 // to completed anomaly windows. Serial phase: network sends and battery
-// accounting happen here, in node order.
+// accounting happen here, in node order. The detector filters the whole
+// block at once (detect.Detector.PushBlock); the windows it completed are
+// then replayed sample by sample, so energy charges, journal events and
+// protocol reactions keep the order of a per-sample loop — nothing they
+// touch feeds back into the detector.
 func (r *Runtime) consumeBlock(ns *nodeState) {
 	node := r.net.MustNode(ns.id)
+	ts, zs := r.blockT[:0], r.blockZ[:0]
 	for _, smp := range ns.block {
+		ts = append(ts, smp.T)
+		zs = append(zs, float64(smp.Z))
+	}
+	r.blockT, r.blockZ = ts, zs
+	r.blockWins = ns.det.PushBlock(ts, zs, r.blockWins[:0])
+	wins := r.blockWins
+	for i := range ns.block {
 		if node.Battery != nil {
 			node.Battery.Consume(wsn.CostSample)
 		}
-		ws, done := ns.det.Push(smp.T, float64(smp.Z))
-		if !done {
+		if len(wins) == 0 || wins[0].At != i {
 			continue
 		}
+		ws := wins[0].Stat
+		wins = wins[1:]
 		if node.Battery != nil {
 			node.Battery.Consume(wsn.CostCPU)
 		}

@@ -315,6 +315,13 @@ type Runtime struct {
 	// (memory.go; registry gauge "sid.peak_node_bytes").
 	peakNodeBytes int
 
+	// blockT, blockZ and blockWins are consumeBlock's scratch: one
+	// node-block's sample times and z counts, and the windows the detector
+	// completed in it. The consume phase is serial, so one set serves every
+	// node and adds nothing to any node's resident state.
+	blockT, blockZ []float64
+	blockWins      []detect.BlockWindow
+
 	// sampleIdx is the global index of the next unconsumed sample,
 	// persisted across Run segments so index-addressed sources (trace
 	// replays, push streams) stay aligned when a deployment is advanced in

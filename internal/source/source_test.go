@@ -187,3 +187,63 @@ func TestOpenTraceDirErrors(t *testing.T) {
 		t.Fatalf("mismatched rates accepted (err = %v)", err)
 	}
 }
+
+// TestTraceDirReplayRefillsInPlace: a recording of 3×decodeChunk+7
+// samples, replayed from disk in 25-sample blocks, serves exactly what
+// TraceFromSamples serves from memory. The node decodes into one buffer of
+// decodeChunk samples, and once warm a block allocates nothing, refills
+// included.
+func TestTraceDirReplayRefillsInPlace(t *testing.T) {
+	const rate, batch = 50.0, 25
+	samples := stream(0, 3*decodeChunk+7, rate)
+	var rec Recording
+	rec.Init(rate, 1024, []geo.Vec2{{}}, 1)
+	rec.Append(0, 0, samples)
+	dir := t.TempDir()
+	if err := rec.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenTraceDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	mem, err := TraceFromSamples(rate, 1024, [][]sensor.Sample{samples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, mismatch := 0, -1
+	serve := func() {
+		t0 := float64(idx) / rate
+		a, b := disk.Block(0, idx, t0, batch), mem.Block(0, idx, t0, batch)
+		if len(a) != len(b) && mismatch < 0 {
+			mismatch = idx
+		}
+		for i := range a {
+			if i < len(b) && a[i] != b[i] && mismatch < 0 {
+				mismatch = idx
+			}
+		}
+		idx += batch
+	}
+	w := &disk.nodes[0]
+	serve()
+	serve()
+	decoded := w.idx + len(w.pending)
+	// Blocks 2 to 102 cross two refills, at samples 1,000 and 2,000.
+	if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
+		t.Errorf("a warm replay block allocates %.2f times, want 0", allocs)
+	}
+	if refilled := w.idx + len(w.pending) - decoded; refilled < 2*(decodeChunk-batch) {
+		t.Fatalf("only %d samples decoded while allocations were counted", refilled)
+	}
+	for idx < len(samples)+2*batch {
+		serve()
+	}
+	if mismatch >= 0 {
+		t.Fatalf("block at sample %d differs between disk and memory replay", mismatch)
+	}
+	if w.dec != nil || cap(w.buf) != decodeChunk {
+		t.Fatalf("drained replay: decoder %v, buffer of %d samples (want nil, %d)", w.dec, cap(w.buf), decodeChunk)
+	}
+}

@@ -12,11 +12,11 @@ import (
 	"github.com/sid-wsn/sid/internal/trace"
 )
 
-// decodeChunk is how many samples a trace node decodes from its stream per
-// refill. Together with one batch of look-ahead it bounds a replay's
-// per-node memory at roughly (decodeChunk + batch) samples — a few KiB —
-// independent of the recording length, which is what lets a deployment
-// replay an unbounded stream.
+// decodeChunk is how many samples a trace node's buffer holds for
+// decoding: each refill tops the buffer up from the node's stream. It
+// bounds a replay's per-node memory at decodeChunk samples (16 KiB), or one
+// batch when that is longer, independent of the recording length, which is
+// what lets a deployment replay an unbounded stream.
 const decodeChunk = 1024
 
 // window is one node's index-addressed sample buffer, the one mechanism
@@ -24,13 +24,36 @@ const decodeChunk = 1024
 // with global indices [idx, idx+len(pending)). A replay window opened by
 // OpenTraceDir also owns the node's streaming decoder (nil once drained)
 // and its file.
+//
+// A window keeps one buffer, buf, and pending lies inside it: decoding
+// refills it in place and add copies into it, first moving pending to the
+// front, so a warm window allocates nothing. A window TraceFromSamples
+// builds serves the caller's slice instead (buf nil) and copies it into a
+// buffer of its own only if something is added.
 type window struct {
+	buf     []sensor.Sample // the window's own storage; nil while pending is the caller's
 	pending []sensor.Sample // held, not yet served
 	idx     int             // global index of pending[0]
 	began   bool            // idx is pinned: the stream has started
 	out     []sensor.Sample // reused per-call output block
 	dec     *trace.Decoder
 	file    io.Closer
+}
+
+// reserve makes room for k more samples after pending: it moves pending to
+// the front of the buffer when the room is at the back, and allocates a
+// larger buffer only when pending plus k would not fit. A new buffer fits
+// exactly what the window then holds, or twice what it held if that is
+// more: a drained window (replay, push) settles at one refill or one chunk
+// plus one batch, and a never-drained one (Recording) grows geometrically.
+func (w *window) reserve(k int) {
+	need := len(w.pending) + k
+	if need > cap(w.buf) {
+		w.buf = make([]sensor.Sample, max(need, 2*len(w.pending)))
+		w.pending = w.buf[:copy(w.buf, w.pending)]
+	} else if cap(w.pending)-len(w.pending) < k {
+		w.pending = w.buf[:copy(w.buf, w.pending)]
+	}
 }
 
 // add appends samples whose first has global index idx. The first
@@ -47,31 +70,45 @@ func (w *window) add(idx int, samples []sensor.Sample) error {
 	} else if want := w.idx + len(w.pending); idx != want {
 		return fmt.Errorf("stream has a gap at sample %d (expected %d)", idx, want)
 	}
+	w.reserve(len(samples))
 	w.pending = append(w.pending, samples...)
 	return nil
+}
+
+// drop discards the samples before global index idx. Per-node batches
+// arrive in strictly increasing idx order, so this keeps the window
+// bounded.
+func (w *window) drop(idx int) {
+	if d := min(idx-w.idx, len(w.pending)); d > 0 {
+		w.pending = w.pending[d:]
+		w.idx += d
+	}
+}
+
+// refill decodes the node's next samples into all the room its buffer has,
+// a buffer of at least decodeChunk samples and at least one batch of n.
+func (w *window) refill(n int) {
+	w.reserve(max(decodeChunk, n) - len(w.pending))
+	got, err := w.dec.Next(w.pending[len(w.pending):cap(w.pending)])
+	w.pending = w.pending[:len(w.pending)+got]
+	if err != nil {
+		// EOF ends the stream cleanly; a short or corrupt file also ends
+		// it — the pipeline treats the node as silent from here.
+		w.dec = nil
+	}
 }
 
 // block serves the samples with global indices in [idx, idx+n), with
 // times recomputed as t0 + (j−idx)/rate — the exact formula
 // sensor.SampleBlock uses, which is what makes replayed and pushed onsets
-// bit-identical to the originating simulation. It first decodes from the
-// node's file, if it has one, until the window covers the batch; then it
-// drops everything before idx, since per-node batches arrive in strictly
-// increasing idx order, which keeps the window bounded.
+// bit-identical to the originating simulation. It drops everything before
+// idx and decodes from the node's file, if it has one, until the window
+// covers the batch.
 func (w *window) block(idx int, t0 float64, n int, rate float64) []sensor.Sample {
+	w.drop(idx)
 	for w.dec != nil && w.idx+len(w.pending) < idx+n {
-		chunk := make([]sensor.Sample, max(idx+n-(w.idx+len(w.pending)), decodeChunk))
-		got, err := w.dec.Next(chunk)
-		w.pending = append(w.pending, chunk[:got]...)
-		if err != nil {
-			// EOF ends the stream cleanly; a short or corrupt file also
-			// ends it — the pipeline treats the node as silent from here.
-			w.dec = nil
-		}
-	}
-	if drop := min(idx-w.idx, len(w.pending)); drop > 0 {
-		w.pending = w.pending[drop:]
-		w.idx += drop
+		w.refill(n)
+		w.drop(idx)
 	}
 	w.out = w.out[:0]
 	for j := max(idx, w.idx); j < idx+n && j-w.idx < len(w.pending); j++ {

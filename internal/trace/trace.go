@@ -72,21 +72,36 @@ func Write(w io.Writer, h Header, samples []sensor.Sample) error {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(Magic[:]); err != nil {
+	b := append(bw.AvailableBuffer(), Magic[:]...)
+	for _, f := range [...]uint64{
+		math.Float64bits(h.SampleRate), math.Float64bits(h.CountsPerG),
+		math.Float64bits(h.Pos.X), math.Float64bits(h.Pos.Y),
+		math.Float64bits(h.StartTime), uint64(h.Seed), uint64(h.NumSamples),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, f)
+	}
+	if _, err := bw.Write(b); err != nil {
 		return err
 	}
-	fields := []interface{}{
-		h.SampleRate, h.CountsPerG, h.Pos.X, h.Pos.Y, h.StartTime, h.Seed, int64(h.NumSamples),
-	}
-	for _, f := range fields {
-		if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
+	// Samples are encoded straight into the writer's free buffer space,
+	// one buffer-full at a time.
+	for len(samples) > 0 {
+		if bw.Available() < SampleBytes {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		b := bw.AvailableBuffer()
+		n := min(len(samples), cap(b)/SampleBytes)
+		for _, s := range samples[:n] {
+			b = binary.LittleEndian.AppendUint16(b, uint16(s.X))
+			b = binary.LittleEndian.AppendUint16(b, uint16(s.Y))
+			b = binary.LittleEndian.AppendUint16(b, uint16(s.Z))
+		}
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
-	}
-	for _, s := range samples {
-		if err := binary.Write(bw, binary.LittleEndian, [3]int16{s.X, s.Y, s.Z}); err != nil {
-			return err
-		}
+		samples = samples[n:]
 	}
 	return bw.Flush()
 }
@@ -94,7 +109,8 @@ func Write(w io.Writer, h Header, samples []sensor.Sample) error {
 // Decoder reads a binary trace incrementally: the header up front, then
 // samples in caller-sized blocks. It is the streaming counterpart of Read —
 // a replay pipeline can pull one sensing batch at a time and never hold a
-// full recording in memory.
+// full recording in memory. It decodes straight out of its read buffer and
+// allocates nothing per sample.
 type Decoder struct {
 	br   *bufio.Reader
 	h    Header
@@ -102,26 +118,34 @@ type Decoder struct {
 }
 
 // NewDecoder consumes the stream's magic and header and returns a decoder
-// positioned at the first sample.
+// positioned at the first sample. A *bufio.Reader of at least the default
+// 4 KiB is read directly, so one may carry several streams back to back,
+// each decoder consuming exactly its own bytes; any other reader gets a
+// buffer of its own.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	b, err := br.Peek(HeaderBytes)
+	if len(b) < len(Magic) {
+		return nil, fmt.Errorf("trace: reading magic: %w", shortRead(len(b), err))
 	}
-	if magic != Magic {
+	if [len(Magic)]byte(b) != Magic {
 		return nil, errors.New("trace: bad magic (not a SID trace)")
 	}
-	var h Header
-	var n int64
-	for _, f := range []interface{}{
-		&h.SampleRate, &h.CountsPerG, &h.Pos.X, &h.Pos.Y, &h.StartTime, &h.Seed, &n,
-	} {
-		if err := binary.Read(br, binary.LittleEndian, f); err != nil {
-			return nil, fmt.Errorf("trace: reading header: %w", err)
-		}
+	if len(b) < HeaderBytes {
+		// The fields are 8 bytes each: a stream that ends between two of
+		// them ends cleanly (io.EOF), one that ends inside a field does not.
+		return nil, fmt.Errorf("trace: reading header: %w", shortRead((len(b)-len(Magic))%8, err))
 	}
-	h.NumSamples = int(n)
+	f := func(i int) uint64 { return binary.LittleEndian.Uint64(b[len(Magic)+8*i:]) }
+	h := Header{
+		SampleRate: math.Float64frombits(f(0)),
+		CountsPerG: math.Float64frombits(f(1)),
+		Pos:        geo.Vec2{X: math.Float64frombits(f(2)), Y: math.Float64frombits(f(3))},
+		StartTime:  math.Float64frombits(f(4)),
+		Seed:       int64(f(5)),
+		NumSamples: int(int64(f(6))),
+	}
+	br.Discard(HeaderBytes) // peeked above, so it cannot fail
 	if err := h.validate(); err != nil {
 		return nil, err
 	}
@@ -130,6 +154,16 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 		return nil, fmt.Errorf("trace: implausible sample count %d", h.NumSamples)
 	}
 	return &Decoder{br: br, h: h}, nil
+}
+
+// shortRead is the error of a read that stopped got bytes into a field
+// because of err, as io.ReadFull reports it: io.EOF only when nothing of
+// the field arrived.
+func shortRead(got int, err error) error {
+	if err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Header returns the recording's metadata.
@@ -144,24 +178,32 @@ func (d *Decoder) Next(dst []sensor.Sample) (int, error) {
 	if remain <= 0 {
 		return 0, io.EOF
 	}
-	if len(dst) < remain {
-		remain = len(dst)
-	}
-	for i := 0; i < remain; i++ {
-		var triple [3]int16
-		if err := binary.Read(d.br, binary.LittleEndian, &triple); err != nil {
+	want := min(len(dst), remain)
+	got := 0
+	for got < want {
+		b, err := d.br.Peek(min(want-got, d.br.Size()/SampleBytes) * SampleBytes)
+		n := len(b) / SampleBytes
+		out := dst[got : got+n]
+		for i := range out {
+			p := b[i*SampleBytes : (i+1)*SampleBytes]
+			out[i] = sensor.Sample{
+				T: d.h.StartTime + float64(d.read+i)/d.h.SampleRate,
+				X: int16(binary.LittleEndian.Uint16(p[0:])),
+				Y: int16(binary.LittleEndian.Uint16(p[2:])),
+				Z: int16(binary.LittleEndian.Uint16(p[4:])),
+			}
+		}
+		d.br.Discard(n * SampleBytes)
+		got += n
+		d.read += n
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
-			return i, fmt.Errorf("trace: reading sample %d: %w", d.read, err)
+			return got, fmt.Errorf("trace: reading sample %d: %w", d.read, err)
 		}
-		dst[i] = sensor.Sample{
-			T: d.h.StartTime + float64(d.read)/d.h.SampleRate,
-			X: triple[0], Y: triple[1], Z: triple[2],
-		}
-		d.read++
 	}
-	return remain, nil
+	return got, nil
 }
 
 // readPrealloc caps the samples Read allocates before any of them has been
