@@ -13,9 +13,10 @@ import (
 // This file implements spectral-domain block synthesis of a Field: instead
 // of rotating every wave component once per sample (O(samples × components),
 // the phasor path in field.go), a SpectralStream synthesizes fixed-length
-// Hann-windowed chunks by scattering each component onto the FFT bin grid
-// with a short interpolation kernel and inverse-transforming the chunk
-// (O(N log N + components × kernel) per N/2 output samples). Consecutive
+// Hann-windowed chunks by scattering the field onto the FFT bin grid with a
+// short interpolation kernel, once per frequency, and inverse-transforming
+// the chunk (O(N log N + components + frequencies × kernel) per N/2 output
+// samples). Consecutive
 // chunks overlap by half their length and sum to the unwindowed series
 // exactly (constant-overlap-add), so each N/2-sample hop segment is the sum
 // of the two chunks that cover it. The math, the error
@@ -56,31 +57,41 @@ type SpectralConfig struct {
 
 // specComp is one wave component prepared for bin-grid scattering.
 type specComp struct {
-	bin    int     // nearest FFT bin of the per-sample phase step, in [0, N)
 	omega  float64 // angular frequency rad/s
 	kx, ky float64 // wavenumber components rad/m
 	phase  float64 // random phase offset rad
 	cA     float64 // accel spectral amplitude −a·ω² (real)
 	aX, aY float64 // slope spectral amplitudes a·kx, a·ky (imaginary axis)
+}
+
+// specGroup is a run of kept components that share one angular frequency,
+// and with it one bin and one set of kernel weights: NewField emits each
+// frequency's directions back to back and culling keeps field order, so a
+// frequency's surviving components are consecutive.
+type specGroup struct {
+	bin int // nearest FFT bin of the per-sample phase step, in [0, N)
 	// w[j] is the windowed-Dirichlet kernel weight of bin bin−K+j, with
 	// the 1/N inverse-transform normalization folded in. Node-independent:
-	// it depends only on the component's fractional bin offset.
-	w []complex128
+	// it depends only on the frequency's fractional bin offset.
+	w     []complex128
+	comps []specComp // the group's components, a run of SpectralPlan.comps
 }
 
 // SpectralPlan is the node-independent half of spectral synthesis for one
-// Field at one sample rate: the culled component set with precomputed kernel
-// weights, plus a pool of FFT scratch. Build one per deployment and share it:
+// Field at one sample rate: the culled component set grouped by frequency,
+// with each frequency's kernel weights precomputed, plus a pool of FFT
+// scratch. Build one per deployment and share it:
 // its components are immutable after construction and a plan is safe for any
 // number of concurrent streams.
 type SpectralPlan struct {
-	field *Field
-	rate  float64
-	dt    float64
-	n     int // chunk length (FFT size), power of two
-	hop   int // n/2
-	k     int // kernel half-width in bins
-	comps []specComp
+	field  *Field
+	rate   float64
+	dt     float64
+	n      int // chunk length (FFT size), power of two
+	hop    int // n/2
+	k      int // kernel half-width in bins
+	comps  []specComp
+	groups []specGroup // comps split into runs of one frequency, in order
 	// scratch pools the three complex FFT buffers (*[3][]complex128, n
 	// each) of a chunk synthesis, so scratch scales with concurrent
 	// synthesizers rather than streams.
@@ -116,9 +127,23 @@ func NewSpectralPlan(f *Field, cfg SpectralConfig) (*SpectralPlan, error) {
 	}
 	keep := p.cullComponents(f.comps, cfg.CullAccel, cfg.CullSlope)
 	p.k = kernelHalfWidth(cfg, keep, n)
-	p.comps = make([]specComp, 0, len(keep))
-	for _, c := range keep {
-		p.comps = append(p.comps, p.prepare(c))
+	p.comps = make([]specComp, len(keep))
+	for i, c := range keep {
+		p.comps[i] = specComp{
+			omega: c.omega,
+			kx:    c.kx,
+			ky:    c.ky,
+			phase: c.phase,
+			cA:    -c.amp * c.omega * c.omega,
+			aX:    c.amp * c.kx,
+			aY:    c.amp * c.ky,
+		}
+		if i == 0 || c.omega != keep[i-1].omega {
+			bin, w := p.kernel(c.omega)
+			p.groups = append(p.groups, specGroup{bin: bin, w: w, comps: p.comps[i:i]})
+		}
+		g := &p.groups[len(p.groups)-1]
+		g.comps = g.comps[:len(g.comps)+1]
 	}
 	p.scratch.New = func() any {
 		b := make([]complex128, 3*n)
@@ -214,39 +239,29 @@ func kernelHalfWidth(cfg SpectralConfig, comps []component, n int) int {
 	return k
 }
 
-// prepare computes one component's bin index and kernel weights. The
-// per-sample phase step of component c is β = −ω·dt; its nearest bin is
-// round(β·N/2π) mod N and the weight of bin b+j is Ŵ((2π/N)(j−δ))/N, where
-// δ ∈ [−½, ½] is the fractional bin offset and Ŵ is the DFT of the periodic
-// Hann window (a three-term Dirichlet combination).
-func (p *SpectralPlan) prepare(c component) specComp {
+// kernel computes the bin index and kernel weights of angular frequency ω,
+// which every component at ω shares. The per-sample phase step is
+// β = −ω·dt; its nearest bin is round(β·N/2π) mod N and the weight of bin
+// b+j is Ŵ((2π/N)(j−δ))/N, where δ ∈ [−½, ½] is the fractional bin offset
+// and Ŵ is the DFT of the periodic Hann window (a three-term Dirichlet
+// combination).
+func (p *SpectralPlan) kernel(omega float64) (bin int, w []complex128) {
 	n := float64(p.n)
-	beta := -c.omega * p.dt
+	beta := -omega * p.dt
 	frac := beta * n / (2 * math.Pi)
 	braw := math.Round(frac)
 	delta := frac - braw
-	bin := int(braw) % p.n
+	bin = int(braw) % p.n
 	if bin < 0 {
 		bin += p.n
 	}
-	sc := specComp{
-		bin:   bin,
-		omega: c.omega,
-		kx:    c.kx,
-		ky:    c.ky,
-		phase: c.phase,
-		cA:    -c.amp * c.omega * c.omega,
-		aX:    c.amp * c.kx,
-		aY:    c.amp * c.ky,
-		w:     make([]complex128, 2*p.k+1),
-	}
+	w = make([]complex128, 2*p.k+1)
 	binStep := 2 * math.Pi / n
 	for j := -p.k; j <= p.k; j++ {
 		theta := binStep * (float64(j) - delta)
-		w := hannDFT(theta, p.n)
-		sc.w[j+p.k] = w * complex(1/n, 0)
+		w[j+p.k] = hannDFT(theta, p.n) * complex(1/n, 0)
 	}
-	return sc
+	return bin, w
 }
 
 // dirichlet returns D(θ) = Σ_{u=0}^{N−1} e^{−iθu}
@@ -283,7 +298,7 @@ func (p *SpectralPlan) CulledComponents() (count int, accelSum, slopeSum float64
 	return p.culled, p.culledAccel, p.culledSlope
 }
 
-// KernelHalfWidth returns the kernel half-width K in bins (each component
+// KernelHalfWidth returns the kernel half-width K in bins (each frequency
 // scatters onto 2K+1 bins per chunk).
 func (p *SpectralPlan) KernelHalfWidth() int { return p.k }
 
@@ -432,12 +447,13 @@ func (s *SpectralStream) fold(m int) {
 }
 
 // chunk synthesizes chunk m, the windowed contribution to grid samples
-// [m·hop, m·hop+n), into the real parts of sc (accel, slopeX, slopeY):
-// scatter every component onto the bin grid with its kernel weights and
-// phase rotation for this chunk, then inverse transform in place. The
-// three series share the per-component phase rotation; the kernel weights
-// come from the shared plan. The result depends on m alone, never on what
-// sc held before.
+// [m·hop, m·hop+n), into the real parts of sc (accel, slopeX, slopeY): sum
+// each frequency's components, rotated to their phase at the chunk's first
+// sample, then scatter the three sums onto the bin grid with the
+// frequency's kernel weights and inverse transform in place. Summing before
+// scattering is Σ_c (u_c·w) regrouped as (Σ_c u_c)·w, exact up to float64
+// rounding, at one scatter per frequency instead of one per component. The
+// result depends on m alone, never on what sc held before.
 func (s *SpectralStream) chunk(m int, sc *[3][]complex128) {
 	p := s.plan
 	n := p.n
@@ -452,17 +468,21 @@ func (s *SpectralStream) chunk(m int, sc *[3][]complex128) {
 	clear(sy)
 	kHalf := p.k
 	mask := n - 1
-	for ci := range p.comps {
-		c := &p.comps[ci]
-		// Phase of the component at the chunk's first sample, at the
-		// chunk's frozen observer position.
-		sin, cos := math.Sincos(c.kx*pos.X + c.ky*pos.Y + c.phase - c.omega*tm)
-		u := complex(cos, sin)
-		uA := u * complex(c.cA, 0)
-		uX := u * complex(0, c.aX)
-		uY := u * complex(0, c.aY)
-		base := c.bin - kHalf + n // + n keeps the masked index non-negative
-		for j, w := range c.w {
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		var uA, uX, uY complex128
+		for ci := range g.comps {
+			c := &g.comps[ci]
+			// Phase of the component at the chunk's first sample, at the
+			// chunk's frozen observer position.
+			sin, cos := math.Sincos(c.kx*pos.X + c.ky*pos.Y + c.phase - c.omega*tm)
+			u := complex(cos, sin)
+			uA += u * complex(c.cA, 0)
+			uX += u * complex(0, c.aX)
+			uY += u * complex(0, c.aY)
+		}
+		base := g.bin - kHalf + n // + n keeps the masked index non-negative
+		for j, w := range g.w {
 			idx := (base + j) & mask
 			sa[idx] += uA * w
 			sx[idx] += uX * w

@@ -3,11 +3,14 @@ package ocean
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
+	"github.com/sid-wsn/sid/internal/dsp"
 	"github.com/sid-wsn/sid/internal/geo"
 )
 
@@ -504,4 +507,213 @@ func BenchmarkSpectralStreamPerSample(b *testing.B) {
 		}
 		s.AccumulateStream(float64(i)/50, blockLen, accel, sx, sy)
 	}
+}
+
+// perComponentChunk is chunk's per-component reference: every kept
+// component scattered onto the bin grid on its own, with the kernel of its
+// own frequency, then inverse transformed.
+func perComponentChunk(s *SpectralStream, m int) [3][]complex128 {
+	p := s.plan
+	n := p.n
+	tm := s.tBase + float64(m*p.hop)*p.dt
+	pos := s.pos
+	if s.posAt != nil {
+		pos = s.posAt(tm + 0.5*float64(n)*p.dt)
+	}
+	out := [3][]complex128{make([]complex128, n), make([]complex128, n), make([]complex128, n)}
+	for _, c := range p.comps {
+		bin, w := p.kernel(c.omega)
+		sin, cos := math.Sincos(c.kx*pos.X + c.ky*pos.Y + c.phase - c.omega*tm)
+		u := complex(cos, sin)
+		amp := [3]complex128{u * complex(c.cA, 0), u * complex(0, c.aX), u * complex(0, c.aY)}
+		for j, wj := range w {
+			idx := (bin - p.k + n + j) & (n - 1)
+			for k := range out {
+				out[k][idx] += amp[k] * wj
+			}
+		}
+	}
+	for k := range out {
+		dsp.FFTInPlace(out[k], true)
+	}
+	return out
+}
+
+// chunkVsPerComponent synthesizes chunk m both ways and returns, per
+// series, the largest deviation relative to the chunk's peak magnitude.
+func chunkVsPerComponent(s *SpectralStream, m int) [3]float64 {
+	n := s.plan.n
+	got := [3][]complex128{make([]complex128, n), make([]complex128, n), make([]complex128, n)}
+	s.chunk(m, &got)
+	want := perComponentChunk(s, m)
+	var rel [3]float64
+	for k := range got {
+		var peak, dev float64
+		for i := range got[k] {
+			peak = math.Max(peak, cmplx.Abs(want[k][i]))
+			dev = math.Max(dev, cmplx.Abs(got[k][i]-want[k][i]))
+		}
+		if dev > 0 {
+			rel[k] = dev / peak // +Inf for a deviation from an all-zero series
+		}
+	}
+	return rel
+}
+
+// TestSpectralChunkMatchesPerComponentScatter: summing each frequency's
+// components before one scatter is the per-component scatter regrouped, so
+// every chunk matches it within 1e-12 of the chunk's peak magnitude — on
+// the default sea, one and eight directions, culling that drops some but
+// not all directions of a frequency, and a drifting observer.
+func TestSpectralChunkMatchesPerComponentScatter(t *testing.T) {
+	spec, err := NewPiersonMoskowitz(0.25, 4.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := func(dirs int) *Field {
+		f, err := NewField(FieldConfig{Spectrum: spec, NumDirs: dirs, Seed: 23})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// A one-count budget: on this sea it drops the tail frequencies whole
+	// and some directions of one more.
+	const cullAccel, cullSlope = Gravity / 1024, 1.0 / 1024
+	drift := func(t float64) geo.Vec2 {
+		return geo.Vec2{X: 140 + 2*math.Sin(2*math.Pi*t/60), Y: -35 + 2*math.Cos(2*math.Pi*t/45)}
+	}
+	for _, c := range []struct {
+		name    string
+		f       *Field
+		cfg     SpectralConfig
+		posAt   func(float64) geo.Vec2
+		partial bool // culling must split at least one frequency
+	}{
+		{"default sea", field(0), SpectralConfig{}, nil, false},
+		{"one direction", field(1), SpectralConfig{}, nil, false},
+		{"eight directions", field(8), SpectralConfig{Window: 512}, nil, false},
+		{"culled", field(8), SpectralConfig{CullAccel: cullAccel, CullSlope: cullSlope}, nil, true},
+		{"moving observer", field(8), SpectralConfig{CullAccel: cullAccel, CullSlope: cullSlope}, drift, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan := testPlan(t, c.f, c.cfg)
+			if c.partial {
+				dirs := c.f.cfg.NumDirs
+				split := 0
+				for _, g := range plan.groups {
+					if len(g.comps) < dirs {
+						split++
+					}
+				}
+				if culled, _, _ := plan.CulledComponents(); culled == 0 || split == 0 {
+					t.Fatalf("culled %d components and split %d frequencies; want both above 0", culled, split)
+				}
+			}
+			s := plan.NewStream(geo.Vec2{X: 140, Y: -35})
+			if c.posAt != nil {
+				s = plan.NewMovingStream(c.posAt)
+			}
+			s.tBase = 0.37
+			for _, m := range []int{-1, 0, 1, 7, 123} {
+				for k, rel := range chunkVsPerComponent(s, m) {
+					if !(rel <= 1e-12) {
+						t.Errorf("chunk %d series %d: deviates %.3g of its peak from the per-component scatter", m, k, rel)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSpectralPlanGroups: the frequency groups partition the kept
+// components in field order, and each group's bin and kernel weights are
+// those of every component in it.
+func TestSpectralPlanGroups(t *testing.T) {
+	spec, err := NewPiersonMoskowitz(0.4, 4.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dirs := range []int{1, 3, 8} {
+		f, err := NewField(FieldConfig{Spectrum: spec, NumDirs: dirs, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []SpectralConfig{
+			{Rate: 50},
+			{Rate: 50, Window: 256, CullAccel: 0.125 * Gravity / 1024, CullSlope: 0.125 / 1024},
+			{Rate: 50, CullAccel: 4 * Gravity / 1024, CullSlope: 4.0 / 1024},
+		} {
+			plan := testPlan(t, f, cfg)
+			// The components culling keeps, in field order.
+			keep := (&SpectralPlan{}).cullComponents(f.comps, cfg.CullAccel, cfg.CullSlope)
+			var flat []specComp
+			for gi, g := range plan.groups {
+				if len(g.comps) == 0 {
+					t.Fatalf("dirs %d: group %d is empty", dirs, gi)
+				}
+				if gi > 0 && plan.groups[gi-1].comps[0].omega == g.comps[0].omega {
+					t.Fatalf("dirs %d: groups %d and %d share a frequency", dirs, gi-1, gi)
+				}
+				for _, c := range g.comps {
+					bin, w := plan.kernel(c.omega)
+					if c.omega != g.comps[0].omega || bin != g.bin || !reflect.DeepEqual(w, g.w) {
+						t.Fatalf("dirs %d: a component of group %d has its own bin %d or weights, not the group's %d", dirs, gi, bin, g.bin)
+					}
+				}
+				flat = append(flat, g.comps...)
+			}
+			if !reflect.DeepEqual(flat, plan.comps) || len(flat) != len(keep) {
+				t.Fatalf("dirs %d: groups hold %d components, the plan %d, culling kept %d", dirs, len(flat), len(plan.comps), len(keep))
+			}
+			for i, c := range keep {
+				if flat[i].omega != c.omega || flat[i].kx != c.kx || flat[i].ky != c.ky || flat[i].phase != c.phase {
+					t.Fatalf("dirs %d: grouped component %d is not kept component %d", dirs, i, i)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSpectralChunkGrouped: for any sea, observer and chunk index, the
+// grouped chunk matches the per-component scatter within 1e-12 of its peak.
+func FuzzSpectralChunkGrouped(f *testing.F) {
+	f.Add(0.25, 4.0, uint8(8), uint8(64), int64(1), 40.0, 60.0, int16(0), uint8(0), false)
+	f.Add(0.25, 4.0, uint8(1), uint8(64), int64(2), -200.0, 13.5, int16(-3), uint8(1), false)
+	f.Add(3.0, 8.5, uint8(5), uint8(20), int64(3), 1e4, -7e3, int16(999), uint8(2), true)
+	f.Add(0.1, 3.0, uint8(8), uint8(64), int64(4), 0.0, 0.0, int16(7), uint8(3), true)
+	f.Fuzz(func(t *testing.T, hs, tp float64, dirs, freqs uint8, seed int64, x, y float64, m int16, cull uint8, moving bool) {
+		if !(hs >= 0.05 && hs <= 5) || !(tp >= 2 && tp <= 12) || !(math.Abs(x) <= 1e5) || !(math.Abs(y) <= 1e5) {
+			return
+		}
+		spec, err := NewPiersonMoskowitz(hs, tp)
+		if err != nil {
+			return
+		}
+		fld, err := NewField(FieldConfig{Spectrum: spec, NumDirs: 1 + int(dirs%12), NumFreqs: 1 + int(freqs%96), Seed: seed})
+		if err != nil || fld.NumComponents() == 0 {
+			return
+		}
+		// Cull levels: none, the synthetic source's, and two coarser ones.
+		budget := [...]float64{0, 0.125, 1, 8}[cull%4]
+		plan, err := NewSpectralPlan(fld, SpectralConfig{Rate: 50, Window: 256, CullAccel: budget * Gravity / 1024, CullSlope: budget / 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.NumComponents() == 0 {
+			return
+		}
+		pos := geo.Vec2{X: x, Y: y}
+		s := plan.NewStream(pos)
+		if moving {
+			s = plan.NewMovingStream(func(t float64) geo.Vec2 {
+				return pos.Add(geo.Vec2{X: 2 * math.Sin(t/9), Y: 2 * math.Cos(t/7)})
+			})
+		}
+		for k, rel := range chunkVsPerComponent(s, int(m)) {
+			if !(rel <= 1e-12) {
+				t.Fatalf("chunk %d series %d: deviates %.3g of its peak from the per-component scatter", m, k, rel)
+			}
+		}
+	})
 }

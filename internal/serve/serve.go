@@ -297,7 +297,7 @@ func (s *Server) handleChunks(w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
 	switch {
 	case strings.HasPrefix(ct, ContentTypeBundle):
-		d, ns, rate, scale, err := DecodeBundle(body)
+		d, ns, rate, scale, err := decodeBundle(body, t.checkStreams)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
@@ -363,8 +363,8 @@ func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample, maxBody int
 	if batches := dur / t.batchS; math.Abs(batches-math.Round(batches)) > 1e-9 {
 		return fmt.Errorf("chunk duration %gs is not a multiple of the sensing batch (%gs)", dur, t.batchS)
 	}
-	if len(nodes) > t.nodes {
-		return fmt.Errorf("chunk has %d node streams, tenant has %d nodes", len(nodes), t.nodes)
+	if err := t.checkStreams(len(nodes)); err != nil {
+		return err
 	}
 	maxSamples := int(dur*t.rate + 0.5)
 	for node, ns := range nodes {
@@ -372,6 +372,15 @@ func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample, maxBody int
 			return fmt.Errorf("node %d: %d samples exceed the %gs window (%d at %g Hz)",
 				node, len(ns), dur, maxSamples, t.rate)
 		}
+	}
+	return nil
+}
+
+// checkStreams refuses a chunk of more node streams than the tenant has
+// nodes. A bundle's declared count is checked before its entries are read.
+func (t *tenant) checkStreams(n int) error {
+	if n > t.nodes {
+		return fmt.Errorf("chunk has %d node streams, tenant has %d nodes", n, t.nodes)
 	}
 	return nil
 }

@@ -560,6 +560,48 @@ func TestServeRejectsWedgingDurations(t *testing.T) {
 	deleteTenant(t, ts.URL, neighbour.ID)
 }
 
+// TestBundleNodeCountBoundedByTenant: a valid 262,164-byte bundle of
+// 65,536 zero-length entries posted to a 5×5 tenant is refused with
+// validateChunk's 400 text before its entries are read, allocating under
+// 4× the body; decoding the entries first allocated about 14× it.
+func TestBundleNodeCountBoundedByTenant(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cr := createTenant(t, ts.URL, CreateRequest{ID: "five", Spec: sidapi.DefaultDeployment()})
+	const entries = 1 << 16
+	body := append(bundleMagic[:], make([]byte, 12)...)
+	binary.LittleEndian.PutUint64(body[8:], math.Float64bits(1))
+	binary.LittleEndian.PutUint32(body[16:], entries)
+	body = append(body, make([]byte, 4*entries)...) // every entry zero-length
+	if len(body) != 262164 {
+		t.Fatalf("body is %d B, want 262,164", len(body))
+	}
+	if _, _, _, _, err := DecodeBundle(bytes.NewReader(body)); err != nil {
+		t.Fatalf("the body is not a valid bundle: %v", err)
+	}
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(ts.URL+"/v1/tenants/"+cr.ID+"/chunks", ContentTypeBundle, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != 400 || !strings.Contains(string(msg), "chunk has 65536 node streams, tenant has 25 nodes") {
+			t.Fatalf("posting %d empty entries: %d %s, want 400 naming the tenant's 25 nodes", entries, resp.StatusCode, msg)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := 4 * uint64(len(body)); least >= limit {
+		t.Errorf("refusing the %d-byte body allocated %d B, want < %d B", len(body), least, limit)
+	}
+}
+
 func TestServeAPIErrors(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()

@@ -128,40 +128,40 @@ var bundleMagic = [8]byte{'S', 'I', 'D', 'B', 'N', 'D', 'L', '1'}
 // per-node samples, each node serialized as a standalone SIDTRACE stream
 // (so the chunk carries rate, scale and positions in-band, and any SIDTRACE
 // tooling can open a node's slice). Empty node streams are encoded as
-// zero-length entries. pos may be nil (zero positions).
+// zero-length entries. pos may be nil (zero positions). Every entry's
+// length is known before it is encoded, so the whole bundle goes through
+// one buffered writer, which trace.Write writes into directly.
 func EncodeBundle(w io.Writer, durationS, rate, scale float64, pos []geo.Vec2, seed int64, nodes [][]sensor.Sample) error {
 	if !validDuration(durationS) {
 		return fmt.Errorf("serve: bundle duration must be positive and finite, got %g", durationS)
 	}
-	if _, err := w.Write(bundleMagic[:]); err != nil {
+	bw := bufio.NewWriter(w)
+	b := append(bw.AvailableBuffer(), bundleMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(durationS))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(nodes)))
+	if _, err := bw.Write(b); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, durationS); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(nodes))); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
 	for node, samples := range nodes {
-		buf.Reset()
+		entryLen := 0
 		if len(samples) > 0 {
-			h := trace.Header{SampleRate: rate, CountsPerG: scale, StartTime: samples[0].T, Seed: seed}
-			if node < len(pos) {
-				h.Pos = pos[node]
-			}
-			if err := trace.Write(&buf, h, samples); err != nil {
-				return fmt.Errorf("serve: bundle node %d: %w", node, err)
-			}
+			entryLen = trace.HeaderBytes + len(samples)*trace.SampleBytes
 		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(buf.Len())); err != nil {
+		if _, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), uint32(entryLen))); err != nil {
 			return err
 		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
+		if entryLen == 0 {
+			continue
+		}
+		h := trace.Header{SampleRate: rate, CountsPerG: scale, StartTime: samples[0].T, Seed: seed}
+		if node < len(pos) {
+			h.Pos = pos[node]
+		}
+		if err := trace.Write(bw, h, samples); err != nil {
+			return fmt.Errorf("serve: bundle node %d: %w", node, err)
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 func validDuration(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
@@ -172,6 +172,14 @@ func validDuration(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
 // decode rather than at the count the header claims, and the whole body is
 // read through one buffer, which every entry's decoder shares.
 func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate, scale float64, err error) {
+	return decodeBundle(r, nil)
+}
+
+// decodeBundle is DecodeBundle with vetNodes, when non-nil, run on the
+// declared node count before any entry is read; its error is returned as
+// is. The server vets the count against the tenant's nodes, so a body of
+// many empty entries cannot grow the node table past the tenant.
+func decodeBundle(r io.Reader, vetNodes func(n int) error) (durationS float64, nodes [][]sensor.Sample, rate, scale float64, err error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err = io.ReadFull(br, magic[:]); err != nil {
@@ -193,6 +201,11 @@ func DecodeBundle(r io.Reader) (durationS float64, nodes [][]sensor.Sample, rate
 	const maxNodes = 1 << 16
 	if n > maxNodes {
 		return 0, nil, 0, 0, fmt.Errorf("serve: implausible bundle node count %d", n)
+	}
+	if vetNodes != nil {
+		if err = vetNodes(int(n)); err != nil {
+			return 0, nil, 0, 0, err
+		}
 	}
 	for i := 0; i < int(n); i++ {
 		var byteLen uint32

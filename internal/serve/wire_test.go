@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -57,6 +58,56 @@ func TestBundleRoundTrip(t *testing.T) {
 
 // TestChunksFromSource pins that slicing a trace into bundles and decoding
 // them back reproduces the trace's samples, chunk-aligned.
+// TestEncodeBundleAllocs: one 25-node 10 s chunk (76,720 B) encodes
+// through a single buffered writer, a few allocations in all (one
+// trace.Write buffer per node entry used to cost 54 allocations and
+// 105,632 B), and the bytes are the length-prefixed standalone SIDTRACE
+// recordings the format defines.
+func TestEncodeBundleAllocs(t *testing.T) {
+	const nodes, perNode = 25, 500
+	chunk := make([][]sensor.Sample, nodes)
+	pos := make([]geo.Vec2, nodes)
+	for n := range chunk {
+		pos[n] = geo.Vec2{X: float64(25 * n), Y: 50}
+		chunk[n] = make([]sensor.Sample, perNode)
+		for i := range chunk[n] {
+			chunk[n][i] = sensor.Sample{T: 10 + float64(i)/50, X: int16(n - i), Y: int16(3 * i), Z: int16(1024 + n*i%97)}
+		}
+	}
+	var buf bytes.Buffer
+	if err := EncodeBundle(&buf, 10, 50, 1024, pos, 7, chunk); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 76720 {
+		t.Fatalf("encoded %d B, want 76,720", buf.Len())
+	}
+	// The reference encoding: header, then each node's length and its
+	// own trace.Write output.
+	want := append(bundleMagic[:], make([]byte, 12)...)
+	binary.LittleEndian.PutUint64(want[8:], math.Float64bits(10))
+	binary.LittleEndian.PutUint32(want[16:], nodes)
+	for n, samples := range chunk {
+		var entry bytes.Buffer
+		h := trace.Header{SampleRate: 50, CountsPerG: 1024, Pos: pos[n], StartTime: samples[0].T, Seed: 7}
+		if err := trace.Write(&entry, h, samples); err != nil {
+			t.Fatal(err)
+		}
+		want = binary.LittleEndian.AppendUint32(want, uint32(entry.Len()))
+		want = append(want, entry.Bytes()...)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("bundle bytes differ from the per-entry reference encoding")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := EncodeBundle(io.Discard, 10, 50, 1024, pos, 7, chunk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("encoding the chunk allocated %.0f times, want ≤ 3", allocs)
+	}
+}
+
 func TestChunksFromSource(t *testing.T) {
 	const rate, scale = 50.0, 1024.0
 	mk := func(n int, t0 float64) []sensor.Sample {

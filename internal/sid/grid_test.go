@@ -1,11 +1,13 @@
 package sid
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/geo"
+	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/source"
 	"github.com/sid-wsn/sid/internal/wake"
 )
@@ -68,19 +70,26 @@ type unindexedSource struct {
 	source.Appender
 }
 
-// TestGridIndexParity runs the large-field configuration on 12×12 three
+// TestGridIndexParity runs the large-field configuration on 12×12 four
 // ways: indexed at Workers=1, unindexed (no PrepareBatch) at Workers=1 and
-// indexed at Workers=2. The spatial wake index and the worker fan-out must
-// change nothing the runtime reports: node reports, sink reports and every
-// cluster evaluation are identical across the three. History is unbounded
-// so complete histories are compared, not surviving tails.
+// indexed at Workers=2 and 7. The spatial wake index and the worker fan-out
+// (sample synthesis and the detectors) must change nothing the runtime
+// reports: node reports, sink reports and every cluster evaluation are
+// identical across the four, and so are their journals, byte for byte.
+// History is unbounded so complete histories are compared, not surviving
+// tails.
 func TestGridIndexParity(t *testing.T) {
-	run := func(unindexed bool, workers int) *Runtime {
+	run := func(unindexed bool, workers int) (*Runtime, []byte) {
 		t.Helper()
 		cfg := largeFieldConfig(12, 12)
 		cfg.Seed = 7
 		cfg.HistoryWindow = 0
 		cfg.Workers = workers
+		var journal bytes.Buffer
+		j := obs.NewJournal(0)
+		j.SetSink(&journal)
+		cfg.Obs = obs.New()
+		cfg.Obs.SetJournal(j)
 		src, err := source.NewSynthetic(source.SyntheticConfig{
 			Positions:   cfg.Grid.Positions(),
 			Hs:          cfg.Hs,
@@ -110,27 +119,40 @@ func TestGridIndexParity(t *testing.T) {
 		if err := rt.Run(90); err != nil {
 			t.Fatal(err)
 		}
-		return rt
+		if err := j.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return rt, journal.Bytes()
 	}
-	ref := run(false, 1)
+	ref, refJournal := run(false, 1)
 	if len(ref.NodeReports()) == 0 || len(ref.SinkReports()) == 0 || len(ref.Evaluations()) == 0 {
 		t.Fatalf("crossing gave %d node reports, %d sink reports, %d evaluations; parity would be vacuous",
 			len(ref.NodeReports()), len(ref.SinkReports()), len(ref.Evaluations()))
 	}
+	if !bytes.Contains(refJournal, []byte(`"kind":"`+obs.KindNodeWindow+`"`)) {
+		t.Fatal("the journal holds no node windows; journal parity would not cover the detectors")
+	}
 	for _, c := range []struct {
-		name string
-		rt   *Runtime
+		name      string
+		unindexed bool
+		workers   int
 	}{
-		{"unindexed", run(true, 1)},
-		{"workers=2", run(false, 2)},
+		{"unindexed", true, 1},
+		{"workers=2", false, 2},
+		{"workers=7", false, 7},
 	} {
-		if !reflect.DeepEqual(ref.NodeReports(), c.rt.NodeReports()) {
+		rt, journal := run(c.unindexed, c.workers)
+		if !bytes.Equal(refJournal, journal) {
+			t.Errorf("%s: journal differs from the indexed Workers=1 run (%d vs %d bytes)",
+				c.name, len(journal), len(refJournal))
+		}
+		if !reflect.DeepEqual(ref.NodeReports(), rt.NodeReports()) {
 			t.Errorf("%s: node reports differ from the indexed Workers=1 run", c.name)
 		}
-		if !reflect.DeepEqual(ref.SinkReports(), c.rt.SinkReports()) {
+		if !reflect.DeepEqual(ref.SinkReports(), rt.SinkReports()) {
 			t.Errorf("%s: sink reports differ from the indexed Workers=1 run", c.name)
 		}
-		want, got := ref.Evaluations(), c.rt.Evaluations()
+		want, got := ref.Evaluations(), rt.Evaluations()
 		if len(want) != len(got) {
 			t.Errorf("%s: %d evaluations, want %d", c.name, len(got), len(want))
 			continue

@@ -1,16 +1,19 @@
 package sid
 
 import (
+	"github.com/sid-wsn/sid/internal/detect"
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/parallel"
+	"github.com/sid-wsn/sid/internal/sensor"
 	"github.com/sid-wsn/sid/internal/source"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
 
 // This file is the streaming ingest/detect loop: the batch pipeline that
-// pulls sample blocks from the deployment's source, tees them into an
-// attached recording, and feeds each node's detector. Protocol reactions
-// (cluster setup, reports, evaluation) live in protocol.go.
+// pulls sample blocks from the deployment's source, feeds each node's
+// detector, tees the blocks into an attached recording, and replays the
+// windows the detectors completed. Protocol reactions (cluster setup,
+// reports, evaluation) live in protocol.go.
 
 // Run drives the deployment for dur seconds of simulated time: sampling,
 // detection, clustering, correlation, and sink reporting all happen inside.
@@ -18,12 +21,15 @@ import (
 // Each sensing batch is a single scheduler event processed in three
 // phases: gate (serial — decide which nodes sense, charge idle energy),
 // produce (parallel — each sensing node's sample block comes from the
-// source, fanned across Config.Workers goroutines), and consume (serial,
-// ascending node order — detector pushes and protocol reactions). Message
-// deliveries are scheduler events of their own, so no protocol state
-// changes while a batch event runs; the pipeline is therefore observably
-// identical to the fully serial implementation, and runs are bit-identical
-// for any worker count.
+// source and goes straight through the node's detector, fanned across
+// Config.Workers goroutines), and consume (serial, ascending node order —
+// the completed windows are replayed sample by sample for energy charges,
+// journal events and protocol reactions). A detector reads only its own
+// node's samples and nothing the consume phase does feeds back into it.
+// Message deliveries are scheduler events of their own, so no protocol
+// state changes while a batch event runs; the pipeline is therefore
+// observably identical to the fully serial implementation, and runs are
+// bit-identical for any worker count.
 //
 // The loop is streaming end to end: the source hands out one batch per
 // node at a time, the detector consumes it into its bounded anomaly-window
@@ -63,9 +69,18 @@ func (r *Runtime) Run(dur float64) error {
 			// wake index here, once per batch, before the parallel fan-out.
 			prep.PrepareBatch(sampleIdx, t, perBatch)
 		}
+		// wins[i] holds the windows active[i]'s detector completed in this
+		// batch; the slots and their backing arrays are reused across
+		// batches, so the scratch scales with the sensing nodes of one
+		// batch and no node holds any of it.
+		if grow := len(active) - len(r.blockWins); grow > 0 {
+			r.blockWins = append(r.blockWins, make([][]detect.BlockWindow, grow)...)
+		}
+		wins := r.blockWins[:len(active)]
 		parallel.ForEach(len(active), r.cfg.Workers, func(i int) {
 			ns := active[i]
 			ns.block = r.src.Block(int(ns.id), sampleIdx, t, perBatch)
+			wins[i] = detectBlock(ns.det, ns.block, wins[i][:0])
 		})
 		if r.rec != nil {
 			// Tee in the serial phase, after the fan-out joined and before
@@ -79,8 +94,8 @@ func (r *Runtime) Run(dur float64) error {
 		// consumeBlock drops them — so the gauge reflects a node's true
 		// high-water mark, sample block included.
 		r.trackNodeMem()
-		for _, ns := range active {
-			r.consumeBlock(ns)
+		for i, ns := range active {
+			r.consumeBlock(ns, wins[i])
 		}
 		r.boundHistory()
 		next := t + float64(perBatch)/sampleRate
@@ -116,23 +131,37 @@ func (r *Runtime) senseGate(ns *nodeState, sampleIdx, perBatch int, rate float64
 	return true
 }
 
-// consumeBlock feeds one node's sample block into its detector and reacts
-// to completed anomaly windows. Serial phase: network sends and battery
-// accounting happen here, in node order. The detector filters the whole
-// block at once (detect.Detector.PushBlock); the windows it completed are
-// then replayed sample by sample, so energy charges, journal events and
-// protocol reactions keep the order of a per-sample loop — nothing they
-// touch feeds back into the detector.
-func (r *Runtime) consumeBlock(ns *nodeState) {
-	node := r.net.MustNode(ns.id)
-	ts, zs := r.blockT[:0], r.blockZ[:0]
-	for _, smp := range ns.block {
-		ts = append(ts, smp.T)
-		zs = append(zs, float64(smp.Z))
+// detectChunk bounds the samples detectBlock converts at once, so its
+// sample-time and z-count scratch lives on the stack whatever the block
+// length.
+const detectChunk = 64
+
+// detectBlock filters one node-block through det (detect.Detector.PushBlock)
+// and appends the windows it completed to dst, At indexing block. It runs
+// in the produce fan-out and touches only the node's own detector.
+func detectBlock(det *detect.Detector, block []sensor.Sample, dst []detect.BlockWindow) []detect.BlockWindow {
+	var ts, zs [detectChunk]float64
+	for off := 0; off < len(block); off += detectChunk {
+		chunk := block[off:min(off+detectChunk, len(block))]
+		for j, smp := range chunk {
+			ts[j], zs[j] = smp.T, float64(smp.Z)
+		}
+		first := len(dst)
+		dst = det.PushBlock(ts[:len(chunk)], zs[:len(chunk)], dst)
+		for k := first; k < len(dst); k++ {
+			dst[k].At += off
+		}
 	}
-	r.blockT, r.blockZ = ts, zs
-	r.blockWins = ns.det.PushBlock(ts, zs, r.blockWins[:0])
-	wins := r.blockWins
+	return dst
+}
+
+// consumeBlock replays one node's sample block against the windows its
+// detector completed in the produce fan-out (detectBlock). Serial phase:
+// network sends and battery accounting happen here, in node order, and
+// sample by sample, so energy charges, journal events and protocol
+// reactions keep the order of a per-sample loop.
+func (r *Runtime) consumeBlock(ns *nodeState, wins []detect.BlockWindow) {
+	node := r.net.MustNode(ns.id)
 	for i := range ns.block {
 		if node.Battery != nil {
 			node.Battery.Consume(wsn.CostSample)

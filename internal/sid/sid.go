@@ -118,10 +118,11 @@ type Config struct {
 	// confirmed intrusion — are never evicted.
 	HistoryWindow float64
 	// Workers bounds the goroutines used to produce per-node sample
-	// blocks inside each sensing batch: 0 uses all cores (GOMAXPROCS),
-	// 1 forces serial production. Every node's samples depend only on its
-	// own streams, so runs are bit-identical for any Workers value — the
-	// knob trades wall-clock time only.
+	// blocks and run them through the nodes' detectors inside each sensing
+	// batch: 0 uses all cores (GOMAXPROCS), 1 forces serial production.
+	// Every node's samples and detector depend only on its own streams, so
+	// runs are bit-identical for any Workers value — the knob trades
+	// wall-clock time only.
 	Workers int
 	// Synthesis selects the synthetic source's sample-synthesis path when
 	// Source is nil: the zero value is the exact phasor reference,
@@ -315,12 +316,11 @@ type Runtime struct {
 	// (memory.go; registry gauge "sid.peak_node_bytes").
 	peakNodeBytes int
 
-	// blockT, blockZ and blockWins are consumeBlock's scratch: one
-	// node-block's sample times and z counts, and the windows the detector
-	// completed in it. The consume phase is serial, so one set serves every
-	// node and adds nothing to any node's resident state.
-	blockT, blockZ []float64
-	blockWins      []detect.BlockWindow
+	// blockWins[i] is the produce fan-out's scratch for the i-th sensing
+	// node of a batch: the windows its detector completed, which the
+	// consume phase replays. Reused across batches, it adds nothing to any
+	// node's resident state.
+	blockWins [][]detect.BlockWindow
 
 	// sampleIdx is the global index of the next unconsumed sample,
 	// persisted across Run segments so index-addressed sources (trace

@@ -65,7 +65,10 @@ func (h Header) validate() error {
 
 // Write serializes a trace: header followed by x/y/z int16 triplets.
 // Sample times are implicit (StartTime + i/SampleRate); the samples' own
-// T fields are not stored.
+// T fields are not stored. A *bufio.Writer of at least the default 4 KiB
+// is written into directly and flushed before Write returns, so a caller
+// encoding several streams back to back shares one buffer; any other
+// writer gets a buffer of its own.
 func Write(w io.Writer, h Header, samples []sensor.Sample) error {
 	h.NumSamples = len(samples)
 	if err := h.validate(); err != nil {

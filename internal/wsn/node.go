@@ -186,6 +186,13 @@ type Network struct {
 	// handles behind Stats() so increments stay lock-free.
 	col *obs.Collector
 	ctr netCounters
+
+	// pathParent and pathQueue are shortestPath's BFS scratch: predecessor
+	// marks (-1 unvisited, allocated on the first multi-hop send) and the
+	// visiting queue. Only scheduler events send, so one set serves every
+	// walk, and each walk unmarks the nodes it visited.
+	pathParent []NodeID
+	pathQueue  []NodeID
 }
 
 // Stats is a snapshot of the network-level counters (the registry under

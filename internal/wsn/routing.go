@@ -97,9 +97,14 @@ func (t *Tree) PathToRoot(id NodeID) ([]NodeID, error) {
 }
 
 // chain follows parent pointers from id to the node that is its own parent
-// and returns the nodes on the way, id first.
+// and returns the nodes on the way, id first, in one exact-size slice.
 func chain(parent []NodeID, id NodeID) []NodeID {
-	path := []NodeID{id}
+	n := 1
+	for v := id; parent[v] != v; v = parent[v] {
+		n++
+	}
+	path := make([]NodeID, 1, n)
+	path[0] = id
 	for parent[id] != id {
 		id = parent[id]
 		path = append(path, id)
@@ -108,22 +113,30 @@ func chain(parent []NodeID, id NodeID) []NodeID {
 }
 
 // shortestPath returns a BFS path from a to b over alive nodes, inclusive,
-// or nil if disconnected.
+// or nil if disconnected. It walks on the network's reused scratch and
+// then unmarks only the nodes the walk visited, so a send costs what the
+// walk visits rather than the network's size.
 func (w *Network) shortestPath(a, b NodeID) []NodeID {
 	if a == b {
 		return []NodeID{a}
 	}
-	parent := make([]NodeID, len(w.nodes))
-	for i := range parent {
-		parent[i] = -1
+	if w.pathParent == nil {
+		w.pathParent = make([]NodeID, len(w.nodes))
+		for i := range w.pathParent {
+			w.pathParent[i] = -1
+		}
 	}
+	parent := w.pathParent
 	parent[a] = a
-	w.bfs(parent, []NodeID{a}, b)
-	if parent[b] == -1 {
-		return nil
+	w.pathQueue = w.bfs(parent, append(w.pathQueue[:0], a), b)
+	var path []NodeID
+	if parent[b] != -1 {
+		path = chain(parent, b)
+		slices.Reverse(path)
 	}
-	path := chain(parent, b)
-	slices.Reverse(path)
+	for _, id := range w.pathQueue {
+		parent[id] = -1
+	}
 	return path
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/geo"
@@ -429,6 +430,105 @@ func TestSendMultiHopSelfAndErrors(t *testing.T) {
 	net.MustNode(1).Fail()
 	if err := net.SendMultiHop(0, 2, "x", nil, ""); err == nil {
 		t.Error("expected no-path error through dead relay")
+	}
+}
+
+// freshShortestPath is the reference multi-hop walk: a BFS over alive
+// nodes on a freshly allocated parent array, neighbours in ID order.
+func freshShortestPath(w *Network, a, b NodeID) []NodeID {
+	parent := make([]NodeID, len(w.nodes))
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[a] = a
+	for queue := []NodeID{a}; len(queue) > 0 && parent[b] == -1; queue = queue[1:] {
+		for _, nb := range w.neighbors[queue[0]] {
+			if parent[nb] == -1 && w.nodes[nb].Alive() {
+				parent[nb] = queue[0]
+				queue = append(queue, nb)
+			}
+		}
+	}
+	if parent[b] == -1 {
+		return nil
+	}
+	var path []NodeID
+	for v := b; ; v = parent[v] {
+		path = append([]NodeID{v}, path...)
+		if v == a {
+			return path
+		}
+	}
+}
+
+// TestShortestPathReusesScratch: on a 100×100 field the multi-hop walk
+// reuses the network's BFS scratch, so a warm call allocates only its
+// path, under 1 KiB (a fresh parent array alone is 80 KB), and it returns
+// the reference walk's path for every pair: routed around failed nodes,
+// unreachable (a walled-in node, a dead endpoint) and trivial.
+func TestShortestPathReusesScratch(t *testing.T) {
+	const side = 100
+	net, _ := gridNet(t, side, side, 25, DefaultRadioConfig(), 1)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		net.MustNode(NodeID(rng.Intn(side * side))).Fail()
+	}
+	// Wall in node 5050: every neighbour dead.
+	walled := NodeID(50*side + 50)
+	net.MustNode(walled).Revive()
+	for _, nb := range net.Neighbors(walled) {
+		net.MustNode(nb).Fail()
+	}
+	dead := NodeID(-1)
+	for id := NodeID(0); dead < 0; id++ {
+		if !net.MustNode(id).Alive() {
+			dead = id
+		}
+	}
+	alive := func() NodeID {
+		for {
+			if id := NodeID(rng.Intn(side * side)); net.MustNode(id).Alive() && id != walled {
+				return id
+			}
+		}
+	}
+	pairs := [][2]NodeID{{walled, 0}, {0, walled}, {dead, 9}, {9, dead}, {17, 17}}
+	for i := 0; i < 300; i++ {
+		pairs = append(pairs, [2]NodeID{alive(), alive()})
+	}
+	unreachable := 0
+	for _, p := range pairs {
+		got, want := net.shortestPath(p[0], p[1]), freshShortestPath(net, p[0], p[1])
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d → %d: path %v, want %v", p[0], p[1], got, want)
+		}
+		if got == nil {
+			unreachable++
+		}
+	}
+	if unreachable < 3 {
+		t.Fatalf("only %d unreachable pairs; the walled and dead cases went unexercised", unreachable)
+	}
+	for i, id := range net.pathParent {
+		if id != -1 {
+			t.Fatalf("node %d left marked after the walks", i)
+		}
+	}
+	// Far corners: the longest walks the field has.
+	a, b := NodeID(0), NodeID(side*side-1)
+	net.MustNode(a).Revive()
+	net.MustNode(b).Revive()
+	net.shortestPath(a, b)
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		runtime.ReadMemStats(&before)
+		net.shortestPath(a, b)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1<<10 {
+		t.Errorf("a warm corner-to-corner walk allocated %d B, want < 1 KiB", least)
 	}
 }
 

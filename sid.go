@@ -69,10 +69,11 @@ type Config struct {
 	BatteryJ float64
 	// Seed makes the whole deployment reproducible.
 	Seed int64
-	// Workers bounds the goroutines synthesizing per-node sensor blocks:
-	// 0 uses GOMAXPROCS, 1 forces serial execution. Results are
-	// bit-identical for every value — same Seed, same Detections — so the
-	// knob trades only wall-clock time, never reproducibility.
+	// Workers bounds the goroutines synthesizing per-node sensor blocks
+	// and running them through the nodes' detectors: 0 uses GOMAXPROCS,
+	// 1 forces serial execution. Results are bit-identical for every
+	// value — same Seed, same Detections — so the knob trades only
+	// wall-clock time, never reproducibility.
 	Workers int
 	// SpectralSynthesis switches sample production from the exact
 	// per-component phasor sum to FFT-based spectral block synthesis —
