@@ -49,7 +49,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamPushBlock$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzSpectralChunkGrouped$$' -fuzztime $(FUZZTIME) ./internal/ocean
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzCreateRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 # Record→replay smoke: record the single-10kn golden scenario into per-node
 # SIDTRACE files, replay them through the detection pipeline, and require the

@@ -233,7 +233,7 @@ func BenchmarkAblationClusterRule(b *testing.B) {
 			if cluster.MajorityVote(reports, 6) {
 				voteFP++
 			}
-			res, err := cluster.Evaluate(reports, cluster.DefaultConfig())
+			res, err := cluster.Evaluate(reports, cluster.DefaultConfig(), 25)
 			if err == nil && res.Detected {
 				corrFP++
 			}
@@ -562,7 +562,7 @@ func BenchmarkClusterEvaluate(b *testing.B) {
 	cfg := cluster.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Evaluate(reports, cfg); err != nil {
+		if _, err := cluster.Evaluate(reports, cfg, 25); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,8 @@
 // Command sidserve runs the SID detection service: a multi-tenant HTTP
 // server where each tenant is one surveillance field. Tenants are created
-// from the library's Config JSON, fed accelerometer chunks over POST, and
-// stream their journal and detections back over SSE or JSONL.
+// from the library's Config JSON, fed accelerometer chunks as SIDBNDL1
+// bundles over POST, and stream their journal and detections back as
+// NDJSON.
 //
 //	sidserve -addr :8080
 //	sidserve -addr :8080 -workers 4 -max-tenants 2048

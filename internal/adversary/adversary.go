@@ -102,9 +102,17 @@ func (p Plan) Empty() bool {
 	return len(p.Byzantine) == 0 && len(p.ClockSpoofs) == 0
 }
 
+// MaxInjections caps the injections a plan's byzantine campaigns schedule
+// in all (a campaign with Count 0 schedules one). The runtime schedules
+// every injection when it is built, at about 150 B each, so the cap bounds
+// a plan's schedule near 15 MB; the campaigns the evaluation runs schedule
+// 5–10 injections per compromised node.
+const MaxInjections = 100_000
+
 // Validate checks the plan against a network of n nodes. Error messages
 // name the offending entry index and field.
 func (p Plan) Validate(n int) error {
+	injections := 0
 	for i, b := range p.Byzantine {
 		if b.Node < 0 || b.Node >= n {
 			return fmt.Errorf("adversary: Byzantine[%d].Node = %d outside [0,%d)", i, b.Node, n)
@@ -121,6 +129,12 @@ func (p Plan) Validate(n int) error {
 		if b.Count < 0 {
 			return fmt.Errorf("adversary: Byzantine[%d].Count = %d, must be non-negative", i, b.Count)
 		}
+		c := max(b.Count, 1)
+		if c > MaxInjections-injections {
+			return fmt.Errorf("adversary: Byzantine[%d].Count = %d takes the plan past %d injections",
+				i, b.Count, MaxInjections)
+		}
+		injections += c
 		if b.Behavior == Fabricate && b.EnergyBase <= 0 {
 			return fmt.Errorf("adversary: Byzantine[%d].EnergyBase = %g, must be positive for fabricators", i, b.EnergyBase)
 		}

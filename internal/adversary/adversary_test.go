@@ -45,6 +45,11 @@ func TestPlanValidate(t *testing.T) {
 		{"second entry", Plan{Byzantine: []ByzantineNode{
 			{Node: 1, EnergyBase: 1}, {Node: 99, EnergyBase: 1},
 		}}, "Byzantine[1].Node"},
+		{"byz count bomb", Plan{Byzantine: []ByzantineNode{{Node: 1, Count: 1_000_000, EnergyBase: 1}}}, "Byzantine[0].Count"},
+		// A campaign with Count 0 schedules one injection.
+		{"byz total", Plan{Byzantine: []ByzantineNode{
+			{Node: 1, Count: MaxInjections, EnergyBase: 1}, {Node: 2, EnergyBase: 1},
+		}}, "Byzantine[1].Count"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -60,6 +65,10 @@ func TestPlanValidate(t *testing.T) {
 	replay := Plan{Byzantine: []ByzantineNode{{Node: 2, Behavior: Replay}}}
 	if err := replay.Validate(n); err != nil {
 		t.Errorf("replay without EnergyBase should be valid: %v", err)
+	}
+	full := Plan{Byzantine: []ByzantineNode{{Node: 1, Count: MaxInjections - 1, EnergyBase: 1}, {Node: 2, Behavior: Replay}}}
+	if err := full.Validate(n); err != nil {
+		t.Errorf("a plan of exactly MaxInjections should be valid: %v", err)
 	}
 	if !(Plan{}).Empty() {
 		t.Error("zero plan should be empty")

@@ -74,9 +74,6 @@ type Config struct {
 	// rows keeps a handful of scattered false alarms from confirming with
 	// a vacuous C = 1 (see DESIGN.md). Default 2.
 	MinOrderedRows int
-	// RowSpacing is the deployment distance D used as the row band width
-	// (25 m in the paper's evaluation).
-	RowSpacing float64
 	// SweepThreshold gates on the sweep-order statistic: the wake
 	// disturbs the row bands "in a sequential manner" (Fig. 9), so the
 	// per-band mean onsets must be monotone in band order. The statistic
@@ -102,7 +99,6 @@ func DefaultConfig() Config {
 	return Config{
 		MinRows:           4,
 		CThreshold:        0.4,
-		RowSpacing:        25,
 		MinOrderedRows:    2,
 		SweepThreshold:    0.7,
 		OrderTauThreshold: 0.5,
@@ -117,9 +113,6 @@ func (c Config) Validate() error {
 	}
 	if c.CThreshold < 0 || c.CThreshold > 1 {
 		return fmt.Errorf("cluster: CThreshold must be in [0,1], got %g", c.CThreshold)
-	}
-	if c.RowSpacing <= 0 {
-		return fmt.Errorf("cluster: RowSpacing must be positive, got %g", c.RowSpacing)
 	}
 	if c.MinOrderedRows < 0 {
 		return fmt.Errorf("cluster: MinOrderedRows must be non-negative, got %d", c.MinOrderedRows)
@@ -222,18 +215,30 @@ func DedupAtomic(reports []Report) []Report {
 	return out
 }
 
-// Evaluate computes the correlation coefficient over a set of reports.
-// The travel line is not observed directly; the head evaluates a small set
-// of candidate lines — the energy-weighted total-least-squares fit plus
-// the two deployment axes through the energy-weighted centroid — and keeps
-// the best-correlating one (a maximum-correlation estimate). A true ship
-// pass scores high under its own line; random false alarms score low under
-// every candidate.
+// checkD refuses a deployment distance D that cannot be a band width.
+func checkD(d float64) error {
+	if !(d > 0) || math.IsInf(d, 1) {
+		return fmt.Errorf("cluster: deployment distance D must be positive and finite, got %g", d)
+	}
+	return nil
+}
+
+// Evaluate computes the correlation coefficient over a set of reports from
+// a deployment of distance D = d (the grid spacing, which is the row band
+// width). The travel line is not observed directly; the head evaluates a
+// small set of candidate lines — the energy-weighted total-least-squares
+// fit plus the two deployment axes through the energy-weighted centroid —
+// and keeps the best-correlating one (a maximum-correlation estimate). A
+// true ship pass scores high under its own line; random false alarms score
+// low under every candidate.
 //
 // Reports sharing a node ID are deduplicated first (see Dedup): one buoy is
 // one witness, however many times it reported.
-func Evaluate(reports []Report, cfg Config) (Result, error) {
+func Evaluate(reports []Report, cfg Config, d float64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := checkD(d); err != nil {
 		return Result{}, err
 	}
 	reports = Dedup(reports)
@@ -257,7 +262,7 @@ func Evaluate(reports []Report, cfg Config) (Result, error) {
 	}
 	var best Result
 	for i, line := range lines {
-		res, err := EvaluateWithLine(reports, line, cfg)
+		res, err := EvaluateWithLine(reports, line, cfg, d)
 		if err != nil {
 			return Result{}, err
 		}
@@ -270,14 +275,17 @@ func Evaluate(reports []Report, cfg Config) (Result, error) {
 
 // EvaluateWithLine computes the correlation against a known travel line
 // (used by tests and by heads that already estimated the line, e.g. from
-// the speed estimator).
+// the speed estimator), banding the reports at the deployment distance d.
 //
 // The paper separates the disturbed nodes into the two sides of the travel
 // line and analyzes one side ("For simplicity, we only consider one side
 // of the nodes below"); accordingly each side is scored independently and
 // the better-scoring side is returned.
-func EvaluateWithLine(reports []Report, line geo.Line, cfg Config) (Result, error) {
+func EvaluateWithLine(reports []Report, line geo.Line, cfg Config, d float64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := checkD(d); err != nil {
 		return Result{}, err
 	}
 	if len(reports) == 0 {
@@ -295,7 +303,7 @@ func EvaluateWithLine(reports []Report, line geo.Line, cfg Config) (Result, erro
 	// and averaging every node in a band keeps one noisy onset in a sparse
 	// side from flipping a rank.
 	var bandOnsets []float64
-	for _, row := range bandByProjection(reports, line, cfg.RowSpacing) {
+	for _, row := range bandByProjection(reports, line, d) {
 		var onsetSum float64
 		for _, r := range row {
 			onsetSum += r.Onset
@@ -347,7 +355,7 @@ func EvaluateWithLine(reports []Report, line geo.Line, cfg Config) (Result, erro
 	}
 	chosen := sides[best]
 	rho, rhoOK := sweepOf(bandOnsets)
-	tau, tauOK := orderTau(reports, line, cfg.RowSpacing)
+	tau, tauOK := orderTau(reports, line, d)
 	res := Result{
 		CNt:           chosen.cnt,
 		CNe:           chosen.cne,

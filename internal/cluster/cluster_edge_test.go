@@ -24,7 +24,7 @@ func TestSimultaneousOnsetsPinned(t *testing.T) {
 			})
 		}
 	}
-	res, err := Evaluate(reports, DefaultConfig())
+	res, err := Evaluate(reports, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSingleRowNeverDetects(t *testing.T) {
 			Row:  2, Onset: 100 + float64(rx)*5, Energy: 50 - float64(rx),
 		})
 	}
-	res, err := Evaluate(reports, DefaultConfig())
+	res, err := Evaluate(reports, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSingleRowNeverDetects(t *testing.T) {
 // TestSingleReportDegradedMode pins the lone-survivor path: one report
 // yields a vacuous non-detection, not an error.
 func TestSingleReportDegradedMode(t *testing.T) {
-	res, err := Evaluate([]Report{{Node: 3, Pos: geo.Vec2{X: 25, Y: 50}, Onset: 9, Energy: 2}}, DefaultConfig())
+	res, err := Evaluate([]Report{{Node: 3, Pos: geo.Vec2{X: 25, Y: 50}, Onset: 9, Energy: 2}}, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAllEqualEnergies(t *testing.T) {
 	for i := range reports {
 		reports[i].Energy = 10
 	}
-	res, err := Evaluate(reports, DefaultConfig())
+	res, err := Evaluate(reports, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAllEqualEnergies(t *testing.T) {
 // line fit accumulates in input order, so the last bits may differ).
 func TestEvaluateOrderInvariant(t *testing.T) {
 	reports := shipReports(4, 5, 25, geo.Knots(10), 0.3, 0.1, 3)
-	base, err := Evaluate(reports, DefaultConfig())
+	base, err := Evaluate(reports, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEvaluateOrderInvariant(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		res, err := Evaluate(shuffled, DefaultConfig())
+		res, err := Evaluate(shuffled, DefaultConfig(), 25)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,26 +58,28 @@ func randomReports(rows, cols int, spacing float64, seed int64) []Report {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Evaluate([]Report{{}}, Config{MinRows: 0, CThreshold: 0.4, RowSpacing: 25}); err == nil {
+	if _, err := Evaluate([]Report{{}}, Config{MinRows: 0, CThreshold: 0.4}, 25); err == nil {
 		t.Error("expected error for MinRows 0")
 	}
-	if _, err := Evaluate([]Report{{}}, Config{MinRows: 4, CThreshold: -1, RowSpacing: 25}); err == nil {
+	if _, err := Evaluate([]Report{{}}, Config{MinRows: 4, CThreshold: -1}, 25); err == nil {
 		t.Error("expected error for negative threshold")
 	}
-	if _, err := Evaluate([]Report{{}}, Config{MinRows: 4, CThreshold: 2, RowSpacing: 25}); err == nil {
+	if _, err := Evaluate([]Report{{}}, Config{MinRows: 4, CThreshold: 2}, 25); err == nil {
 		t.Error("expected error for threshold > 1")
 	}
-	if _, err := Evaluate([]Report{{}}, Config{MinRows: 4, CThreshold: 0.4, RowSpacing: 0}); err == nil {
-		t.Error("expected error for zero RowSpacing")
+	for _, d := range []float64{0, -25, math.NaN(), math.Inf(1)} {
+		if _, err := Evaluate([]Report{{}}, DefaultConfig(), d); err == nil {
+			t.Errorf("expected error for deployment distance %g", d)
+		}
 	}
-	if _, err := Evaluate(nil, DefaultConfig()); err == nil {
+	if _, err := Evaluate(nil, DefaultConfig(), 25); err == nil {
 		t.Error("expected error for no reports")
 	}
 }
 
 func TestPerfectShipPassScoresOne(t *testing.T) {
 	reports := shipReports(4, 5, 25, geo.Knots(10), 0, 0, 1)
-	res, err := Evaluate(reports, DefaultConfig())
+	res, err := Evaluate(reports, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestPerfectShipPassScoresOne(t *testing.T) {
 func TestNoisyShipPassStillDetected(t *testing.T) {
 	// Timestamp jitter ~0.3 s and 10% energy noise: C should stay high.
 	reports := shipReports(4, 5, 25, geo.Knots(10), 0.3, 0.1, 2)
-	res, err := Evaluate(reports, DefaultConfig())
+	res, err := Evaluate(reports, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestRandomReportsScoreLow(t *testing.T) {
 	const trials = 20
 	for seed := int64(0); seed < trials; seed++ {
 		reports := randomReports(4, 5, 25, seed)
-		res, err := Evaluate(reports, DefaultConfig())
+		res, err := Evaluate(reports, DefaultConfig(), 25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +140,7 @@ func TestMoreRowsLowerC(t *testing.T) {
 		const trials = 20
 		for seed := int64(0); seed < trials; seed++ {
 			reports := shipReports(rows, 5, 25, geo.Knots(10), 0.5, 0.2, seed)
-			res, err := Evaluate(reports, DefaultConfig())
+			res, err := Evaluate(reports, DefaultConfig(), 25)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +164,7 @@ func TestSingleReportRowsScoreOne(t *testing.T) {
 		{Node: 2, Pos: geo.Vec2{X: 50, Y: 25}, Onset: 11.0, Energy: 5},
 		{Node: 3, Pos: geo.Vec2{X: 75, Y: 5}, Onset: 2.4, Energy: 1},
 	}
-	res, err := EvaluateWithLine(reports, line, DefaultConfig())
+	res, err := EvaluateWithLine(reports, line, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +176,14 @@ func TestSingleReportRowsScoreOne(t *testing.T) {
 func TestEvaluateWithKnownLine(t *testing.T) {
 	line := geo.NewLine(geo.Vec2{X: 0, Y: -25}, geo.Vec2{X: 1, Y: 0})
 	reports := shipReports(4, 5, 25, geo.Knots(16), 0, 0, 3)
-	res, err := EvaluateWithLine(reports, line, DefaultConfig())
+	res, err := EvaluateWithLine(reports, line, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(res.C, 1, 1e-9) {
 		t.Errorf("known-line C = %v", res.C)
 	}
-	if _, err := EvaluateWithLine(nil, line, DefaultConfig()); err == nil {
+	if _, err := EvaluateWithLine(nil, line, DefaultConfig(), 25); err == nil {
 		t.Error("expected error for empty reports")
 	}
 }
@@ -203,7 +205,7 @@ func TestBestSideScored(t *testing.T) {
 		}
 		reports = append(reports, Report{Node: i, Pos: pos, Onset: sig.Arrival, Energy: e})
 	}
-	res, err := EvaluateWithLine(reports, line, Config{MinRows: 1, CThreshold: 0.4, RowSpacing: 25})
+	res, err := EvaluateWithLine(reports, line, Config{MinRows: 1, CThreshold: 0.4}, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestMinRowsGate(t *testing.T) {
 	// MinRows = 4 however perfect the correlation is.
 	line := geo.NewLine(geo.Vec2{X: 0, Y: -25}, geo.Vec2{X: 1, Y: 0})
 	reports := shipReports(2, 5, 25, geo.Knots(10), 0, 0, 4)
-	res, err := EvaluateWithLine(reports, line, DefaultConfig()) // MinRows 4
+	res, err := EvaluateWithLine(reports, line, DefaultConfig(), 25) // MinRows 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestTravelLineEstimation(t *testing.T) {
 	// The strongest-energy node of each row is the closest to the line;
 	// the fitted line should be close to parallel with the true track.
 	reports := shipReports(5, 6, 25, geo.Knots(10), 0, 0.05, 5)
-	res, err := Evaluate(reports, DefaultConfig())
+	res, err := Evaluate(reports, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func TestTravelLineNeedsTwoReports(t *testing.T) {
 	}
 	// Evaluate degrades instead of erroring: a lone surviving report is a
 	// well-formed non-detection (vacuous C with failing row gates).
-	res, err := Evaluate(reports, Config{MinRows: 1, CThreshold: 0.1, RowSpacing: 25})
+	res, err := Evaluate(reports, Config{MinRows: 1, CThreshold: 0.1}, 25)
 	if err != nil {
 		t.Fatalf("Evaluate with one report should degrade, got error: %v", err)
 	}

@@ -34,14 +34,15 @@ type RobustResult struct {
 	Kept []Report
 }
 
-// EvaluateRobust runs Evaluate, and when the full set does not detect,
-// retries with up to maxTrimFrac of the reports removed, one at a time,
-// always dropping the report whose onset deviates most from its row band's
-// consensus (ties broken toward higher energy deviation, then lower node
-// ID — fully deterministic). maxTrimFrac ≤ 0 degrades to plain Evaluate.
-func EvaluateRobust(reports []Report, cfg Config, maxTrimFrac float64) (RobustResult, error) {
+// EvaluateRobust runs Evaluate at the deployment distance d, and when the
+// full set does not detect, retries with up to maxTrimFrac of the reports
+// removed, one at a time, always dropping the report whose onset deviates
+// most from its row band's consensus (ties broken toward higher energy
+// deviation, then lower node ID — fully deterministic). maxTrimFrac ≤ 0
+// degrades to plain Evaluate.
+func EvaluateRobust(reports []Report, cfg Config, d, maxTrimFrac float64) (RobustResult, error) {
 	rs := DedupAtomic(reports)
-	res, err := Evaluate(rs, cfg)
+	res, err := Evaluate(rs, cfg, d)
 	if err != nil {
 		return RobustResult{Result: res, Kept: rs}, err
 	}
@@ -58,10 +59,10 @@ func EvaluateRobust(reports []Report, cfg Config, maxTrimFrac float64) (RobustRe
 		if len(kept) <= 2 || len(kept) <= cfg.MinRows {
 			break
 		}
-		worst := worstOutlier(kept, res.TravelLine, cfg.RowSpacing)
+		worst := worstOutlier(kept, res.TravelLine, d)
 		trimmed = append(trimmed, kept[worst].Node)
 		kept = append(kept[:worst], kept[worst+1:]...)
-		res, err = Evaluate(kept, cfg)
+		res, err = Evaluate(kept, cfg, d)
 		if err != nil {
 			break
 		}

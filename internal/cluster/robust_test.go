@@ -15,11 +15,11 @@ import (
 func TestDedupCollapsesReplayedReports(t *testing.T) {
 	clean := shipReports(4, 5, 25, geo.Knots(10), 0.05, 0.02, 9)
 	replayed := append(append([]Report(nil), clean...), clean[3], clean[7], clean[7])
-	cleanRes, err := Evaluate(clean, DefaultConfig())
+	cleanRes, err := Evaluate(clean, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dupRes, err := Evaluate(replayed, DefaultConfig())
+	dupRes, err := Evaluate(replayed, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestEvaluateRobustSurvivesByzantineMinority(t *testing.T) {
 		})
 	}
 	cfg := DefaultConfig()
-	plain, err := Evaluate(poisoned, cfg)
+	plain, err := Evaluate(poisoned, cfg, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust, err := EvaluateRobust(poisoned, cfg, 0.3)
+	robust, err := EvaluateRobust(poisoned, cfg, 25, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEvaluateRobustSurvivesByzantineMinority(t *testing.T) {
 func TestEvaluateRobustDoesNotInventDetections(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		reports := randomReports(4, 5, 25, seed)
-		res, err := EvaluateRobust(reports, DefaultConfig(), 0.3)
+		res, err := EvaluateRobust(reports, DefaultConfig(), 25, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,11 +127,11 @@ func TestEvaluateRobustDoesNotInventDetections(t *testing.T) {
 // the robust variant must return the identical result and trim no one.
 func TestEvaluateRobustCleanPassUntouched(t *testing.T) {
 	reports := shipReports(4, 5, 25, geo.Knots(10), 0.05, 0.02, 9)
-	plain, err := Evaluate(reports, DefaultConfig())
+	plain, err := Evaluate(reports, DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust, err := EvaluateRobust(reports, DefaultConfig(), 0.3)
+	robust, err := EvaluateRobust(reports, DefaultConfig(), 25, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

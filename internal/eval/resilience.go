@@ -134,7 +134,7 @@ func resilienceTrial(cfg ResilienceConfig, loss, frac float64, resilient bool, s
 		rc.Failover = sid.DefaultFailoverConfig()
 	}
 	if frac > 0 {
-		rc.Faults = fault.CrashFraction(cfg.Grid.NumNodes(), frac, 165, 2, seed, int(rc.SinkID))
+		rc.Faults = fault.CrashFraction(cfg.Grid.NumNodes(), frac, 165, 2, seed, int(sid.SinkNode))
 	}
 	rt, err := sid.NewRuntime(rc)
 	if err != nil {

@@ -193,7 +193,7 @@ func tableTrial(cfg TableConfig, rows int, m, speed float64, withShip bool, seed
 	}
 	ccfg := cluster.DefaultConfig()
 	ccfg.MinRows = rows
-	res, err := cluster.EvaluateWithLine(reports, line, ccfg)
+	res, err := cluster.EvaluateWithLine(reports, line, ccfg, tableSpacing)
 	if err != nil {
 		return 0, false, err
 	}

@@ -124,10 +124,11 @@ func (j *Journal) Err() error {
 
 // ReadJSONL decodes a JSONL journal stream (as produced by the sink) into
 // raw events. Blank lines are skipped; a malformed line aborts with its
-// line number.
+// line number, and so does a line over 1 MiB. The read buffer grows with
+// the longest line rather than starting at the limit.
 func ReadJSONL(r io.Reader) ([]RawEvent, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20)
 	var out []RawEvent
 	lineNo := 0
 	for sc.Scan() {

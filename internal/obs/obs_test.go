@@ -127,6 +127,53 @@ func TestJournalSinkJSONL(t *testing.T) {
 	}
 }
 
+// FuzzReadJSONL: ReadJSONL never panics, and the events of a journal it
+// accepts re-marshal line by line into a journal that reads back to the
+// same events, each marshaling to the same line.
+func FuzzReadJSONL(f *testing.F) {
+	var journal bytes.Buffer
+	j := NewJournal(0)
+	j.SetSink(&journal)
+	j.Emit(1.5, KindNodeReport, NodeReport{Node: 3, Row: 1, Onset: 10, Energy: 2.5, AF: 0.7})
+	j.Emit(2.5, KindClusterSetup, ClusterSetup{Head: 3, Deadline: 92.5})
+	j.Emit(3.5, "x", nil)
+	f.Add(journal.Bytes())
+	f.Add([]byte("\n\n{\"t\":1,\"kind\":\"x\",\"data\":{\"a\": [1, 2]}}\n\n\n{\"t\":2,\"kind\":\"y\"}\n"))
+	f.Add([]byte("{\"t\":1,\"kind\":\"x\",\"data\":null}\n{nope\n"))
+	f.Add([]byte(`{"t":1,"kind":"` + strings.Repeat("a", 1<<20) + `","data":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		lines := make([][]byte, len(events))
+		var again bytes.Buffer
+		for i, e := range events {
+			if lines[i], err = json.Marshal(e); err != nil {
+				t.Fatalf("event %d: re-marshaling: %v", i, err)
+			}
+			again.Write(lines[i])
+			again.WriteByte('\n')
+		}
+		back, err := ReadJSONL(&again)
+		if err != nil {
+			t.Fatalf("reading the re-marshaled journal: %v", err)
+		}
+		if len(back) != len(events) {
+			t.Fatalf("read back %d events, want %d", len(back), len(events))
+		}
+		for i, e := range back {
+			line, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.T != events[i].T || e.Kind != events[i].Kind || !bytes.Equal(line, lines[i]) {
+				t.Fatalf("event %d reads back as %s, want %s", i, line, lines[i])
+			}
+		}
+	})
+}
+
 type failWriter struct{ after int }
 
 func (f *failWriter) Write(p []byte) (int, error) {

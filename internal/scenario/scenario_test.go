@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -57,6 +58,34 @@ func TestTruthMatchesSpec(t *testing.T) {
 	}
 	if tr.SweepStart < spec.Ships[0].EnterAt {
 		t.Errorf("sweep starts %v, before the ship enters at %v", tr.SweepStart, spec.Ships[0].EnterAt)
+	}
+}
+
+// TestSpacingBandsFollowGrid: a head bands its reports at the deployment's
+// own distance D. On a 4×5 grid at 15 m, a 10 kn crossing between the
+// middle columns confirms on these seeds; banded at the paper's 25 m
+// instead, the same reports fold into too few rows and none confirms.
+func TestSpacingBandsFollowGrid(t *testing.T) {
+	for _, seed := range []int64{303, 304, 306} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			res, err := Run(Spec{
+				Name: "spacing-15m", Rows: 4, Cols: 5, SpacingM: 15, Duration: 300, Seed: seed,
+				Ships: []ShipSpec{{
+					Name: "intruder", EnterAt: 85,
+					Waypoints: []WaypointSpec{{37.5, -250, 10}, {37.5, 350, 10}},
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh := res.Ships[0]; !sh.Detected || !sh.HasSpeed {
+				t.Errorf("detected=%v confirms=%d speed=%v, want a confirmed crossing with a speed estimate",
+					sh.Detected, sh.Confirms, sh.HasSpeed)
+			}
+			if res.FalseConfirms != 0 {
+				t.Errorf("%d false confirmations", res.FalseConfirms)
+			}
+		})
 	}
 }
 

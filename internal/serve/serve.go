@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"mime"
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/sid-wsn/sid/internal/obs"
@@ -180,14 +180,9 @@ func validID(id string) bool {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req CreateRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding create request: %v", err))
-		return
-	}
-	if req.ID != "" && !validID(req.ID) {
-		httpError(w, http.StatusBadRequest, "tenant id must be 1-64 chars of [A-Za-z0-9_.-]")
+	req, rc, err := parseCreate(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxBodyBytes)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Reserve the slot first so a competing create can't take the same id
@@ -216,7 +211,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.tenants[id] = nil
 	s.mu.Unlock()
 
-	t, err := newTenant(s, id, req)
+	t, err := newTenant(s, id, req, rc)
 	s.mu.Lock()
 	if err != nil || s.closed {
 		delete(s.tenants, id)
@@ -289,35 +284,20 @@ func (s *Server) handleChunks(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var (
-		dur   float64
-		nodes [][]sensor.Sample
-	)
 	ct := r.Header.Get("Content-Type")
-	switch {
-	case strings.HasPrefix(ct, ContentTypeBundle):
-		d, ns, rate, scale, err := decodeBundle(body, t.checkStreams)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if rate != 0 && (rate != t.rate || scale != t.scale) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf(
-				"bundle rate/scale %g/%g does not match tenant %g/%g", rate, scale, t.rate, t.scale))
-			return
-		}
-		dur, nodes = d, ns
-	case ct == "" || strings.HasPrefix(ct, ContentTypeJSON):
-		var c Chunk
-		if err := json.NewDecoder(body).Decode(&c); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding chunk: %v", err))
-			return
-		}
-		dur, nodes = c.DurationS, c.Samples()
-	default:
+	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != ContentTypeBundle {
 		httpError(w, http.StatusUnsupportedMediaType, fmt.Sprintf(
-			"content type %q (want %s or %s)", ct, ContentTypeJSON, ContentTypeBundle))
+			"content type %q (want %s)", ct, ContentTypeBundle))
+		return
+	}
+	dur, nodes, rate, scale, err := decodeBundle(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), t.checkStreams)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if rate != 0 && (rate != t.rate || scale != t.scale) {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf(
+			"bundle rate/scale %g/%g does not match tenant %g/%g", rate, scale, t.rate, t.scale))
 		return
 	}
 	if err := t.validateChunk(dur, nodes, s.cfg.MaxBodyBytes); err != nil {
@@ -345,26 +325,22 @@ func (s *Server) handleChunks(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// validateChunk enforces the ingest invariants that keep a tenant's
-// timeline aligned: durations finite, no longer than a full chunk could
-// cover within the body limit maxBody (a lying duration would hold the
-// tenant in one endless Run), and quantized to the sensing batch (a
-// partial batch would make the pipeline overrun the segment boundary);
-// sample counts bounded by the window (so the pending buffer stays bounded
-// by one chunk).
+// validateChunk enforces the ingest invariants a decoded bundle does not
+// already carry (DecodeBundle refuses a non-finite or non-positive
+// duration, and the tenant's checkStreams vets the stream count before any
+// entry is read). They keep a tenant's timeline aligned: durations no
+// longer than a full chunk could cover within the body limit maxBody (a
+// lying duration would hold the tenant in one endless Run) and quantized
+// to the sensing batch (a partial batch would make the pipeline overrun
+// the segment boundary); sample counts bounded by the window (so the
+// pending buffer stays bounded by one chunk).
 func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample, maxBody int64) error {
-	if !(dur > 0) {
-		return fmt.Errorf("chunk duration must be positive, got %g", dur)
-	}
 	if maxDur := maxChunkS(maxBody, t.nodes, t.rate); dur > maxDur {
 		return fmt.Errorf("chunk duration %gs exceeds the %.0fs a full chunk can cover within the %d-byte body limit",
 			dur, maxDur, maxBody)
 	}
 	if batches := dur / t.batchS; math.Abs(batches-math.Round(batches)) > 1e-9 {
 		return fmt.Errorf("chunk duration %gs is not a multiple of the sensing batch (%gs)", dur, t.batchS)
-	}
-	if err := t.checkStreams(len(nodes)); err != nil {
-		return err
 	}
 	maxSamples := int(dur*t.rate + 0.5)
 	for node, ns := range nodes {
@@ -377,7 +353,8 @@ func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample, maxBody int
 }
 
 // checkStreams refuses a chunk of more node streams than the tenant has
-// nodes. A bundle's declared count is checked before its entries are read.
+// nodes. The chunk endpoint runs it on a bundle's declared count, before
+// any entry is read.
 func (t *tenant) checkStreams(n int) error {
 	if n > t.nodes {
 		return fmt.Errorf("chunk has %d node streams, tenant has %d nodes", n, t.nodes)
@@ -404,12 +381,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.unsubscribe(sub)
 	flusher, _ := w.(http.Flusher)
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	if flusher != nil {
@@ -418,14 +390,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	for {
 		select {
-		case ev, ok := <-sub.ch:
+		case line, ok := <-sub.ch:
 			if !ok {
 				return // tenant finished; stream is complete
 			}
-			var err error
-			if sse {
-				_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.line)
-			} else if _, err = w.Write(ev.line); err == nil {
+			_, err := w.Write(line)
+			if err == nil {
 				_, err = w.Write([]byte{'\n'})
 			}
 			if err != nil {

@@ -18,6 +18,7 @@ import (
 
 	sidapi "github.com/sid-wsn/sid"
 	"github.com/sid-wsn/sid/internal/obs"
+	"github.com/sid-wsn/sid/internal/sensor"
 )
 
 // testSpec is the integration deployment: the facade default (5×5) at a
@@ -289,59 +290,6 @@ func TestServeWireByteIdentity(t *testing.T) {
 	}
 }
 
-// TestServeSSERoundTrip covers the SSE framing and the JSON chunk format:
-// create a tenant, POST a silent JSON chunk, and read the ingest
-// confirmation back as a named SSE event.
-func TestServeSSERoundTrip(t *testing.T) {
-	srv := New(Config{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cr := createTenant(t, ts.URL, CreateRequest{Spec: cheapSpec()})
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/tenants/"+cr.ID+"/events", nil)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != "text/event-stream" {
-		t.Fatalf("content type %q", got)
-	}
-
-	body, _ := json.Marshal(Chunk{DurationS: 1})
-	postChunk(t, ts.URL, cr.ID, ContentTypeJSON, body)
-
-	sc := bufio.NewScanner(resp.Body)
-	var evName, data string
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "event: ") {
-			evName = strings.TrimPrefix(line, "event: ")
-		}
-		if strings.HasPrefix(line, "data: ") {
-			data = strings.TrimPrefix(line, "data: ")
-			break
-		}
-	}
-	if evName != KindIngest {
-		t.Fatalf("SSE event %q, want %q", evName, KindIngest)
-	}
-	var ev obs.RawEvent
-	if err := json.Unmarshal([]byte(data), &ev); err != nil {
-		t.Fatalf("SSE data %q: %v", data, err)
-	}
-	var id IngestDone
-	if err := json.Unmarshal(ev.Data, &id); err != nil {
-		t.Fatal(err)
-	}
-	if id.Seq != 0 || id.TEnd != 1 {
-		t.Errorf("ingest confirmation %+v", id)
-	}
-	deleteTenant(t, ts.URL, cr.ID)
-}
-
 // TestServeBackpressure pins the bounded-buffering contract: a consumer
 // that stops reading stalls its tenant's pipeline (the subscriber channel
 // fills, delivery blocks), the bounded ingest queue fills, and further
@@ -354,7 +302,7 @@ func TestServeBackpressure(t *testing.T) {
 	defer ts.Close()
 	cr := createTenant(t, ts.URL, CreateRequest{Spec: cheapSpec()})
 
-	// A subscriber that never reads — the end state of a slow SSE consumer
+	// A subscriber that never reads — the end state of a slow consumer
 	// once its channel buffer (capacity 1 here) is full.
 	srv.mu.Lock()
 	tn := srv.tenants[cr.ID]
@@ -364,10 +312,10 @@ func TestServeBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, _ := json.Marshal(Chunk{DurationS: 1})
+	body := emptyBundle(1)
 	accepted, got429 := 0, false
 	for i := 0; i < 10 && !got429; i++ {
-		resp, err := http.Post(ts.URL+"/v1/tenants/"+cr.ID+"/chunks", ContentTypeJSON, bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/tenants/"+cr.ID+"/chunks", ContentTypeBundle, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +351,7 @@ func TestServeBackpressure(t *testing.T) {
 	tn.unsubscribe(sub)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Post(ts.URL+"/v1/tenants/"+cr.ID+"/chunks", ContentTypeJSON, bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/tenants/"+cr.ID+"/chunks", ContentTypeBundle, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,9 +382,9 @@ func TestServeDeleteDrains(t *testing.T) {
 	cr := createTenant(t, ts.URL, CreateRequest{Spec: cheapSpec()})
 	wait := streamLines(t, ts.URL, cr.ID)
 
-	body, _ := json.Marshal(Chunk{DurationS: 1})
+	body := emptyBundle(1)
 	for i := 0; i < 3; i++ {
-		postChunk(t, ts.URL, cr.ID, ContentTypeJSON, body)
+		postChunk(t, ts.URL, cr.ID, ContentTypeBundle, body)
 	}
 	st := deleteTenant(t, ts.URL, cr.ID)
 	if st.ProcessedS != 3 || !st.Closed {
@@ -484,14 +432,14 @@ func TestServeNoGoroutineLeaks(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		defer srv.Close()
-		body, _ := json.Marshal(Chunk{DurationS: 1})
+		body := emptyBundle(1)
 		var waits []func() [][]byte
 		var ids []string
 		for i := 0; i < 4; i++ {
 			cr := createTenant(t, ts.URL, CreateRequest{Spec: cheapSpec()})
 			ids = append(ids, cr.ID)
 			waits = append(waits, streamLines(t, ts.URL, cr.ID))
-			postChunk(t, ts.URL, cr.ID, ContentTypeJSON, body)
+			postChunk(t, ts.URL, cr.ID, ContentTypeBundle, body)
 		}
 		// Half deleted mid-stream with their consumers attached; the rest
 		// are drained by srv.Close on the way out.
@@ -513,7 +461,15 @@ func TestServeNoGoroutineLeaks(t *testing.T) {
 	}
 }
 
-// TestServeAPIErrors sweeps the HTTP error surface.
+// emptyBundle is a 20-byte SIDBNDL1 body: magic, duration and zero node
+// streams, a chunk that advances a tenant by dur seconds of silence. It is
+// built by hand, so it can carry the durations EncodeBundle refuses.
+func emptyBundle(dur float64) []byte {
+	body := append(bundleMagic[:], make([]byte, 12)...)
+	binary.LittleEndian.PutUint64(body[8:], math.Float64bits(dur))
+	return body
+}
+
 // TestServeRejectsWedgingDurations: a chunk duration no real chunk could
 // carry — non-finite, negative, or longer than a full chunk fits in the
 // body limit — gets a 400 instead of holding its tenant in one endless
@@ -536,23 +492,12 @@ func TestServeRejectsWedgingDurations(t *testing.T) {
 		return resp.StatusCode
 	}
 	for _, dur := range []float64{math.Inf(1), math.NaN(), 1e9, -1} {
-		// A 20-byte SIDBNDL1 body: magic, duration, zero node streams.
-		body := append(bundleMagic[:], make([]byte, 12)...)
-		binary.LittleEndian.PutUint64(body[8:], math.Float64bits(dur))
-		if code := post(ContentTypeBundle, body); code != http.StatusBadRequest {
+		if code := post(ContentTypeBundle, emptyBundle(dur)); code != http.StatusBadRequest {
 			t.Errorf("bundle duration %g: status %d, want 400", dur, code)
 		}
 	}
-	// JSON cannot carry non-finite numbers; the finite lies get the same
-	// answer.
-	for _, dur := range []float64{1e9, -1} {
-		body, _ := json.Marshal(Chunk{DurationS: dur})
-		if code := post(ContentTypeJSON, body); code != http.StatusBadRequest {
-			t.Errorf("JSON duration %g: status %d, want 400", dur, code)
-		}
-	}
-	body, _ := json.Marshal(Chunk{DurationS: 1})
-	postChunk(t, ts.URL, neighbour.ID, ContentTypeJSON, body)
+	body := emptyBundle(1)
+	postChunk(t, ts.URL, neighbour.ID, ContentTypeBundle, body)
 	waitProcessed(t, ts.URL, neighbour.ID, 1)
 	if st := deleteTenant(t, ts.URL, victim.ID); st.AcceptedS != 0 {
 		t.Errorf("rejected chunks were accepted: %+v", st)
@@ -571,8 +516,7 @@ func TestBundleNodeCountBoundedByTenant(t *testing.T) {
 	defer ts.Close()
 	cr := createTenant(t, ts.URL, CreateRequest{ID: "five", Spec: sidapi.DefaultDeployment()})
 	const entries = 1 << 16
-	body := append(bundleMagic[:], make([]byte, 12)...)
-	binary.LittleEndian.PutUint64(body[8:], math.Float64bits(1))
+	body := emptyBundle(1)
 	binary.LittleEndian.PutUint32(body[16:], entries)
 	body = append(body, make([]byte, 4*entries)...) // every entry zero-length
 	if len(body) != 262164 {
@@ -602,14 +546,64 @@ func TestBundleNodeCountBoundedByTenant(t *testing.T) {
 	}
 }
 
+// FuzzCreateRequest: parseCreate, every check tenant create makes before it
+// builds anything, never panics on a body, and a request it accepts
+// re-marshals to JSON that it accepts again and decodes to the same
+// request. No runtime is built.
+func FuzzCreateRequest(f *testing.F) {
+	add := func(req CreateRequest) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	add(CreateRequest{ID: "harbor", Spec: testSpec(), Queue: 8, Journal: true, Trace: true,
+		Genesis: []obs.GenesisMark{{Ship: 0, T: 100, Note: "crossing"}}})
+	bomb := cheapSpec()
+	bomb.Adversary.Byzantine = []sidapi.ByzantineNode{{Node: 1, Start: 1, Period: 1, Count: 1_000_000, EnergyBase: 10}}
+	add(CreateRequest{Spec: bomb})
+	overflow := cheapSpec()
+	overflow.Rows, overflow.Cols = 1<<62+1, 4
+	add(CreateRequest{Spec: overflow})
+	f.Add([]byte("{nope"))
+	maxBody := Config{}.withDefaults().MaxBodyBytes
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, _, err := parseCreate(bytes.NewReader(body), maxBody)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-marshaling an accepted request: %v", err)
+		}
+		req2, _, err := parseCreate(bytes.NewReader(again), maxBody)
+		if err != nil {
+			t.Fatalf("the re-marshaled request %s is refused: %v", again, err)
+		}
+		if again2, _ := json.Marshal(req2); !bytes.Equal(again2, again) {
+			t.Fatalf("the re-marshaled request decodes differently:\n%s\n%s", again, again2)
+		}
+	})
+}
+
+// TestServeAPIErrors sweeps the HTTP error surface.
 func TestServeAPIErrors(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// post sends no Content-Type header when ct is empty.
 	post := func(path, ct string, body []byte) (int, string) {
-		resp, err := http.Post(ts.URL+path, ct, bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -648,22 +642,20 @@ func TestServeAPIErrors(t *testing.T) {
 	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
 		t.Errorf("CThreshold 2: %d %s", code, msg)
 	}
-	// A stream at another rate than the detectors are tuned for.
-	body, _ = json.Marshal(CreateRequest{Spec: cheapSpec(), RateHz: 100})
-	if code, msg := post("/v1/tenants", ContentTypeJSON, body); code != 400 {
-		t.Errorf("rate_hz 100: %d %s", code, msg)
-	}
-	// A grid whose node count overflows an int, and a grid no chunk can
-	// feed (one 0.5 s batch of 1000×1000 nodes is 150 MB against the
-	// 32 MiB body limit), are refused before any deployment is built.
+	// A grid whose node count overflows an int, a grid no chunk can feed
+	// (one 0.5 s batch of 1000×1000 nodes is 150 MB against the 32 MiB
+	// body limit) and a byzantine campaign of a million injections (about
+	// 149 MB once scheduled) are refused before any deployment is built.
 	overflow := cheapSpec()
 	overflow.Rows, overflow.Cols = 1<<62+1, 4
 	huge := cheapSpec()
 	huge.Rows, huge.Cols = 1000, 1000
+	bomb := cheapSpec()
+	bomb.Adversary.Byzantine = []sidapi.ByzantineNode{{Node: 1, Start: 1, Period: 1, Count: 1_000_000, EnergyBase: 10}}
 	for _, c := range []struct {
 		name string
 		spec sidapi.Config
-	}{{"overflow", overflow}, {"1000x1000", huge}} {
+	}{{"overflow", overflow}, {"1000x1000", huge}, {"Count 1e6", bomb}} {
 		body, _ := json.Marshal(CreateRequest{Spec: c.spec})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -695,33 +687,50 @@ func TestServeAPIErrors(t *testing.T) {
 			t.Errorf("GET %s: %d, want 404", path, code)
 		}
 	}
-	if code, _ := post("/v1/tenants/ghost/chunks", ContentTypeJSON, []byte(`{"duration_s":1}`)); code != 404 {
+	if code, _ := post("/v1/tenants/ghost/chunks", ContentTypeBundle, emptyBundle(1)); code != 404 {
 		t.Error("chunk to missing tenant accepted")
 	}
 
-	chunks := "/v1/tenants/" + cr.ID + "/chunks"
-	cases := []struct {
-		name string
-		body Chunk
-	}{
-		{"zero duration", Chunk{}},
-		{"partial batch", Chunk{DurationS: 0.7}},
-		{"too many streams", Chunk{DurationS: 1, Nodes: make([][]Sample, 10)}},
-		{"overfull node", Chunk{DurationS: 1, Nodes: [][]Sample{make([]Sample, 51)}}},
+	bundle := func(dur, rate float64, nodes ...[]sensor.Sample) []byte {
+		var buf bytes.Buffer
+		if err := EncodeBundle(&buf, dur, rate, 1024, nil, 0, nodes); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	for _, c := range cases {
-		b, _ := json.Marshal(c.body)
-		if code, msg := post(chunks, ContentTypeJSON, b); code != 400 {
-			t.Errorf("%s: %d %s, want 400", c.name, code, msg)
+	samples := func(n int, rate float64) []sensor.Sample {
+		out := make([]sensor.Sample, n)
+		for i := range out {
+			out[i].T = float64(i) / rate
+		}
+		return out
+	}
+	chunks := "/v1/tenants/" + cr.ID + "/chunks"
+	for _, c := range []struct {
+		name, ct string
+		body     []byte
+		code     int
+		msg      string
+	}{
+		{"zero duration", ContentTypeBundle, emptyBundle(0), 400, "bundle duration must be positive"},
+		{"partial batch", ContentTypeBundle, bundle(0.7, 50), 400, "not a multiple of the sensing batch"},
+		{"too many streams", ContentTypeBundle, bundle(1, 50, make([][]sensor.Sample, 10)...), 400,
+			"chunk has 10 node streams, tenant has 9 nodes"},
+		{"overfull node", ContentTypeBundle, bundle(1, 50, samples(51, 50)), 400, "node 0: 51 samples exceed"},
+		// The tenant runs at the sensor's 50 Hz; a stream at another rate
+		// would run every detector mis-tuned.
+		{"100 Hz bundle", ContentTypeBundle, bundle(1, 100, samples(100, 100)), 400,
+			"bundle rate/scale 100/1024 does not match tenant 50/1024"},
+		{"garbage bundle", ContentTypeBundle, []byte("NOTMAGIC"), 400, "bad magic"},
+		{"JSON body", ContentTypeJSON, []byte(`{"duration_s":1}`), 415, ContentTypeBundle},
+		{"text/plain", "text/plain", []byte("hi"), 415, ContentTypeBundle},
+		{"longer media type", ContentTypeBundle + "-v2", emptyBundle(1), 415, ContentTypeBundle},
+		{"no content type", "", emptyBundle(1), 415, ContentTypeBundle},
+	} {
+		if code, msg := post(chunks, c.ct, c.body); code != c.code || !strings.Contains(msg, c.msg) {
+			t.Errorf("%s: %d %s, want %d naming %q", c.name, code, msg, c.code, c.msg)
 		}
 	}
-	if code, _ := post(chunks, "text/plain", []byte("hi")); code != 415 {
-		t.Error("wrong content type accepted")
-	}
-	if code, _ := post(chunks, ContentTypeBundle, []byte("NOTMAGIC")); code != 400 {
-		t.Error("garbage bundle accepted")
-	}
-
 	// Metrics endpoints answer with snapshots.
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {

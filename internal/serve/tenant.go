@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -24,22 +27,16 @@ type chunkJob struct {
 	wall    time.Time
 }
 
-// event is one line of a tenant's output stream: the SSE event name and
-// the JSON line (no trailing newline). Journal lines are forwarded with
-// the exact bytes the pipeline's JSONL sink produced, which is what makes
-// the wire stream byte-identical to an in-process journal.
-type event struct {
-	name string
-	line []byte
-}
-
 // subscriber is one attached event-stream consumer. Events are delivered
-// through a buffered channel; gone is closed by unsubscribe so a stalled
+// through a buffered channel, each one JSON line of the stream without its
+// trailing newline; journal lines carry the exact bytes the pipeline's
+// JSONL sink produced, which is what makes the wire stream byte-identical
+// to an in-process journal. gone is closed by unsubscribe so a stalled
 // delivery can abandon a departed consumer. stalled marks a consumer that
 // let a closing tenant wait closeStall on one event; only the tenant loop
 // touches it.
 type subscriber struct {
-	ch      chan event
+	ch      chan []byte
 	gone    chan struct{}
 	stalled bool
 }
@@ -102,10 +99,6 @@ type CreateRequest struct {
 	// Queue overrides the tenant's ingest queue depth in chunks
 	// (default Config.DefaultQueue).
 	Queue int `json:"queue,omitempty"`
-	// RateHz and CountsPerG describe the sample streams the tenant will
-	// be fed; zero takes the sensor defaults (50 Hz, 1024 counts/g).
-	RateHz     float64 `json:"rate_hz,omitempty"`
-	CountsPerG float64 `json:"counts_per_g,omitempty"`
 	// Journal turns on the pipeline's event journal; its JSONL lines are
 	// forwarded verbatim on the tenant's event stream.
 	Journal bool `json:"journal,omitempty"`
@@ -153,38 +146,48 @@ type TenantStatus struct {
 	Err         string  `json:"err,omitempty"`
 }
 
-// newTenant compiles a tenant spec into a running pipeline. The returned
-// tenant's loop is not yet started; the server starts it after
-// registration so a failed registration leaks nothing.
-func newTenant(srv *Server, id string, req CreateRequest) (*tenant, error) {
-	rate, scale := req.RateHz, req.CountsPerG
-	def := sensor.DefaultAccelConfig()
-	if rate == 0 {
-		rate = def.SampleRate
+// parseCreate decodes a tenant-create body and makes every check create
+// can make before it builds anything: the tenant ID, the deployment's own
+// validation (Config.Validate, which refuses a grid whose node count
+// overflows and a byzantine plan over adversary.MaxInjections), and the
+// body limit maxBody, which one sensing batch of every node must fit
+// (validateChunk's bound). It returns the request and its runtime
+// configuration; nothing it refuses allocates per node.
+func parseCreate(body io.Reader, maxBody int64) (CreateRequest, isid.Config, error) {
+	var req CreateRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, isid.Config{}, fmt.Errorf("decoding create request: %w", err)
 	}
-	if scale == 0 {
-		scale = def.CountsPerG
+	if req.ID != "" && !validID(req.ID) {
+		return req, isid.Config{}, errors.New("tenant id must be 1-64 chars of [A-Za-z0-9_.-]")
 	}
+	rc := req.Spec.RuntimeConfig()
+	if err := rc.Validate(); err != nil {
+		return req, rc, fmt.Errorf("building deployment: %w", err)
+	}
+	rate := sensor.DefaultAccelConfig().SampleRate
+	if maxS := maxChunkS(maxBody, rc.Grid.NumNodes(), rate); rc.SampleBatch > maxS {
+		return req, rc, fmt.Errorf("building deployment: %d nodes at %g Hz: one %gs sensing batch exceeds the %d-byte body limit",
+			rc.Grid.NumNodes(), rate, rc.SampleBatch, maxBody)
+	}
+	return req, rc, nil
+}
+
+// newTenant compiles a parsed tenant spec (parseCreate) into a running
+// pipeline fed at the sensor's rate and scale, the ones the detectors are
+// tuned for. The returned tenant's loop is not yet started; the server
+// starts it after registration so a failed registration leaks nothing.
+func newTenant(srv *Server, id string, req CreateRequest, rc isid.Config) (*tenant, error) {
+	accel := sensor.DefaultAccelConfig()
+	rate, scale := accel.SampleRate, accel.CountsPerG
 	queue := req.Queue
 	if queue <= 0 {
 		queue = srv.cfg.DefaultQueue
 	}
-	rc := req.Spec.RuntimeConfig()
 	if rc.Workers == 0 {
 		// Parallelism comes from concurrent tenants; a spec that asks for
 		// Workers explicitly keeps it (results are bit-identical either way).
 		rc.Workers = 1
-	}
-	// Refuse what no chunk could ever feed before allocating per-node
-	// state: a grid whose node count overflows, or one whose smallest
-	// chunk, one sensing batch, exceeds the body limit (validateChunk's
-	// bound).
-	if err := rc.Grid.Validate(); err != nil {
-		return nil, err
-	}
-	if maxS := maxChunkS(srv.cfg.MaxBodyBytes, rc.Grid.NumNodes(), rate); rc.SampleBatch > maxS {
-		return nil, fmt.Errorf("%d nodes at %g Hz: one %gs sensing batch exceeds the %d-byte body limit",
-			rc.Grid.NumNodes(), rate, rc.SampleBatch, srv.cfg.MaxBodyBytes)
 	}
 	push, err := source.NewPush(rate, scale, rc.Grid.NumNodes())
 	if err != nil {
@@ -247,7 +250,7 @@ func (jt journalTap) Write(p []byte) (int, error) {
 	for len(line) > 0 && line[len(line)-1] == '\n' {
 		line = line[:len(line)-1]
 	}
-	jt.t.deliver(event{name: sseJournal, line: line})
+	jt.t.deliver(line)
 	return len(p), nil
 }
 
@@ -402,7 +405,7 @@ func (t *tenant) emit(kind string, data any) {
 	if err != nil {
 		return
 	}
-	t.deliver(event{name: kind, line: line})
+	t.deliver(line)
 }
 
 // deliver fans one event out to every subscriber, in order per
@@ -411,7 +414,7 @@ func (t *tenant) emit(kind string, data any) {
 // see 429: bounded buffering end to end. The two unblock paths are the
 // subscriber departing (gone) and tenant close, which bounds the wait at
 // closeStall so draining can never deadlock on a stalled consumer.
-func (t *tenant) deliver(ev event) {
+func (t *tenant) deliver(line []byte) {
 	t.mu.Lock()
 	subs := make([]*subscriber, 0, len(t.subs))
 	for s := range t.subs {
@@ -420,10 +423,10 @@ func (t *tenant) deliver(ev event) {
 	t.mu.Unlock()
 	for _, sub := range subs {
 		select {
-		case sub.ch <- ev:
+		case sub.ch <- line:
 		case <-sub.gone:
 		case <-t.closing:
-			t.deliverClosing(sub, ev)
+			t.deliverClosing(sub, line)
 		}
 	}
 }
@@ -431,9 +434,9 @@ func (t *tenant) deliver(ev event) {
 // deliverClosing delivers one event of a closing tenant's drain: when the
 // subscriber's channel is full it waits up to closeStall for room, and not
 // at all once the subscriber has stalled.
-func (t *tenant) deliverClosing(sub *subscriber, ev event) {
+func (t *tenant) deliverClosing(sub *subscriber, line []byte) {
 	select {
-	case sub.ch <- ev:
+	case sub.ch <- line:
 		return
 	case <-sub.gone:
 		return
@@ -443,7 +446,7 @@ func (t *tenant) deliverClosing(sub *subscriber, ev event) {
 		timer := time.NewTimer(closeStall)
 		defer timer.Stop()
 		select {
-		case sub.ch <- ev:
+		case sub.ch <- line:
 			return
 		case <-sub.gone:
 			return
@@ -463,7 +466,7 @@ func (t *tenant) subscribe() (*subscriber, error) {
 		return nil, errGone
 	}
 	sub := &subscriber{
-		ch:   make(chan event, t.srv.cfg.SubscriberBuffer),
+		ch:   make(chan []byte, t.srv.cfg.SubscriberBuffer),
 		gone: make(chan struct{}),
 	}
 	t.subs[sub] = struct{}{}

@@ -182,8 +182,7 @@ func TestServeMetricsPrometheus(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cr := createTenant(t, ts.URL, CreateRequest{Spec: cheapSpec()})
-	body, _ := json.Marshal(Chunk{DurationS: 1})
-	postChunk(t, ts.URL, cr.ID, ContentTypeJSON, body)
+	postChunk(t, ts.URL, cr.ID, ContentTypeBundle, emptyBundle(1))
 	waitProcessed(t, ts.URL, cr.ID, 1)
 
 	fetch := func(path string) string {

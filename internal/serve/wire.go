@@ -1,9 +1,11 @@
 // Package serve is the detection-as-a-service layer: a multi-tenant HTTP
 // server that runs the SID pipeline as a long-lived service. A tenant is
 // one surveillance field: it is created from the public facade's Config
-// JSON, fed per-node sample chunks (JSON blocks or binary SIDTRACE
-// bundles) over POST, and streams its journal events, sink confirmations
-// and ingest acknowledgments back over SSE or chunked JSONL.
+// JSON, fed per-node sample chunks over POST, and streams its journal
+// events, sink confirmations and ingest acknowledgments back. The wire
+// speaks one format each way: chunks come in as SIDBNDL1 bundles of
+// SIDTRACE streams (EncodeBundle), and events go out as NDJSON, one
+// obs.Event-shaped object per line.
 //
 // The serving contract extends the repo's determinism guarantee to the
 // wire: a tenant fed the recording of a simulated run produces detections
@@ -31,11 +33,13 @@ import (
 	"github.com/sid-wsn/sid/internal/trace"
 )
 
-// Content types accepted by the chunk ingest endpoint.
+// Content types on the wire.
 const (
-	// ContentTypeJSON is a Chunk as a JSON document.
+	// ContentTypeJSON is the type of tenant-create bodies and of every
+	// JSON response.
 	ContentTypeJSON = "application/json"
-	// ContentTypeBundle is a binary SIDTRACE bundle (EncodeBundle).
+	// ContentTypeBundle is a binary SIDTRACE bundle (EncodeBundle), the
+	// one body the chunk ingest endpoint accepts.
 	ContentTypeBundle = "application/x-sidtrace"
 )
 
@@ -57,10 +61,6 @@ const (
 	// KindError reports a pipeline failure (payload StreamError); the
 	// tenant refuses further ingest afterwards.
 	KindError = "serve.error"
-
-	// sseJournal is the SSE event name for passthrough journal lines
-	// (their JSON "kind" carries the precise obs kind).
-	sseJournal = "journal"
 )
 
 // IngestDone is the payload of KindIngest.
@@ -82,42 +82,6 @@ type EndOfStream struct {
 // StreamError is the payload of KindError.
 type StreamError struct {
 	Err string `json:"err"`
-}
-
-// Sample is one three-axis accelerometer reading on the JSON wire. T is
-// the absolute sample time in seconds on the tenant's simulated timeline;
-// X, Y, Z are ADC counts.
-type Sample struct {
-	T float64 `json:"t"`
-	X int16   `json:"x"`
-	Y int16   `json:"y"`
-	Z int16   `json:"z"`
-}
-
-// Chunk is the JSON ingest body: DurationS seconds of per-node samples.
-// DurationS must be a positive multiple of the deployment's sensing batch
-// (0.5 s by default); Nodes[i] is node i's samples for the window and may
-// be short or empty (the node is silent — a chunk with no samples at all
-// still advances simulated time). Nodes may list fewer streams than the
-// grid has; trailing nodes are silent.
-type Chunk struct {
-	DurationS float64    `json:"duration_s"`
-	Nodes     [][]Sample `json:"nodes"`
-}
-
-// Samples converts the wire chunk to per-node sensor samples.
-func (c Chunk) Samples() [][]sensor.Sample {
-	out := make([][]sensor.Sample, len(c.Nodes))
-	for i, ns := range c.Nodes {
-		if len(ns) == 0 {
-			continue
-		}
-		out[i] = make([]sensor.Sample, len(ns))
-		for j, s := range ns {
-			out[i][j] = sensor.Sample{T: s.T, X: s.X, Y: s.Y, Z: s.Z}
-		}
-	}
-	return out
 }
 
 // bundleMagic identifies a binary chunk bundle: a duration plus one full

@@ -152,26 +152,10 @@ func TestChunksFromSource(t *testing.T) {
 	}
 }
 
-func TestChunkSamplesConversion(t *testing.T) {
-	c := Chunk{
-		DurationS: 1,
-		Nodes: [][]Sample{
-			{{T: 0.5, X: 1, Y: 2, Z: 3}},
-			{},
-		},
-	}
-	got := c.Samples()
-	want := [][]sensor.Sample{{{T: 0.5, X: 1, Y: 2, Z: 3}}, nil}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Samples() = %+v, want %+v", got, want)
-	}
-}
-
 // inflatedBundle is a 20-byte bundle header that claims the maximum node
 // count and then ends.
 func inflatedBundle() []byte {
-	body := append(bundleMagic[:], make([]byte, 12)...)
-	binary.LittleEndian.PutUint64(body[8:], math.Float64bits(1))
+	body := emptyBundle(1)
 	binary.LittleEndian.PutUint32(body[16:], 1<<16)
 	return body
 }

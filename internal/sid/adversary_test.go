@@ -20,7 +20,7 @@ func TestByzantineRunDeterministicAcrossWorkers(t *testing.T) {
 		cfg.Adversary = adversary.Plan{
 			Byzantine: adversary.ByzantineFraction(cfg.Grid.NumNodes(), 0.2,
 				adversary.ByzantineNode{Behavior: adversary.Fabricate, Start: 120, Period: 15, Count: 8, EnergyBase: 50},
-				cfg.Seed, int(cfg.SinkID)),
+				cfg.Seed, int(SinkNode)),
 			ClockSpoofs: []adversary.ClockSpoof{{Node: 7, At: 60, SkewPPM: 8000}},
 		}
 		rt, err := NewRuntime(cfg)
@@ -71,7 +71,7 @@ func TestReplayAttackRejectedAndQuarantined(t *testing.T) {
 	// construction once the collection windows of the pass have closed.
 	replayers := adversary.ByzantineFraction(cfg.Grid.NumNodes(), 0.2,
 		adversary.ByzantineNode{Behavior: adversary.Replay, Start: 300, Period: 20, Count: 5},
-		cfg.Seed, int(cfg.SinkID))
+		cfg.Seed, int(SinkNode))
 	cfg.Adversary = adversary.Plan{Byzantine: replayers}
 	rt, err := NewRuntime(cfg)
 	if err != nil {

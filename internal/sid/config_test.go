@@ -39,11 +39,8 @@ func TestConfigValidation(t *testing.T) {
 		{"detector rate vs sensor", func(c *Config) { c.Detect.SampleRate = 100 }, "detectors expect 100 Hz"},
 		{"source rate", func(c *Config) { c.Source = push(100, 1024) }, "source serves 100 Hz"},
 		{"source scale", func(c *Config) { c.Source = push(50, 512) }, "at 512 counts/g"},
-		{"ClusterHops", func(c *Config) { c.ClusterHops = 0 }, "ClusterHops"},
 		{"CollectWindow", func(c *Config) { c.CollectWindow = 0 }, "CollectWindow"},
 		{"MinReports", func(c *Config) { c.MinReports = 0 }, "MinReports"},
-		{"SinkID high", func(c *Config) { c.SinkID = 99 }, "SinkID"},
-		{"SinkID negative", func(c *Config) { c.SinkID = -1 }, "SinkID"},
 		{"SampleBatch", func(c *Config) { c.SampleBatch = 0 }, "SampleBatch"},
 		{"DutyCycle low", func(c *Config) { c.DutyCycle = -0.1 }, "DutyCycle"},
 		{"DutyCycle high", func(c *Config) { c.DutyCycle = 1.5 }, "DutyCycle"},

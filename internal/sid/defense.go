@@ -106,7 +106,7 @@ func (r *Runtime) suspect(node int, reason string) {
 	r.suspicion[node]++
 	r.ctr.suspicions.Inc()
 	quarantined := false
-	if r.suspicion[node] >= suspicionThreshold && !r.quarantined[node] && wsn.NodeID(node) != r.cfg.SinkID {
+	if r.suspicion[node] >= suspicionThreshold && !r.quarantined[node] && wsn.NodeID(node) != SinkNode {
 		r.quarantined[node] = true
 		r.ctr.quarantines.Inc()
 		quarantined = true

@@ -75,7 +75,7 @@ func (r *Runtime) startHeartbeats(ns *nodeState, deadline float64) {
 		if !r.net.MustNode(ns.id).Alive() {
 			return
 		}
-		r.countSend(ns.id, r.net.Flood(ns.id, r.cfg.ClusterHops, KindHeartbeat, ns.id))
+		r.countSend(ns.id, r.net.Flood(ns.id, clusterHops, KindHeartbeat, ns.id))
 		_ = r.sched.After(heartbeatPeriod, beat)
 	}
 	_ = r.sched.After(heartbeatPeriod, beat)
@@ -140,7 +140,7 @@ func (r *Runtime) claimHead(ns *nodeState, epoch int) {
 	if ns.hasReport {
 		r.acceptReport(ns, ns.lastReport)
 	}
-	r.countSend(ns.id, r.net.Flood(ns.id, r.cfg.ClusterHops, KindTakeover, TakeoverPayload{Old: old, New: ns.id}))
+	r.countSend(ns.id, r.net.Flood(ns.id, clusterHops, KindTakeover, TakeoverPayload{Old: old, New: ns.id}))
 	deadline := ns.deadline
 	_ = r.sched.Schedule(deadline, func() { r.headDeadline(ns, deadline) })
 	r.startHeartbeats(ns, deadline)

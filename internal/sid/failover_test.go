@@ -34,7 +34,7 @@ func killFirstHead(rt *Runtime, from, until float64) *wsn.NodeID {
 			return
 		}
 		for _, ns := range rt.nodes {
-			if ns.isHead && ns.id != rt.cfg.SinkID &&
+			if ns.isHead && ns.id != SinkNode &&
 				len(ns.reports) >= 4 && ns.membership-t >= 20 {
 				*victim = ns.id
 				rt.net.MustNode(ns.id).Fail()
@@ -197,7 +197,7 @@ func TestFaultedRunBitIdenticalAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]SinkReport, []Evaluation, int, wsn.Stats) {
 		cfg := failoverCfg()
 		cfg.Workers = workers
-		cfg.Faults = fault.CrashFraction(cfg.Grid.NumNodes(), 0.1, 160, 2, 42, int(cfg.SinkID))
+		cfg.Faults = fault.CrashFraction(cfg.Grid.NumNodes(), 0.1, 160, 2, 42, int(SinkNode))
 		cfg.Faults.Burst = &fault.BurstLoss{
 			MeanGoodS: 3.0, MeanBadS: 0.6, LossGood: 0.03, LossBad: 0.7,
 		}

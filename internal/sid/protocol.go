@@ -126,7 +126,7 @@ func (r *Runtime) dispatchReport(ns *nodeState, payload ReportPayload) {
 		})
 	}
 	r.acceptReport(ns, payload)
-	r.countSend(ns.id, r.net.Flood(ns.id, r.cfg.ClusterHops, KindInvite, ns.id))
+	r.countSend(ns.id, r.net.Flood(ns.id, clusterHops, KindInvite, ns.id))
 	deadline := ns.deadline
 	_ = r.sched.Schedule(deadline, func() { r.headDeadline(ns, deadline) })
 	if r.cfg.Failover.Enabled {
@@ -205,7 +205,7 @@ func (r *Runtime) onMessage(node *wsn.Node, msg wsn.Message) {
 		if !ok {
 			return
 		}
-		if node.ID == r.cfg.SinkID {
+		if node.ID == SinkNode {
 			payload.Time = node.LocalTime(r.sched.Now())
 			r.sinkReports = append(r.sinkReports, payload)
 			if r.col.Journaling() {
@@ -369,12 +369,12 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 		// Byzantine-tolerant path: trim up to maxTrimFrac of the reports
 		// when the full set fails the gates. Only a detecting trimmed
 		// evaluation accuses anyone.
-		robust, rerr := cluster.EvaluateRobust(reports, r.cfg.Cluster, maxTrimFrac)
+		robust, rerr := cluster.EvaluateRobust(reports, r.cfg.Cluster, r.cfg.Grid.Spacing, maxTrimFrac)
 		res, err = robust.Result, rerr
 		trimmed = robust.Trimmed
 		evalReports = robust.Kept
 	} else {
-		res, err = cluster.Evaluate(reports, r.cfg.Cluster)
+		res, err = cluster.Evaluate(reports, r.cfg.Cluster, r.cfg.Grid.Spacing)
 	}
 	r.evaluations = append(r.evaluations, Evaluation{
 		Head: ns.id, Time: r.sched.Now(), Reports: reports,
@@ -454,7 +454,7 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 		// over the alive topology models a self-healing collection tree
 		// (CTP-style); it is part of the resilience layer, so plain runs
 		// keep the paper's static tree.
-		if repaired, err := r.net.BuildTree(r.cfg.SinkID); err == nil {
+		if repaired, err := r.net.BuildTree(SinkNode); err == nil {
 			r.tree = repaired
 			tree = repaired
 			r.gaugeTreeDepth()

@@ -37,6 +37,14 @@ import (
 	"github.com/sid-wsn/sid/internal/wsn"
 )
 
+// SinkNode is the sink's node ID: node 0, the grid's first corner, which
+// roots the routing tree and never runs on a battery.
+const SinkNode wsn.NodeID = 0
+
+// clusterHops is the temporary-cluster radius of Algorithm SID: invites,
+// heartbeats and takeovers flood six hops around the head.
+const clusterHops = 6
+
 // Config assembles a full SID deployment.
 type Config struct {
 	// Grid is the manual buoy deployment (§III-A).
@@ -75,8 +83,6 @@ type Config struct {
 	// disables them, keeping runs bit-identical to the undefended
 	// protocol.
 	Defense DefenseConfig
-	// ClusterHops is the temporary-cluster radius (6 in Algorithm SID).
-	ClusterHops int
 	// CollectWindow is how long a head collects reports before evaluating,
 	// in seconds. It must cover the wake's sweep across the deployment.
 	CollectWindow float64
@@ -84,8 +90,6 @@ type Config struct {
 	// ("if the cluster head has not received any reporting within a
 	// certain period of time, it will cancel the temporary cluster").
 	MinReports int
-	// SinkID designates the sink node (default 0).
-	SinkID wsn.NodeID
 	// DriftRadius is the buoy mooring drift in meters (2 in the paper).
 	// Only used when Source is nil.
 	DriftRadius float64
@@ -162,10 +166,8 @@ func DefaultConfig() Config {
 		Detect:        detect.DefaultConfig(),
 		Cluster:       cluster.DefaultConfig(),
 		Radio:         wsn.DefaultRadioConfig(),
-		ClusterHops:   6,
 		CollectWindow: 90,
 		MinReports:    6,
-		SinkID:        0,
 		DriftRadius:   2,
 		SampleBatch:   0.5,
 	}
@@ -214,17 +216,11 @@ func (c Config) Validate() error {
 	if err := c.Radio.Validate(); err != nil {
 		return err
 	}
-	if c.ClusterHops <= 0 {
-		return fmt.Errorf("sid: ClusterHops must be positive, got %d", c.ClusterHops)
-	}
 	if c.CollectWindow <= 0 {
 		return fmt.Errorf("sid: CollectWindow must be positive, got %g", c.CollectWindow)
 	}
 	if c.MinReports < 1 {
 		return fmt.Errorf("sid: MinReports must be ≥ 1, got %d", c.MinReports)
-	}
-	if int(c.SinkID) < 0 || int(c.SinkID) >= c.Grid.NumNodes() {
-		return fmt.Errorf("sid: SinkID %d outside grid", c.SinkID)
 	}
 	if c.SampleBatch <= 0 {
 		return fmt.Errorf("sid: SampleBatch must be positive, got %g", c.SampleBatch)
@@ -401,10 +397,6 @@ func (r *Runtime) ClustersFormed() int { return int(r.ctr.clustersFormed.Value()
 // "sid.failovers").
 func (r *Runtime) Failovers() int { return int(r.ctr.failovers.Value()) }
 
-// DeadlineExtensions counts one-time collection-deadline extensions
-// (registry: "sid.deadline_extensions").
-func (r *Runtime) DeadlineExtensions() int { return int(r.ctr.deadlineExt.Value()) }
-
 // Observability returns the deployment's collector (never nil; a private
 // registry-only collector is created when Config.Obs was nil).
 func (r *Runtime) Observability() *obs.Collector { return r.col }
@@ -496,11 +488,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		if cfg.DutyCycle > 0 && cfg.DutyCycle < 1 {
 			// Deterministic hash spreads the sentinel set over the grid.
 			h := (uint64(i)*2654435761 + uint64(cfg.Seed)) % 1000
-			ns.sentinel = float64(h) < cfg.DutyCycle*1000 || id == cfg.SinkID
+			ns.sentinel = float64(h) < cfg.DutyCycle*1000 || id == SinkNode
 		}
 		r.nodes = append(r.nodes, ns)
 		node := net.MustNode(id)
-		if cfg.BatteryJ > 0 && id != cfg.SinkID {
+		if cfg.BatteryJ > 0 && id != SinkNode {
 			b, err := wsn.NewBattery(cfg.BatteryJ, wsn.DefaultEnergyConfig())
 			if err != nil {
 				return nil, err
@@ -512,7 +504,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if r.rec != nil {
 		r.rec.Init(src.Rate(), src.Scale(), positions, cfg.Seed)
 	}
-	tree, err := net.BuildTree(cfg.SinkID)
+	tree, err := net.BuildTree(SinkNode)
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +525,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if err := r.applyAdversary(); err != nil {
 		return nil, err
 	}
-	net.EnableTimeSync()
 	if _, err := net.StartTimeSync(tree, 0.5); err != nil {
 		return nil, err
 	}

@@ -64,15 +64,15 @@ type Node struct {
 	Clock Clock
 	// Battery is nil for mains-powered nodes (e.g. the sink).
 	Battery *Battery
-	// OnMessage receives application messages (after protocol handlers).
+	// OnMessage receives application messages (every frame but the
+	// network's own time-sync exchange).
 	OnMessage Handler
 
-	net       *Network
-	alive     bool
-	epoch     int // incarnation counter; bumped by Fail
-	protocols map[string]Handler
-	seen      map[uint64]struct{}
-	seenARQ   map[uint64]struct{}
+	net     *Network
+	alive   bool
+	epoch   int // incarnation counter; bumped by Fail
+	seen    map[uint64]struct{}
+	seenARQ map[uint64]struct{}
 }
 
 // Alive reports whether the node is powered and functioning.
@@ -90,8 +90,8 @@ func (n *Node) Fail() {
 }
 
 // Revive restores a failed node as a fresh incarnation: alive again with
-// the same clock, battery (an empty battery still keeps it dead), position,
-// and protocol handlers. Duplicate-suppression history (flood and ARQ seen
+// the same clock, battery (an empty battery still keeps it dead), position
+// and message handler. Duplicate-suppression history (flood and ARQ seen
 // sets) survives the reboot, so retransmissions of frames it already
 // consumed are still suppressed.
 func (n *Node) Revive() { n.alive = true }
@@ -104,12 +104,6 @@ func (n *Node) LocalTime(trueTime float64) float64 { return n.Clock.Local(trueTi
 
 // Now returns the node's current local clock reading.
 func (n *Node) Now() float64 { return n.Clock.Local(n.net.Sched.Now()) }
-
-// RegisterProtocol installs a kind-specific handler that runs instead of
-// OnMessage for messages of that kind (used by the time-sync protocol).
-func (n *Node) RegisterProtocol(kind string, h Handler) {
-	n.protocols[kind] = h
-}
 
 // RadioConfig models the 802.15.4-class radio.
 type RadioConfig struct {
@@ -328,11 +322,10 @@ func NewNetwork(sched *sim.Scheduler, positions []geo.Vec2, radio RadioConfig) (
 				Offset:   (clockRNG.Float64()*2 - 1) * maxOffset,
 				DriftPPM: (clockRNG.Float64()*2 - 1) * maxDriftPPM,
 			},
-			net:       net,
-			alive:     true,
-			protocols: make(map[string]Handler),
-			seen:      make(map[uint64]struct{}),
-			seenARQ:   make(map[uint64]struct{}),
+			net:     net,
+			alive:   true,
+			seen:    make(map[uint64]struct{}),
+			seenARQ: make(map[uint64]struct{}),
 		}
 		net.nodes = append(net.nodes, n)
 	}
@@ -478,11 +471,12 @@ func (w *Network) send(from, to *Node, msg Message, arrive func(*Node, Message))
 
 func (w *Network) deliver(n *Node, msg Message) {
 	w.ctr.delivered.Inc()
-	if h, ok := n.protocols[msg.Kind]; ok {
-		h(n, msg)
-		return
-	}
-	if n.OnMessage != nil {
+	switch {
+	case msg.Kind == kindSyncReq:
+		w.onSyncReq(n, msg)
+	case msg.Kind == kindSyncResp:
+		w.onSyncResp(n, msg)
+	case n.OnMessage != nil:
 		n.OnMessage(n, msg)
 	}
 }

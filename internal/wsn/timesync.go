@@ -29,39 +29,37 @@ type syncResp struct {
 	T3 float64 // parent's local send time
 }
 
-// EnableTimeSync registers the sync protocol handlers on every node.
-// It must be called once before StartTimeSync.
-func (w *Network) EnableTimeSync() {
-	for _, n := range w.nodes {
-		node := n
-		node.RegisterProtocol(kindSyncReq, func(parent *Node, msg Message) {
-			req, ok := msg.Payload.(syncReq)
-			if !ok {
-				return
-			}
-			t2 := parent.Now()
-			// Reply immediately; t3 == t2 up to CPU time we fold into the
-			// link delay model.
-			resp := syncResp{T1: req.T1, T2: t2, T3: parent.Now()}
-			_ = w.Unicast(parent.ID, msg.Src, kindSyncResp, resp)
-		})
-		node.RegisterProtocol(kindSyncResp, func(child *Node, msg Message) {
-			resp, ok := msg.Payload.(syncResp)
-			if !ok {
-				return
-			}
-			t4 := child.Now()
-			offset := ((resp.T2 - resp.T1) + (resp.T3 - t4)) / 2
-			child.Clock.Adjust(offset)
-		})
+// onSyncReq is a parent's side of the exchange: it stamps the request's
+// arrival (t2) and replies at once (t3 == t2 up to CPU time, which the
+// link delay model absorbs).
+func (w *Network) onSyncReq(parent *Node, msg Message) {
+	req, ok := msg.Payload.(syncReq)
+	if !ok {
+		return
 	}
+	t2 := parent.Now()
+	resp := syncResp{T1: req.T1, T2: t2, T3: parent.Now()}
+	_ = w.Unicast(parent.ID, msg.Src, kindSyncResp, resp)
+}
+
+// onSyncResp is a child's side: it stamps the reply's arrival (t4) and
+// adjusts its clock by the estimated offset to its parent.
+func (w *Network) onSyncResp(child *Node, msg Message) {
+	resp, ok := msg.Payload.(syncResp)
+	if !ok {
+		return
+	}
+	t4 := child.Now()
+	offset := ((resp.T2 - resp.T1) + (resp.T3 - t4)) / 2
+	child.Clock.Adjust(offset)
 }
 
 // StartTimeSync schedules one synchronization wave over the tree: nodes at
 // depth d initiate their exchange at now + d·levelGap, so parents are
-// already synchronized when their children sync to them. Run the scheduler
-// afterwards to execute the wave; it completes by now + (maxDepth+1)·levelGap.
-// Returns the depth of the tree.
+// already synchronized when their children sync to them. The network's
+// own dispatch hands the exchange's frames to the sync handlers, never to
+// a node's OnMessage. Run the scheduler afterwards to execute the wave; it
+// completes by now + (maxDepth+1)·levelGap. Returns the depth of the tree.
 func (w *Network) StartTimeSync(t *Tree, levelGap float64) (int, error) {
 	if levelGap <= 0 {
 		return 0, fmt.Errorf("wsn: levelGap must be positive, got %g", levelGap)

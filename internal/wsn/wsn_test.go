@@ -559,7 +559,6 @@ func TestTimeSyncReducesResiduals(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := net.SyncRMS(0)
-	net.EnableTimeSync()
 	if _, err := net.StartTimeSync(tree, 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -578,10 +577,38 @@ func TestTimeSyncReducesResiduals(t *testing.T) {
 	}
 }
 
+// TestTimeSyncFramesBypassOnMessage: the network's dispatch hands the
+// sync exchange to its own handlers, so a node's OnMessage sees every
+// other frame and none of the sync wave's.
+func TestTimeSyncFramesBypassOnMessage(t *testing.T) {
+	net, sched := gridNet(t, 2, 3, 25, perfectRadio(), 1)
+	tree, err := net.BuildTree(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for id := 0; id < net.NumNodes(); id++ {
+		net.MustNode(NodeID(id)).OnMessage = func(n *Node, msg Message) { kinds = append(kinds, msg.Kind) }
+	}
+	before := net.SyncRMS(0)
+	if _, err := net.StartTimeSync(tree, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Unicast(0, 1, "app", nil); err != nil {
+		t.Fatal(err)
+	}
+	sched.RunAll()
+	if len(kinds) != 1 || kinds[0] != "app" {
+		t.Errorf("OnMessage saw %q, want only the application frame", kinds)
+	}
+	if after := net.SyncRMS(0); after >= before {
+		t.Errorf("sync RMS %v → %v: the wave did not run", before, after)
+	}
+}
+
 func TestStartTimeSyncValidation(t *testing.T) {
 	net, _ := gridNet(t, 1, 2, 25, perfectRadio(), 1)
 	tree, _ := net.BuildTree(0)
-	net.EnableTimeSync()
 	if _, err := net.StartTimeSync(tree, 0); err == nil {
 		t.Error("expected error for zero levelGap")
 	}
@@ -688,19 +715,5 @@ func TestCostKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("String(%d) = %q", int(k), got)
 		}
-	}
-}
-
-func TestProtocolHandlerPrecedence(t *testing.T) {
-	net, sched := gridNet(t, 1, 2, 25, perfectRadio(), 1)
-	n1 := net.MustNode(1)
-	protoCalls, defaultCalls := 0, 0
-	n1.RegisterProtocol("special", func(n *Node, msg Message) { protoCalls++ })
-	n1.OnMessage = func(n *Node, msg Message) { defaultCalls++ }
-	_ = net.Unicast(0, 1, "special", nil)
-	_ = net.Unicast(0, 1, "normal", nil)
-	sched.RunAll()
-	if protoCalls != 1 || defaultCalls != 1 {
-		t.Errorf("proto=%d default=%d, want 1/1", protoCalls, defaultCalls)
 	}
 }

@@ -252,7 +252,6 @@ func (cfg Config) runtimeConfig() sid.Config {
 	rc.Detect.M = cfg.ThresholdM
 	rc.Detect.AnomalyThreshold = cfg.AnomalyThreshold
 	rc.Cluster.CThreshold = cfg.CThreshold
-	rc.Cluster.RowSpacing = cfg.SpacingM
 	rc.Radio.LossProb = cfg.PacketLoss
 	rc.BatteryJ = cfg.BatteryJ
 	rc.Seed = cfg.Seed
