@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test sidperf-test sidperf-gates bench race vet fmt fuzz baseline obs replay adversarial experiments serve serve-smoke
+.PHONY: test sidperf-test sidperf-gates bench race vet fmt fuzz baseline obs pinned replay adversarial experiments serve serve-smoke
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -52,6 +52,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/obs
+
+# Pinned outputs of a behaviour-preserving change: every scenario journal
+# and the run's stdout, written under the relative pinned/ directory so the
+# journal path lines match from one tree to another. Run it in both trees
+# and compare them with `diff -r`.
+pinned:
+	@rm -rf pinned && mkdir pinned && \
+	$(GO) run ./cmd/sidbench -exp scenarios -journal pinned > pinned/stdout.txt
 
 # Record→replay smoke: record the single-10kn golden scenario into per-node
 # SIDTRACE files, replay them through the detection pipeline, and require the
