@@ -34,8 +34,8 @@ func killFirstHead(rt *Runtime, from, until float64) *wsn.NodeID {
 			return
 		}
 		for _, ns := range rt.nodes {
-			if ns.isHead && ns.id != SinkNode &&
-				len(ns.reports) >= 4 && ns.membership-t >= 20 {
+			if ns.led != nil && ns.id != SinkNode &&
+				len(ns.led.reports) >= 4 && ns.membership-t >= 20 {
 				*victim = ns.id
 				rt.net.MustNode(ns.id).Fail()
 				return
@@ -168,7 +168,6 @@ func TestSendErrorsCounted(t *testing.T) {
 	// Make node 5 a member of head 0, then cut every route between them
 	// (range 60 m covers two 25 m hops, so kill all four interior nodes).
 	ns := rt.nodes[5]
-	ns.inTempCluster = true
 	ns.headID = 0
 	ns.membership = 1e9
 	for id := 1; id <= 4; id++ {

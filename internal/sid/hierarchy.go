@@ -117,7 +117,7 @@ func (r *Runtime) hierRoute(ns *nodeState) bool {
 func (r *Runtime) onSubReport(ns *nodeState, p SubReportPayload) {
 	// A sub-head that happens to be the destination head (it joined the
 	// same temporary cluster) short-circuits the buffer entirely.
-	if ns.isHead && ns.id == p.Head {
+	if ns.led != nil && ns.id == p.Head {
 		r.acceptReport(ns, p.Report)
 		return
 	}
@@ -182,5 +182,5 @@ func (r *Runtime) flushSummary(ns *nodeState, head wsn.NodeID) {
 		})
 	}
 	r.countSend(ns.id, r.net.SendMultiHop(ns.id, head, KindSummary,
-		SummaryPayload{Head: head, Reports: reports}, r.nodes[head].trace))
+		SummaryPayload{Head: head, Reports: reports}, r.clusterKey(head)))
 }

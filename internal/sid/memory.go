@@ -21,9 +21,10 @@ const memSampleBytes = 16
 // detector rings, head-side collected reports, sub-head aggregation
 // buffers, and the in-flight sample block.
 func (ns *nodeState) memBytes() int {
-	b := ns.det.MemBytes() +
-		cap(ns.reports)*memReportBytes +
-		cap(ns.block)*memSampleBytes
+	b := ns.det.MemBytes() + cap(ns.block)*memSampleBytes
+	if ns.led != nil {
+		b += cap(ns.led.reports) * memReportBytes
+	}
 	for i := range ns.agg {
 		b += cap(ns.agg[i].reports) * memReportBytes
 	}

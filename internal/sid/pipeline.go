@@ -124,7 +124,7 @@ func (r *Runtime) senseGate(ns *nodeState, sampleIdx, perBatch int, rate float64
 	// Duty cycling: non-sentinel nodes run coarse mode (every fourth
 	// batch) unless woken by an invite or active in a cluster.
 	now := r.sched.Now()
-	woken := now < ns.awakeTil || (ns.inTempCluster && now < ns.membership)
+	woken := now < ns.awakeTil || now < ns.membership
 	if !ns.sentinel && !woken && (sampleIdx/perBatch)%4 != 0 {
 		return false
 	}

@@ -3,6 +3,7 @@ package sid
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/sid-wsn/sid/internal/cluster"
 	"github.com/sid-wsn/sid/internal/detect"
@@ -54,6 +55,22 @@ type SinkReport struct {
 	Heading float64
 }
 
+// tempCluster is one temporary cluster of Algorithm SID as its head holds
+// it: SetUpTempCluster or a failover claim creates it, the collection
+// window fills it, and SpaceTimeDataProcessing consumes it at the deadline.
+type tempCluster struct {
+	// key is the cluster key (obs.ClusterKey) stamped on every frame bound
+	// for the head; set only while instrumentation is on. A failover claim
+	// moves it to the replacement head's record.
+	key      string
+	deadline float64
+	// extended marks the one-time deadline extension as spent;
+	// lastReportAt is when the head last accepted a report.
+	extended     bool
+	lastReportAt float64
+	reports      []cluster.Report
+}
+
 // onNodeDetection implements the DetectIntrusion branch of Algorithm SID.
 func (r *Runtime) onNodeDetection(ns *nodeState, node *wsn.Node, rep detect.Report) {
 	now := r.sched.Now()
@@ -86,8 +103,8 @@ func (r *Runtime) onNodeDetection(ns *nodeState, node *wsn.Node, rep detect.Repo
 // are real.
 func (r *Runtime) dispatchReport(ns *nodeState, payload ReportPayload) {
 	now := r.sched.Now()
-	if ns.inTempCluster && now < ns.membership {
-		if ns.isHead {
+	if now < ns.membership {
+		if ns.led != nil {
 			r.acceptReport(ns, payload)
 			return
 		}
@@ -97,41 +114,52 @@ func (r *Runtime) dispatchReport(ns *nodeState, payload ReportPayload) {
 				Onset: payload.Onset, Energy: payload.Energy,
 			})
 		}
-		trace := r.nodes[ns.headID].trace
+		key := r.clusterKey(ns.headID)
 		if r.hierRoute(ns) {
 			// Two-level collection: hand the report to the sub-cluster head
 			// for batched forwarding. Journal and trace exactly as a direct
 			// send — the report's protocol meaning is unchanged, only its
 			// radio path differs.
 			r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.subHead, KindSubReport,
-				SubReportPayload{Head: ns.headID, Report: payload}, trace))
+				SubReportPayload{Head: ns.headID, Report: payload}, key))
 			return
 		}
-		r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.headID, KindReport, payload, trace))
+		r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.headID, KindReport, payload, key))
 		return
 	}
 	// SetUpTempCluster: become head, invite neighbors within six hops.
-	ns.inTempCluster = true
-	ns.isHead = true
 	ns.headID = ns.id
 	ns.membership = now + r.cfg.CollectWindow
-	ns.deadline = ns.membership
-	ns.reports = ns.reports[:0]
-	ns.extended = false
+	c := &tempCluster{deadline: ns.membership}
+	ns.led = c
 	r.ctr.clustersFormed.Inc()
 	if r.col.Journaling() {
-		ns.trace = obs.ClusterKey(int(ns.id), ns.deadline)
+		c.key = obs.ClusterKey(int(ns.id), c.deadline)
 		r.col.Emit(now, obs.KindClusterSetup, obs.ClusterSetup{
-			Head: int(ns.id), Deadline: ns.deadline, Onset: payload.Onset,
+			Head: int(ns.id), Deadline: c.deadline, Onset: payload.Onset,
 		})
 	}
 	r.acceptReport(ns, payload)
 	r.countSend(ns.id, r.net.Flood(ns.id, clusterHops, KindInvite, ns.id))
-	deadline := ns.deadline
-	_ = r.sched.Schedule(deadline, func() { r.headDeadline(ns, deadline) })
+	r.lead(ns, c)
+}
+
+// lead starts ns's collection for c: the evaluation at c's deadline and,
+// with failover on, the heartbeats that lease the role until then.
+func (r *Runtime) lead(ns *nodeState, c *tempCluster) {
+	_ = r.sched.Schedule(c.deadline, func() { r.headDeadline(ns, c) })
 	if r.cfg.Failover.Enabled {
-		r.startHeartbeats(ns, deadline)
+		r.startHeartbeats(ns, c)
 	}
+}
+
+// clusterKey returns the key of the cluster that node id heads, "" when it
+// heads none or instrumentation is off.
+func (r *Runtime) clusterKey(id wsn.NodeID) string {
+	if c := r.nodes[id].led; c != nil {
+		return c.key
+	}
+	return ""
 }
 
 // onMessage dispatches SID protocol messages.
@@ -145,11 +173,9 @@ func (r *Runtime) onMessage(node *wsn.Node, msg wsn.Message) {
 		}
 		// Already in a cluster: keep the first membership (the paper does
 		// not merge clusters; extra invites are ignored).
-		if ns.inTempCluster && r.sched.Now() < ns.membership {
+		if r.sched.Now() < ns.membership {
 			return
 		}
-		ns.inTempCluster = true
-		ns.isHead = false
 		ns.headID = head
 		ns.membership = r.sched.Now() + r.cfg.CollectWindow
 		ns.awakeTil = ns.membership // wake a sleeping node for the window
@@ -164,8 +190,7 @@ func (r *Runtime) onMessage(node *wsn.Node, msg wsn.Message) {
 		if !ok {
 			return
 		}
-		if ns.inTempCluster && !ns.isHead && head == ns.headID &&
-			r.sched.Now() < ns.membership {
+		if ns.led == nil && head == ns.headID && r.sched.Now() < ns.membership {
 			r.observeHead(ns)
 		}
 	case KindTakeover:
@@ -179,7 +204,7 @@ func (r *Runtime) onMessage(node *wsn.Node, msg wsn.Message) {
 		if !ok {
 			return
 		}
-		if ns.isHead {
+		if ns.led != nil {
 			r.acceptReport(ns, payload)
 		}
 	case KindSubReport:
@@ -195,7 +220,7 @@ func (r *Runtime) onMessage(node *wsn.Node, msg wsn.Message) {
 		if !ok {
 			return
 		}
-		if ns.isHead && ns.id == payload.Head {
+		if ns.led != nil && ns.id == payload.Head {
 			for _, rep := range payload.Reports {
 				r.acceptReport(ns, rep)
 			}
@@ -241,116 +266,97 @@ func (r *Runtime) acceptReport(head *nodeState, p ReportPayload) {
 			return
 		}
 	}
-	head.lastReportAt = r.sched.Now()
+	c := head.led
+	c.lastReportAt = r.sched.Now()
+	i := slices.IndexFunc(c.reports, func(rep cluster.Report) bool { return rep.Node == int(p.Node) })
 	if r.col.Journaling() {
-		first := true
-		for i := range head.reports {
-			if head.reports[i].Node == int(p.Node) {
-				first = false
-				break
-			}
-		}
 		r.col.Emit(r.sched.Now(), obs.KindReportAccept, obs.ReportAccept{
 			Head: int(head.id), Node: int(p.Node),
-			Onset: p.Onset, Energy: p.Energy, First: first,
+			Onset: p.Onset, Energy: p.Energy, First: i < 0,
 		})
 	}
-	for i := range head.reports {
-		if head.reports[i].Node == int(p.Node) {
-			cur := &head.reports[i]
-			if r.cfg.Defense.Enabled {
-				// Atomic merge: a defended head keeps the (onset, energy)
-				// pair of the strongest report as a unit. The permissive
-				// earliest-onset rule below lets a low-energy fabrication
-				// near the genuine event drag an honest witness's onset to
-				// the attacker's chosen time; binding onset to the report
-				// that carries the energy removes that lever at the cost of
-				// a slightly later (strongest-window) onset estimate.
-				if p.Energy > cur.Energy {
-					cur.Energy = p.Energy
-					cur.Onset = p.Onset
-				}
-				return
-			}
-			sameEvent := math.Abs(p.Onset-cur.Onset) < eventGap
-			switch {
-			case p.Energy > cur.Energy && sameEvent:
-				cur.Energy = p.Energy
-				if p.Onset < cur.Onset {
-					cur.Onset = p.Onset
-				}
-			case p.Energy > cur.Energy:
-				cur.Energy = p.Energy
-				cur.Onset = p.Onset
-			case sameEvent && p.Onset < cur.Onset:
-				cur.Onset = p.Onset
-			}
-			return
-		}
+	if i < 0 {
+		c.reports = append(c.reports, cluster.Report{
+			Node:   int(p.Node),
+			Pos:    p.Pos,
+			Row:    p.Row,
+			Onset:  p.Onset,
+			Energy: p.Energy,
+		})
+		return
 	}
-	head.reports = append(head.reports, cluster.Report{
-		Node:   int(p.Node),
-		Pos:    p.Pos,
-		Row:    p.Row,
-		Onset:  p.Onset,
-		Energy: p.Energy,
-	})
+	cur := &c.reports[i]
+	if r.cfg.Defense.Enabled {
+		// Atomic merge: a defended head keeps the (onset, energy) pair of
+		// the strongest report as a unit. The permissive earliest-onset
+		// rule below lets a low-energy fabrication near the genuine event
+		// drag an honest witness's onset to the attacker's chosen time;
+		// binding onset to the report that carries the energy removes that
+		// lever at the cost of a slightly later (strongest-window) onset
+		// estimate.
+		if p.Energy > cur.Energy {
+			cur.Energy = p.Energy
+			cur.Onset = p.Onset
+		}
+		return
+	}
+	sameEvent := math.Abs(p.Onset-cur.Onset) < eventGap
+	switch {
+	case p.Energy > cur.Energy && sameEvent:
+		cur.Energy = p.Energy
+		if p.Onset < cur.Onset {
+			cur.Onset = p.Onset
+		}
+	case p.Energy > cur.Energy:
+		cur.Energy = p.Energy
+		cur.Onset = p.Onset
+	case sameEvent && p.Onset < cur.Onset:
+		cur.Onset = p.Onset
+	}
 }
 
 // headDeadline runs SpaceTimeDataProcessing when the collection window
 // closes.
-func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
-	if !ns.isHead || ns.deadline != deadline {
+func (r *Runtime) headDeadline(ns *nodeState, c *tempCluster) {
+	if ns.led != c {
 		return
 	}
 	if !r.net.MustNode(ns.id).Alive() {
 		// The head died holding the role (no failover, or no member left
 		// to take over): the collection is lost, not evaluated.
-		ns.isHead = false
-		ns.inTempCluster = false
-		ns.headID = -1
-		ns.trace = ""
-		reports := ns.reports
-		ns.reports = nil
+		ns.led = nil
 		r.ctr.cancelled.Inc()
 		if r.col.Journaling() {
 			r.col.Emit(r.sched.Now(), obs.KindClusterCancel, obs.ClusterCancel{
-				Head: int(ns.id), Reports: len(reports), Reason: "head-dead",
+				Head: int(ns.id), Reports: len(c.reports), Reason: "head-dead",
 			})
 		}
 		r.evaluations = append(r.evaluations, Evaluation{
-			Head: ns.id, Time: r.sched.Now(), Reports: reports,
+			Head: ns.id, Time: r.sched.Now(), Reports: c.reports,
 			Err: fmt.Errorf("sid: head %d dead at collection deadline", ns.id),
 		})
 		return
 	}
 	// One-time extension when reports are still trickling in — typically
 	// because retransmissions or a failover delayed the tail.
-	if r.cfg.Failover.Enabled && !ns.extended &&
-		len(ns.reports) > 0 && deadline-ns.lastReportAt <= extendWindow {
-		ns.extended = true
-		next := deadline + extendWindow
-		ns.deadline = next
-		ns.membership = next
+	if r.cfg.Failover.Enabled && !c.extended &&
+		len(c.reports) > 0 && c.deadline-c.lastReportAt <= extendWindow {
+		c.extended = true
+		c.deadline += extendWindow
+		ns.membership = c.deadline
 		r.ctr.deadlineExt.Inc()
 		if r.col.Journaling() {
 			r.col.Emit(r.sched.Now(), obs.KindClusterExtend, obs.ClusterExtend{
-				Head: int(ns.id), Deadline: next,
+				Head: int(ns.id), Deadline: c.deadline,
 			})
 		}
-		_ = r.sched.Schedule(next, func() { r.headDeadline(ns, next) })
-		r.startHeartbeats(ns, next)
+		r.lead(ns, c)
 		return
 	}
-	ns.isHead = false
-	ns.inTempCluster = false
-	ns.headID = -1
-	reports := ns.reports
-	ns.reports = nil
-	// A confirmation carries the cluster key to the sink; every other
-	// outcome ends the cluster's trace here.
-	trace := ns.trace
-	ns.trace = ""
+	// The cluster ends here; only a confirmation carries its key on, to
+	// the sink.
+	ns.led = nil
+	reports := c.reports
 	if len(reports) < r.cfg.MinReports {
 		r.ctr.cancelled.Inc()
 		if r.col.Journaling() {
@@ -460,5 +466,5 @@ func (r *Runtime) headDeadline(ns *nodeState, deadline float64) {
 			r.gaugeTreeDepth()
 		}
 	}
-	r.countSend(ns.id, r.net.SendToRoot(tree, ns.id, KindSinkReport, sink, trace))
+	r.countSend(ns.id, r.net.SendToRoot(tree, ns.id, KindSinkReport, sink, c.key))
 }

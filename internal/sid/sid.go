@@ -247,33 +247,24 @@ type nodeState struct {
 	pos geo.Vec2
 	det *detect.Detector
 
-	inTempCluster bool
-	headID        wsn.NodeID
-	membership    float64 // true time the membership expires
+	// headID and membership are what the radio has told the node: its
+	// temporary cluster's head and the true time its membership expires.
+	// Both count only while now < membership, and a member learns of a
+	// replacement head only when the takeover reaches it.
+	headID     wsn.NodeID
+	membership float64
 
 	// sentinel marks nodes that stay awake under duty cycling; others
 	// sleep until an invite wakes them.
 	sentinel bool
 	awakeTil float64 // wake-on-invite expiry for non-sentinels
 
-	// head-only state
-	isHead   bool
-	reports  []cluster.Report
-	deadline float64
-	// lastReportAt is when the head last accepted a report; extended marks
-	// its one-time deadline extension as spent.
-	lastReportAt float64
-	extended     bool
-	// trace is the cluster key (obs.ClusterKey) of the trace this node
-	// holds as head, stamped on every frame bound for it; set only while
-	// instrumentation is on. It follows the cluster through failover.
-	trace string
+	// led is the temporary cluster this node heads, nil unless it heads one.
+	led *tempCluster
 
-	// failover state: lastBeat is the last proof of life from the head;
-	// electEpoch invalidates stale watchdog/candidacy closures (every
-	// newer observation bumps it); lastReport/hasReport retain the node's
-	// own report for re-sending to a replacement head.
-	lastBeat   float64
+	// failover state: electEpoch invalidates stale watchdog/candidacy
+	// closures (every newer observation bumps it); lastReport/hasReport
+	// retain the node's own report for re-sending to a replacement head.
 	electEpoch int
 	lastReport ReportPayload
 	hasReport  bool
