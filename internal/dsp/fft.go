@@ -3,8 +3,7 @@
 // the short-time Fourier transform used for Fig. 6, Welch power spectral
 // density estimation, the Morlet continuous wavelet transform used for
 // Fig. 7, windowed-sinc FIR filter design for the 1 Hz node-level low-pass
-// filter (Fig. 8), Goertzel single-bin detection, and spectral peak
-// analysis.
+// filter (Fig. 8), and spectral peak analysis.
 //
 // The paper's evaluation was done with MATLAB-style tooling; the repro band
 // flags "weak DSP tooling" in Go, so everything here is implemented from
@@ -226,15 +225,6 @@ func Convolve(a, b []float64) []float64 {
 		out[i] = real(ca[i]) * scale
 	}
 	return out
-}
-
-// Parseval checks are used by tests; TotalEnergy returns Σ|x[n]|².
-func TotalEnergy(x []float64) float64 {
-	var e float64
-	for _, v := range x {
-		e += v * v
-	}
-	return e
 }
 
 // Detrend subtracts the mean from x in place and returns the removed mean.

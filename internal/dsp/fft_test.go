@@ -128,11 +128,13 @@ func TestFFTParseval(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		spec := FFTReal(x)
-		var specEnergy float64
+		var specEnergy, timeEnergy float64
 		for _, c := range spec {
 			specEnergy += real(c)*real(c) + imag(c)*imag(c)
 		}
-		timeEnergy := TotalEnergy(x)
+		for _, v := range x {
+			timeEnergy += v * v
+		}
 		if !almostEq(specEnergy/float64(n), timeEnergy, 1e-6*timeEnergy+1e-9) {
 			t.Errorf("n=%d Parseval violated: %v vs %v", n, specEnergy/float64(n), timeEnergy)
 		}

@@ -53,22 +53,6 @@ func LowPassFIR(cutoff, sampleRate float64, taps int, window WindowType) (*FIR, 
 	return &FIR{Taps: h}, nil
 }
 
-// HighPassFIR designs a windowed-sinc high-pass filter by spectral inversion
-// of the corresponding low-pass design.
-func HighPassFIR(cutoff, sampleRate float64, taps int, window WindowType) (*FIR, error) {
-	lp, err := LowPassFIR(cutoff, sampleRate, taps, window)
-	if err != nil {
-		return nil, err
-	}
-	h := lp.Taps
-	mid := (len(h) - 1) / 2
-	for i := range h {
-		h[i] = -h[i]
-	}
-	h[mid] += 1
-	return &FIR{Taps: h}, nil
-}
-
 // GroupDelay returns the filter's group delay in samples ((taps−1)/2 for the
 // linear-phase designs produced by this package).
 func (f *FIR) GroupDelay() int { return (len(f.Taps) - 1) / 2 }
@@ -216,23 +200,4 @@ func Decimate(x []float64, sampleRate float64, factor int) ([]float64, error) {
 		out = append(out, filtered[i])
 	}
 	return out, nil
-}
-
-// Goertzel evaluates the power of a single DFT bin at the given target
-// frequency, a cheap narrowband detector suitable for energy-constrained
-// nodes (an alternative to a full FFT at node level).
-func Goertzel(x []float64, targetFreq, sampleRate float64) float64 {
-	if len(x) == 0 || sampleRate <= 0 {
-		return 0
-	}
-	k := math.Round(float64(len(x)) * targetFreq / sampleRate)
-	omega := 2 * math.Pi * k / float64(len(x))
-	coeff := 2 * math.Cos(omega)
-	var s0, s1, s2 float64
-	for _, v := range x {
-		s0 = v + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	return s1*s1 + s2*s2 - coeff*s1*s2
 }

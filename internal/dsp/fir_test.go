@@ -88,19 +88,6 @@ func TestLowPassFIRValidation(t *testing.T) {
 	}
 }
 
-func TestHighPassFIRResponse(t *testing.T) {
-	hp, err := HighPassFIR(5, 50, 201, Hamming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := toneResponse(hp, 0.5, 50); g > 0.02 {
-		t.Errorf("HP gain at 0.5 Hz = %v, want ~0", g)
-	}
-	if g := toneResponse(hp, 15, 50); math.Abs(g-1) > 0.05 {
-		t.Errorf("HP gain at 15 Hz = %v, want ~1", g)
-	}
-}
-
 func TestFIRApplyEmpty(t *testing.T) {
 	lp, _ := LowPassFIR(1, 50, 11, Hamming)
 	if out := lp.Apply(nil); out != nil {
@@ -192,32 +179,6 @@ func TestDecimateFactorOne(t *testing.T) {
 	}
 	if _, err := Decimate(x, 50, 0); err == nil {
 		t.Error("expected error for zero factor")
-	}
-}
-
-func TestGoertzelMatchesFFTBin(t *testing.T) {
-	const fs = 50.0
-	n := 500
-	x := make([]float64, n)
-	for i := range x {
-		ts := float64(i) / fs
-		x[i] = 2*math.Sin(2*math.Pi*5*ts) + 0.5*math.Sin(2*math.Pi*12*ts)
-	}
-	spec := PowerSpectrum(x)
-	k5 := FreqBin(5, n, fs)
-	g5 := Goertzel(x, 5, fs)
-	if !almostEq(g5, spec[k5], 1e-6*spec[k5]) {
-		t.Errorf("Goertzel(5Hz) = %v, FFT bin = %v", g5, spec[k5])
-	}
-	// Strong bin dominates weak bin.
-	if g12 := Goertzel(x, 12, fs); g5 < 10*g12 {
-		t.Errorf("expected 5 Hz power >> 12 Hz: %v vs %v", g5, g12)
-	}
-	if g := Goertzel(nil, 5, fs); g != 0 {
-		t.Errorf("Goertzel(nil) = %v", g)
-	}
-	if g := Goertzel(x, 5, 0); g != 0 {
-		t.Errorf("Goertzel with zero rate = %v", g)
 	}
 }
 

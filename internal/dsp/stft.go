@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // STFTConfig configures a short-time Fourier transform. The paper's Fig. 6
 // uses 2048-point windows at 50 Hz (40.96 s per frame).
@@ -202,43 +199,6 @@ func SmoothSpectrum(power []float64, halfWidth int) []float64 {
 		out[i] = s / float64(hi-lo+1)
 	}
 	return out
-}
-
-// SpectralCentroid returns the power-weighted mean frequency of a spectrum.
-func SpectralCentroid(power, freqs []float64) float64 {
-	var num, den float64
-	for k := range power {
-		num += power[k] * freqs[k]
-		den += power[k]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// SpectralFlatness returns the ratio of geometric to arithmetic mean of the
-// spectrum in (0, 1]; a pure tone approaches 0, white noise approaches 1.
-// The ship+ocean mixture's "wide crests without distinct peaks" shows up as
-// increased flatness relative to calm ocean spectra.
-func SpectralFlatness(power []float64) float64 {
-	if len(power) == 0 {
-		return 0
-	}
-	var logSum, sum float64
-	n := 0
-	for _, p := range power {
-		if p <= 0 {
-			continue
-		}
-		logSum += math.Log(p)
-		sum += p
-		n++
-	}
-	if n == 0 || sum == 0 {
-		return 0
-	}
-	return math.Exp(logSum/float64(n)) / (sum / float64(n))
 }
 
 func abs(x int) int {

@@ -162,35 +162,6 @@ func TestFindPeaksMinSeparation(t *testing.T) {
 	}
 }
 
-func TestSpectralCentroid(t *testing.T) {
-	power := []float64{0, 1, 0, 1, 0}
-	freqs := []float64{0, 1, 2, 3, 4}
-	if c := SpectralCentroid(power, freqs); !almostEq(c, 2, 1e-12) {
-		t.Errorf("centroid = %v, want 2", c)
-	}
-	if c := SpectralCentroid([]float64{0, 0}, []float64{1, 2}); c != 0 {
-		t.Errorf("zero-power centroid = %v", c)
-	}
-}
-
-func TestSpectralFlatness(t *testing.T) {
-	// Flat spectrum → 1; single spike → small.
-	flat := []float64{1, 1, 1, 1}
-	if f := SpectralFlatness(flat); !almostEq(f, 1, 1e-12) {
-		t.Errorf("flatness(flat) = %v", f)
-	}
-	spike := []float64{1e-9, 1e-9, 1000, 1e-9}
-	if f := SpectralFlatness(spike); f > 0.01 {
-		t.Errorf("flatness(spike) = %v, want near 0", f)
-	}
-	if f := SpectralFlatness(nil); f != 0 {
-		t.Errorf("flatness(nil) = %v", f)
-	}
-	if f := SpectralFlatness([]float64{0, 0}); f != 0 {
-		t.Errorf("flatness(zeros) = %v", f)
-	}
-}
-
 func TestSmoothSpectrum(t *testing.T) {
 	in := []float64{0, 0, 9, 0, 0}
 	out := SmoothSpectrum(in, 1)

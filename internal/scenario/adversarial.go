@@ -81,10 +81,7 @@ func AdversarialCorpus() []Spec {
 			// collection — undefended arm. The golden pins the damage.
 			Name: "adv-byzantine-undefended", Duration: 400, Seed: 914,
 			Adversary: byzPlan,
-			Ships: []ShipSpec{{
-				Name: "intruder", EnterAt: 85,
-				Waypoints: []WaypointSpec{{62.5, -250, 10}, {62.5, 350, 10}},
-			}},
+			Ships:     intruder10kn(),
 		},
 		{
 			// Identical attack and seed, defenses on: trimmed evaluation
@@ -92,10 +89,7 @@ func AdversarialCorpus() []Spec {
 			// fabricators.
 			Name: "adv-byzantine-defended", Duration: 400, Seed: 914,
 			Adversary: byzPlan, Defense: true,
-			Ships: []ShipSpec{{
-				Name: "intruder", EnterAt: 85,
-				Waypoints: []WaypointSpec{{62.5, -250, 10}, {62.5, 350, 10}},
-			}},
+			Ships: intruder10kn(),
 		},
 		{
 			// Post-pass replay campaign, defenses on: freshness gating must
@@ -103,10 +97,7 @@ func AdversarialCorpus() []Spec {
 			// replayers while the genuine crossing stays confirmed.
 			Name: "adv-replay-defended", Duration: 500, Seed: 917,
 			Adversary: replayPlan, Defense: true,
-			Ships: []ShipSpec{{
-				Name: "intruder", EnterAt: 85,
-				Waypoints: []WaypointSpec{{62.5, -250, 10}, {62.5, 350, 10}},
-			}},
+			Ships: intruder10kn(),
 		},
 		{
 			// Smoothly spoofed clocks on three nodes, defenses on: the
@@ -114,10 +105,7 @@ func AdversarialCorpus() []Spec {
 			// even when a poisoned timestamp lands in the four-node pick.
 			Name: "adv-clock-spoof-defended", Duration: 400, Seed: 916,
 			Adversary: spoofPlan, Defense: true,
-			Ships: []ShipSpec{{
-				Name: "intruder", EnterAt: 85,
-				Waypoints: []WaypointSpec{{62.5, -250, 10}, {62.5, 350, 10}},
-			}},
+			Ships: intruder10kn(),
 		},
 	}
 }

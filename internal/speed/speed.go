@@ -241,9 +241,3 @@ func strongestPair(dets []Detection, d float64) ([2]Detection, error) {
 	}
 	return [2]Detection{}, fmt.Errorf("no vertically adjacent detection pair among %d detections", len(dets))
 }
-
-// HeadingOf converts an Estimate's α (angle to the row/X axis) into a unit
-// direction vector for the estimated sailing line.
-func HeadingOf(e Estimate) geo.Vec2 {
-	return geo.Vec2{X: math.Cos(e.Alpha), Y: math.Sin(e.Alpha)}
-}

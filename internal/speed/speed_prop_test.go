@@ -63,11 +63,12 @@ func TestEstimateFromDetectionsRandomized(t *testing.T) {
 		if math.Abs(est.Speed-v)/v > 1e-6 {
 			t.Errorf("trial %d: speed = %v, want %v (alpha=%.1f)", trial, est.Speed, v, alphaDeg)
 		}
-		if dot := HeadingOf(est).Dot(u); dot <= 0 {
+		h := geo.Vec2{X: math.Cos(est.Alpha), Y: math.Sin(est.Alpha)}
+		if dot := h.Dot(u); dot <= 0 {
 			t.Errorf("trial %d: heading mirrored: est %.1f° vs true %.1f° (dot %.3f)",
 				trial, geo.ToDeg(est.Alpha), alphaDeg, dot)
 		}
-		if aerr := geo.AngleBetween(HeadingOf(est), u); aerr > 1e-6 {
+		if aerr := geo.AngleBetween(h, u); aerr > 1e-6 {
 			t.Errorf("trial %d: heading off by %v rad", trial, aerr)
 		}
 	}
@@ -99,7 +100,7 @@ func TestEstimateHeadingNeverMirroredUnderJitter(t *testing.T) {
 		if est.Speed <= 0 {
 			t.Errorf("trial %d: non-positive speed %v", trial, est.Speed)
 		}
-		if HeadingOf(est).Dot(u) <= 0 {
+		if h := (geo.Vec2{X: math.Cos(est.Alpha), Y: math.Sin(est.Alpha)}); h.Dot(u) <= 0 {
 			mirrored++
 			t.Errorf("trial %d: heading mirrored under jitter: est %.1f° vs true %.1f°",
 				trial, geo.ToDeg(est.Alpha), alphaDeg)

