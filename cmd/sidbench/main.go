@@ -13,12 +13,11 @@ import (
 	"strings"
 
 	"github.com/sid-wsn/sid/internal/eval"
-	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/scenario"
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiment to run: fig5,fig6,fig7,fig8,fig11,table1,table2,fig12,resilience,adversarial,scenarios,fleet,trace or all")
+	expFlag := flag.String("exp", "all", "experiment to run: fig5,fig6,fig7,fig8,fig11,table1,table2,fig12,resilience,adversarial,scenarios,trace or all")
 	trials := flag.Int("trials", 0, "override trial counts (0 = experiment defaults)")
 	seed := flag.Int64("seed", 1, "base seed")
 	baselineOut := flag.String("baseline", "", "instead of running anything, format this baseline file (BENCH_baseline.json) from the go test -bench and sidperf captures named as arguments")
@@ -26,7 +25,6 @@ func main() {
 	goldenDir := flag.String("golden", scenario.DefaultGoldenDir, "golden corpus directory (for -exp scenarios)")
 	journalDir := flag.String("journal", "", "with -exp scenarios: write one JSONL event journal per scenario into this directory (render with sidwatch)")
 	only := flag.String("only", "", "with -exp scenarios: run only the named scenario")
-	httpAddr := flag.String("http", "", "serve /debug/pprof and /debug/vars on this address while running (e.g. localhost:6060)")
 	serveAddr := flag.String("addr", "", "with -exp trace: the address of the running sidserve to drive (required, e.g. localhost:8080)")
 	flag.Parse()
 
@@ -36,16 +34,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	if *httpAddr != "" {
-		srv, err := obs.Serve(*httpAddr, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "http: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/debug/pprof and /debug/vars\n", srv.Addr())
 	}
 
 	want := map[string]bool{}
@@ -246,10 +234,6 @@ func main() {
 
 	run("scenarios", func() error {
 		return runScenarios(*goldenDir, *update, *journalDir, *only)
-	})
-
-	run("fleet", func() error {
-		return runFleetExp(*seed)
 	})
 
 	// The trace smoke is opt-in only, since it needs a running sidserve,

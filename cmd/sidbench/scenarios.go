@@ -72,7 +72,6 @@ func runCorpus(specs []scenario.Spec, goldenDir string, update bool, journalDir,
 			j.SetSink(sink)
 			col = obs.New()
 			col.SetJournal(j)
-			obs.PublishRegistry(col.Registry()) // live /debug/vars follows the current run
 		}
 		res, err := scenario.RunWithCollector(spec, col)
 		if err != nil {

@@ -38,10 +38,10 @@ func TestPlanValidate(t *testing.T) {
 		{"byz period", Plan{Byzantine: []ByzantineNode{{Node: 1, Period: -2, EnergyBase: 1}}}, "Byzantine[0].Period"},
 		{"byz count", Plan{Byzantine: []ByzantineNode{{Node: 1, Count: -1, EnergyBase: 1}}}, "Byzantine[0].Count"},
 		{"byz energy", Plan{Byzantine: []ByzantineNode{{Node: 1, Behavior: Fabricate}}}, "Byzantine[0].EnergyBase"},
-		{"byz jitter", Plan{Byzantine: []ByzantineNode{{Node: 1, EnergyBase: 1, OnsetJitter: -1}}}, "Byzantine[0].OnsetJitter"},
 		{"spoof node", Plan{ClockSpoofs: []ClockSpoof{{Node: 9, SkewPPM: 100}}}, "ClockSpoofs[0].Node"},
 		{"spoof at", Plan{ClockSpoofs: []ClockSpoof{{Node: 1, At: -1, SkewPPM: 100}}}, "ClockSpoofs[0].At"},
 		{"spoof zero", Plan{ClockSpoofs: []ClockSpoof{{Node: 1, At: 1}}}, "ClockSpoofs[0].SkewPPM"},
+		{"more spoofs than nodes", Plan{ClockSpoofs: make([]ClockSpoof, n+1)}, "ClockSpoofs has 7 entries, more than the 6 nodes"},
 		{"second entry", Plan{Byzantine: []ByzantineNode{
 			{Node: 1, EnergyBase: 1}, {Node: 99, EnergyBase: 1},
 		}}, "Byzantine[1].Node"},

@@ -88,29 +88,48 @@ func (m ThresholdMode) String() string {
 	}
 }
 
+// The paper's fixed operating point (§IV-B): the sampling, filtering,
+// gravity level and statistics windows every node's detector runs at.
+const (
+	// SampleRate of the z series in Hz.
+	SampleRate = 50.0
+	// GravityCounts is the 1 g level subtracted from the filtered signal
+	// (1024 counts for the LIS3L02DQ at ±2 g/12-bit).
+	GravityCounts = 1024.0
+	// cutoffHz is the low-pass cutoff: ship wake and swell live below
+	// 1 Hz, chop and sensor noise above it (Fig. 8).
+	cutoffHz = 1.0
+	// FilterTaps sizes the FIR low-pass filter.
+	FilterTaps = 101
+	// beta is both moving-statistics forgetting factors, β₁ = β₂ (eq. 5).
+	beta = 0.99
+	// statWindow is u, the batch-statistics window length in samples (the
+	// paper samples "for a period of time"; 100 samples = 2 s).
+	statWindow = 100
+	// warmupWindows is the number of initial batch windows consumed for
+	// initialization before any report can be produced (the paper's
+	// Initialization procedure plus filter settling).
+	warmupWindows = 5
+	// escapeWindows guards against threshold lock-up: because only normal
+	// samples update the moving statistics (the paper's rule), a sudden,
+	// sustained rise in sea state would leave the threshold stuck below
+	// the new ambient level forever. After this many consecutive batch
+	// windows whose majority of samples cross the threshold — far longer
+	// than any wake train — the statistics re-initialize from the full
+	// (ungated) window. This mechanism is an addition over the paper,
+	// documented in DESIGN.md.
+	escapeWindows = 15
+)
+
 // Config parametrizes a node-level detector. The zero value is not valid;
 // use DefaultConfig as a starting point.
 type Config struct {
-	// SampleRate of the z series in Hz (50 in the paper).
-	SampleRate float64
-	// CutoffHz is the low-pass cutoff (1 Hz in the paper).
-	CutoffHz float64
-	// FilterTaps sizes the FIR low-pass filter.
-	FilterTaps int
-	// GravityCounts is the 1 g level subtracted from the filtered signal
-	// (1024 counts for the LIS3L02DQ at ±2 g/12-bit).
-	GravityCounts float64
-	// Beta1, Beta2 are the moving-statistics forgetting factors (0.99).
-	Beta1, Beta2 float64
 	// M is the threshold multiplier (1–3 in the evaluation).
 	M float64
 	// Mode selects the eq. (6) reading.
 	Mode ThresholdMode
 	// Gate selects the statistics-update gating (see UpdateGate).
 	Gate UpdateGate
-	// StatWindow is u, the batch-statistics window length in samples
-	// (the paper samples "for a period of time"; 100 samples = 2 s).
-	StatWindow int
 	// AnomalyWindow is NΔt, the anomaly-frequency evaluation window in
 	// samples (Δt ≈ 2 s → 100 samples).
 	AnomalyWindow int
@@ -121,76 +140,36 @@ type Config struct {
 	AnomalyHop int
 	// AnomalyThreshold is the af fraction required to report (0–1].
 	AnomalyThreshold float64
-	// WarmupWindows is the number of initial batch windows consumed for
-	// initialization before any report can be produced (the paper's
-	// Initialization procedure plus filter settling).
-	WarmupWindows int
 	// FreezeAfterWarmup disables adaptive updates after initialization,
 	// turning the detector into the fixed-threshold baseline used by the
 	// adaptivity ablation.
 	FreezeAfterWarmup bool
-	// EscapeWindows guards against threshold lock-up: because only normal
-	// samples update the moving statistics (the paper's rule), a sudden,
-	// sustained rise in sea state would leave the threshold stuck below
-	// the new ambient level forever. After this many consecutive
-	// batch windows whose majority of samples cross the threshold —
-	// far longer than any wake train — the statistics re-initialize from
-	// the full (ungated) window. 0 disables the escape. This mechanism is
-	// an addition over the paper, documented in DESIGN.md.
-	EscapeWindows int
 }
 
-// DefaultConfig returns the paper's operating point: 50 Hz, 1 Hz cutoff,
-// β = 0.99, M = 2, Δt = 2 s, af threshold 60%.
+// DefaultConfig returns the paper's operating point: M = 2, Δt = 2 s, af
+// threshold 60%.
 func DefaultConfig() Config {
 	return Config{
-		SampleRate:       50,
-		CutoffHz:         1,
-		FilterTaps:       101,
-		GravityCounts:    1024,
-		Beta1:            0.99,
-		Beta2:            0.99,
 		M:                2,
 		Mode:             ThresholdModePaper,
-		StatWindow:       100,
 		AnomalyWindow:    100,
 		AnomalyThreshold: 0.6,
-		WarmupWindows:    5,
-		EscapeWindows:    15,
 	}
 }
 
 // Validate checks the configuration; New rejects what it rejects.
 func (c Config) Validate() error {
-	if c.SampleRate <= 0 {
-		return fmt.Errorf("detect: SampleRate must be positive, got %g", c.SampleRate)
-	}
-	if c.CutoffHz <= 0 || c.CutoffHz >= c.SampleRate/2 {
-		return fmt.Errorf("detect: CutoffHz %g outside (0, %g)", c.CutoffHz, c.SampleRate/2)
-	}
-	if c.FilterTaps <= 0 {
-		return fmt.Errorf("detect: FilterTaps must be positive, got %d", c.FilterTaps)
-	}
-	if c.Beta1 <= 0 || c.Beta1 >= 1 || c.Beta2 <= 0 || c.Beta2 >= 1 {
-		return fmt.Errorf("detect: betas must be in (0,1), got %g, %g", c.Beta1, c.Beta2)
-	}
 	if c.M <= 0 {
 		return fmt.Errorf("detect: M must be positive, got %g", c.M)
 	}
-	if c.StatWindow <= 0 || c.AnomalyWindow <= 0 {
-		return fmt.Errorf("detect: windows must be positive, got %d, %d", c.StatWindow, c.AnomalyWindow)
+	if c.AnomalyWindow <= 0 {
+		return fmt.Errorf("detect: AnomalyWindow must be positive, got %d", c.AnomalyWindow)
 	}
 	if c.AnomalyHop < 0 || c.AnomalyHop > c.AnomalyWindow {
 		return fmt.Errorf("detect: AnomalyHop must be in [0, AnomalyWindow], got %d", c.AnomalyHop)
 	}
 	if c.AnomalyThreshold <= 0 || c.AnomalyThreshold > 1 {
 		return fmt.Errorf("detect: AnomalyThreshold must be in (0,1], got %g", c.AnomalyThreshold)
-	}
-	if c.WarmupWindows < 1 {
-		return fmt.Errorf("detect: WarmupWindows must be ≥ 1, got %d", c.WarmupWindows)
-	}
-	if c.EscapeWindows < 0 {
-		return fmt.Errorf("detect: EscapeWindows must be non-negative, got %d", c.EscapeWindows)
 	}
 	return nil
 }
@@ -269,11 +248,11 @@ func New(cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fir, err := dsp.LowPassFIR(cfg.CutoffHz, cfg.SampleRate, cfg.FilterTaps, dsp.Hamming)
+	fir, err := dsp.LowPassFIR(cutoffHz, SampleRate, FilterTaps, dsp.Hamming)
 	if err != nil {
 		return nil, err
 	}
-	moving, err := stats.NewMoving(cfg.Beta1, cfg.Beta2)
+	moving, err := stats.NewMoving(beta, beta)
 	if err != nil {
 		return nil, err
 	}
@@ -288,21 +267,18 @@ func New(cfg Config) (*Detector, error) {
 	return &Detector{
 		cfg:           cfg,
 		stream:        fir.Stream(),
-		delay:         float64(fir.GroupDelay()) / cfg.SampleRate,
+		delay:         float64(fir.GroupDelay()) / SampleRate,
 		moving:        moving,
-		batch:         make([]float64, 0, cfg.StatWindow),
+		batch:         make([]float64, 0, statWindow),
 		ring:          make([]sampleRec, cfg.AnomalyWindow),
 		hop:           hop,
 		settleSamples: settle,
-		warmupSamples: cfg.WarmupWindows*cfg.StatWindow + settle,
+		warmupSamples: warmupWindows*statWindow + settle,
 	}, nil
 }
 
-// Config returns the detector's configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // MemBytes returns the detector's resident state in bytes: the FIR taps and
-// delay line, the batch-statistics buffers (bounded by StatWindow), and the
+// delay line, the batch-statistics buffers (bounded by statWindow), and the
 // sliding anomaly-window ring (AnomalyWindow records). Every buffer is a
 // fixed-size ring or a capacity-bounded accumulator sized from the
 // configuration, so once warm this is a constant — the per-node memory
@@ -392,7 +368,7 @@ func (d *Detector) step(t, filtered float64) (ws WindowStat, ok bool) {
 	ft := t - d.delay
 
 	// Preprocess: remove gravity, fold.
-	folded := math.Abs(filtered - d.cfg.GravityCounts)
+	folded := math.Abs(filtered - GravityCounts)
 
 	warm := d.samplesSeen > d.warmupSamples
 
@@ -408,7 +384,7 @@ func (d *Detector) step(t, filtered float64) (ws WindowStat, ok bool) {
 	// unless a disturbance dominates them.
 	if d.cfg.Gate == GateSample && (!crossing || !d.moving.Initialized()) {
 		d.batch = append(d.batch, folded)
-		if len(d.batch) >= d.cfg.StatWindow {
+		if len(d.batch) >= statWindow {
 			if !d.cfg.FreezeAfterWarmup || !warm {
 				m, sd := stats.MeanStd(d.batch)
 				d.moving.Update(m, sd)
@@ -418,13 +394,13 @@ func (d *Detector) step(t, filtered float64) (ws WindowStat, ok bool) {
 	}
 
 	// Full-window bookkeeping: drives GateWindow updates and the escape
-	// mechanism (see Config.EscapeWindows) that re-initializes stuck
+	// mechanism (see escapeWindows) that re-initializes stuck
 	// statistics after a sustained environment shift.
 	d.batchAll = append(d.batchAll, folded)
 	if crossing {
 		d.batchCross++
 	}
-	if len(d.batchAll) >= d.cfg.StatWindow {
+	if len(d.batchAll) >= statWindow {
 		anomalous := float64(d.batchCross) > 0.5*float64(len(d.batchAll))
 		if anomalous {
 			d.consecAnom++
@@ -436,8 +412,7 @@ func (d *Detector) step(t, filtered float64) (ws WindowStat, ok bool) {
 			m, sd := stats.MeanStd(d.batchAll)
 			d.moving.Update(m, sd)
 		}
-		if d.cfg.EscapeWindows > 0 && !d.cfg.FreezeAfterWarmup &&
-			d.consecAnom >= d.cfg.EscapeWindows {
+		if !d.cfg.FreezeAfterWarmup && d.consecAnom >= escapeWindows {
 			m, sd := stats.MeanStd(d.batchAll)
 			d.moving.Reinit(m, sd)
 			d.consecAnom = 0
@@ -516,23 +491,11 @@ func (d *Detector) ProcessSeries(t0 float64, z []float64) []WindowStat {
 	for off := 0; off < len(z); off += blockChunk {
 		blk := z[off:min(off+blockChunk, len(z))]
 		for i := range blk {
-			ts[i] = t0 + float64(off+i)/d.cfg.SampleRate
+			ts[i] = t0 + float64(off+i)/SampleRate
 		}
 		wins = d.PushBlock(ts[:len(blk)], blk, wins[:0])
 		for _, w := range wins {
 			out = append(out, w.Stat)
-		}
-	}
-	return out
-}
-
-// ReportsIn filters the windows that pass the detector's af threshold and
-// converts them to reports.
-func (d *Detector) ReportsIn(windows []WindowStat) []Report {
-	var out []Report
-	for _, ws := range windows {
-		if d.Detected(ws) {
-			out = append(out, d.ReportOf(ws))
 		}
 	}
 	return out

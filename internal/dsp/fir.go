@@ -170,14 +170,6 @@ func (s *Stream) MemBytes() int {
 	return (cap(s.taps)+cap(s.buf))*8 + 8
 }
 
-// Reset clears the stream state.
-func (s *Stream) Reset() {
-	for i := range s.buf {
-		s.buf[i] = 0
-	}
-	s.pos = 0
-}
-
 // Decimate low-pass filters x (anti-aliasing at 0.8×Nyquist of the output
 // rate) and keeps every factor-th sample.
 func Decimate(x []float64, sampleRate float64, factor int) ([]float64, error) {

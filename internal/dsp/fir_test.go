@@ -121,20 +121,6 @@ func TestStreamMatchesApply(t *testing.T) {
 	}
 }
 
-func TestStreamReset(t *testing.T) {
-	lp, _ := LowPassFIR(2, 50, 15, Hamming)
-	st := lp.Stream()
-	st.Push(100)
-	st.Push(-50)
-	st.Reset()
-	// After reset, pushing zeros yields zeros.
-	for i := 0; i < 20; i++ {
-		if out := st.Push(0); out != 0 {
-			t.Fatalf("post-reset output %v != 0", out)
-		}
-	}
-}
-
 func TestDecimate(t *testing.T) {
 	const fs = 50.0
 	n := int(fs * 100)

@@ -97,17 +97,6 @@ func (s *Spectrogram) BandEnergy(f Frame, lo, hi float64) float64 {
 	return e
 }
 
-// TotalPower sums all frames' total spectral power.
-func (s *Spectrogram) TotalPower() float64 {
-	var e float64
-	for _, f := range s.Frames {
-		for _, p := range f.Power {
-			e += p
-		}
-	}
-	return e
-}
-
 // Peak describes a local maximum of a power spectrum.
 type Peak struct {
 	Bin   int

@@ -35,11 +35,6 @@ func (m *MorletCWT) ScaleForFreq(f float64) float64 {
 	return m.Omega0 * m.SampleRate / (2 * math.Pi * f)
 }
 
-// FreqForScale inverts ScaleForFreq.
-func (m *MorletCWT) FreqForScale(s float64) float64 {
-	return m.Omega0 * m.SampleRate / (2 * math.Pi * s)
-}
-
 // Scalogram holds |W(s, t)|² over a grid of frequencies (rows) and times
 // (all samples, columns). It is the 3-D plot of Fig. 7 in matrix form.
 type Scalogram struct {

@@ -63,19 +63,6 @@ func Window(t WindowType, n int) ([]float64, error) {
 	return w, nil
 }
 
-// CoherentGain returns the mean of the window coefficients, used to
-// normalize amplitude spectra taken through a window.
-func CoherentGain(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range w {
-		s += v
-	}
-	return s / float64(len(w))
-}
-
 // PowerGain returns the mean of the squared window coefficients, used to
 // normalize power spectral density estimates (Welch's U factor).
 func PowerGain(w []float64) float64 {

@@ -83,21 +83,12 @@ func TestWindowTypeString(t *testing.T) {
 
 func TestGains(t *testing.T) {
 	rect, _ := Window(Rectangular, 16)
-	if g := CoherentGain(rect); !almostEq(g, 1, 1e-12) {
-		t.Errorf("rect coherent gain = %v", g)
-	}
 	if g := PowerGain(rect); !almostEq(g, 1, 1e-12) {
 		t.Errorf("rect power gain = %v", g)
 	}
 	hann, _ := Window(Hann, 1001)
-	if g := CoherentGain(hann); math.Abs(g-0.5) > 0.01 {
-		t.Errorf("hann coherent gain = %v, want ~0.5", g)
-	}
 	if g := PowerGain(hann); math.Abs(g-0.375) > 0.01 {
 		t.Errorf("hann power gain = %v, want ~0.375", g)
-	}
-	if g := CoherentGain(nil); g != 0 {
-		t.Errorf("CoherentGain(nil) = %v", g)
 	}
 	if g := PowerGain(nil); g != 0 {
 		t.Errorf("PowerGain(nil) = %v", g)

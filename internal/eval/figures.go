@@ -327,7 +327,7 @@ func Fig8(sc Scenario) (*Fig8Result, error) {
 	}
 	z := sensor.ZSeries(samples)
 	dsp.Detrend(z)
-	lp, err := dsp.LowPassFIR(1.0, 50, detect.DefaultConfig().FilterTaps, dsp.Hamming)
+	lp, err := dsp.LowPassFIR(1.0, 50, detect.FilterTaps, dsp.Hamming)
 	if err != nil {
 		return nil, err
 	}

@@ -61,15 +61,6 @@ type BurstLoss struct {
 	LossGood, LossBad float64
 }
 
-// MeanLoss returns the long-run average frame-loss probability.
-func (b BurstLoss) MeanLoss() float64 {
-	total := b.MeanGoodS + b.MeanBadS
-	if total <= 0 {
-		return 0
-	}
-	return (b.MeanGoodS*b.LossGood + b.MeanBadS*b.LossBad) / total
-}
-
 func (b BurstLoss) validate() error {
 	if b.MeanGoodS <= 0 {
 		return fmt.Errorf("fault: Burst.MeanGoodS = %g, must be positive", b.MeanGoodS)
@@ -107,6 +98,16 @@ func (p Plan) Empty() bool {
 // "Crashes[2].Node") so a rejected hand-written plan is correctable
 // without a debugger.
 func (p Plan) Validate(n int) error {
+	// Each list is bounded by the deployment it describes, so a plan is
+	// never larger than its network.
+	for _, l := range []struct {
+		name string
+		len  int
+	}{{"Crashes", len(p.Crashes)}, {"Depletions", len(p.Depletions)}, {"ClockSteps", len(p.ClockSteps)}} {
+		if l.len > n {
+			return fmt.Errorf("fault: %s has %d entries, more than the %d nodes", l.name, l.len, n)
+		}
+	}
 	entry := func(list string, i, node int, at float64) error {
 		if node < 0 || node >= n {
 			return fmt.Errorf("fault: %s[%d].Node = %d, outside [0,%d)", list, i, node, n)

@@ -41,6 +41,11 @@ func TestPlanValidation(t *testing.T) {
 		{"depletion negative time", Plan{Depletions: []Depletion{{Node: 2, At: 1}, {Node: 3, At: -0.5}}}, "Depletions[1].At = -0.5"},
 		{"clock step node out of range", Plan{ClockSteps: []ClockStep{{Node: 6, At: 1}}}, "ClockSteps[0].Node = 6"},
 		{"clock step negative time", Plan{ClockSteps: []ClockStep{{Node: 1, At: -2}}}, "ClockSteps[0].At = -2"},
+		// Six nodes: a seventh entry in any list is refused before the
+		// entries themselves are read.
+		{"more crashes than nodes", Plan{Crashes: make([]Crash, 7)}, "Crashes has 7 entries, more than the 6 nodes"},
+		{"more depletions than nodes", Plan{Depletions: make([]Depletion, 7)}, "Depletions has 7 entries"},
+		{"more clock steps than nodes", Plan{ClockSteps: make([]ClockStep, 7)}, "ClockSteps has 7 entries"},
 		{"burst zero good sojourn", Plan{Burst: &BurstLoss{MeanGoodS: 0, MeanBadS: 1}}, "Burst.MeanGoodS = 0"},
 		{"burst zero bad sojourn", Plan{Burst: &BurstLoss{MeanGoodS: 1, MeanBadS: 0}}, "Burst.MeanBadS = 0"},
 		{"burst good loss at one", Plan{Burst: &BurstLoss{MeanGoodS: 1, MeanBadS: 1, LossGood: 1.0}}, "Burst.LossGood = 1"},
@@ -100,7 +105,7 @@ func TestCrashAndRevive(t *testing.T) {
 
 func TestDepletionKillsBatteryNode(t *testing.T) {
 	net, sched := testNet(t, 3)
-	b, err := wsn.NewBattery(10, wsn.DefaultEnergyConfig())
+	b, err := wsn.NewBattery(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +147,8 @@ func TestClockStepShiftsLocalTime(t *testing.T) {
 
 func TestGilbertElliottStatistics(t *testing.T) {
 	// Sample the channel on a regular grid and check the empirical loss
-	// rate tracks MeanLoss, and that losses are burstier than Bernoulli:
+	// rate tracks the long-run mean, the dwell-weighted average of the two
+	// states' loss rates, and that losses are burstier than Bernoulli:
 	// P(loss | previous loss) must exceed the marginal rate.
 	cfg := BurstLoss{MeanGoodS: 1.0, MeanBadS: 0.25, LossGood: 0.02, LossBad: 0.9}
 	sched := sim.NewScheduler(7)
@@ -165,7 +171,7 @@ func TestGilbertElliottStatistics(t *testing.T) {
 		prev = lost
 	}
 	rate := float64(losses) / samples
-	want := cfg.MeanLoss()
+	want := (cfg.MeanGoodS*cfg.LossGood + cfg.MeanBadS*cfg.LossBad) / (cfg.MeanGoodS + cfg.MeanBadS)
 	if math.Abs(rate-want) > 0.02 {
 		t.Errorf("empirical loss rate %.4f, analytic mean %.4f", rate, want)
 	}

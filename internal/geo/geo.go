@@ -48,12 +48,6 @@ func (v Vec2) Unit() Vec2 {
 	return v.Scale(1 / n)
 }
 
-// Rotate returns v rotated counter-clockwise by angle radians.
-func (v Vec2) Rotate(angle float64) Vec2 {
-	s, c := math.Sincos(angle)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
 // Angle returns the direction of v in radians in (-π, π].
 func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
@@ -99,9 +93,6 @@ func (l Line) Project(p Vec2) float64 {
 
 // At returns the point Origin + t·Dir.
 func (l Line) At(t float64) Vec2 { return l.Origin.Add(l.Dir.Scale(t)) }
-
-// Angle returns the direction of the line in radians in (-π, π].
-func (l Line) Angle() float64 { return l.Dir.Angle() }
 
 // Deg converts degrees to radians.
 func Deg(d float64) float64 { return d * math.Pi / 180 }

@@ -43,41 +43,6 @@ func TestVec2Unit(t *testing.T) {
 	}
 }
 
-func TestVec2Rotate(t *testing.T) {
-	v := Vec2{1, 0}
-	r := v.Rotate(math.Pi / 2)
-	if !almostEq(r.X, 0, eps) || !almostEq(r.Y, 1, eps) {
-		t.Errorf("Rotate 90° = %v, want (0,1)", r)
-	}
-	// Rotation preserves length (property check over a few samples).
-	for _, a := range []float64{0.1, 1.3, -2.2, math.Pi} {
-		w := Vec2{2.5, -7.1}.Rotate(a)
-		if !almostEq(w.Norm(), Vec2{2.5, -7.1}.Norm(), 1e-9) {
-			t.Errorf("rotation by %v changed norm", a)
-		}
-	}
-}
-
-func TestVec2RotateProperty(t *testing.T) {
-	f := func(x, y, angle float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) ||
-			math.IsNaN(angle) || math.IsInf(angle, 0) {
-			return true
-		}
-		// Constrain to a numerically sane domain.
-		x = math.Mod(x, 1e6)
-		y = math.Mod(y, 1e6)
-		angle = math.Mod(angle, 2*math.Pi)
-		v := Vec2{x, y}
-		r := v.Rotate(angle).Rotate(-angle)
-		tol := 1e-9 * (1 + v.Norm())
-		return almostEq(r.X, v.X, tol) && almostEq(r.Y, v.Y, tol)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLineDistProject(t *testing.T) {
 	l := NewLine(Vec2{0, 0}, Vec2{1, 0})
 	if d := l.Dist(Vec2{5, 3}); !almostEq(d, 3, eps) {
@@ -192,9 +157,6 @@ func TestGridSpec(t *testing.T) {
 	if p := g.Pos(2, 3); p != (Vec2{75, 50}) {
 		t.Errorf("Pos(2,3) = %v, want (75,50)", p)
 	}
-	if i := g.Index(2, 3); i != 13 {
-		t.Errorf("Index(2,3) = %d, want 13", i)
-	}
 	r, c := g.RowCol(13)
 	if r != 2 || c != 3 {
 		t.Errorf("RowCol(13) = (%d,%d), want (2,3)", r, c)
@@ -232,7 +194,7 @@ func TestGridIndexRoundTripProperty(t *testing.T) {
 	f := func(idx uint16) bool {
 		i := int(idx) % g.NumNodes()
 		r, c := g.RowCol(i)
-		return g.Index(r, c) == i && r >= 0 && r < g.Rows && c >= 0 && c < g.Cols
+		return r*g.Cols+c == i && r >= 0 && r < g.Rows && c >= 0 && c < g.Cols
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -242,7 +204,7 @@ func TestGridIndexRoundTripProperty(t *testing.T) {
 func TestFitLineExact(t *testing.T) {
 	// Points exactly on y = 2x + 1.
 	pts := []Vec2{{0, 1}, {1, 3}, {2, 5}, {3, 7}}
-	l, err := FitLine(pts)
+	l, err := WeightedFitLine(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +217,7 @@ func TestFitLineExact(t *testing.T) {
 
 func TestFitLineVertical(t *testing.T) {
 	pts := []Vec2{{5, 0}, {5, 1}, {5, 2}}
-	l, err := FitLine(pts)
+	l, err := WeightedFitLine(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +229,10 @@ func TestFitLineVertical(t *testing.T) {
 }
 
 func TestFitLineDegenerate(t *testing.T) {
-	if _, err := FitLine(nil); err == nil {
+	if _, err := WeightedFitLine(nil, nil); err == nil {
 		t.Error("expected error for empty input")
 	}
-	l, err := FitLine([]Vec2{{3, 4}})
+	l, err := WeightedFitLine([]Vec2{{3, 4}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +248,7 @@ func TestFitLineNoisy(t *testing.T) {
 	pts := []Vec2{
 		{0, 10.1}, {2, 8.95}, {4, 8.1}, {6, 6.9}, {8, 6.05}, {10, 4.9},
 	}
-	l, err := FitLine(pts)
+	l, err := WeightedFitLine(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,10 +46,8 @@ func (g GridSpec) Pos(row, col int) Vec2 {
 	}
 }
 
-// Index returns the linear node index for (row, col), numbering row-major.
-func (g GridSpec) Index(row, col int) int { return row*g.Cols + col }
-
-// RowCol inverts Index.
+// RowCol returns the (row, col) of linear node index i, numbering
+// row-major.
 func (g GridSpec) RowCol(idx int) (row, col int) {
 	return idx / g.Cols, idx % g.Cols
 }
@@ -94,20 +92,14 @@ func (g GridSpec) Bounds() (min, max Vec2) {
 	return min, max
 }
 
-// FitLine fits a least-squares directed line through the given points using
-// principal-component orientation. At least one point is required; a single
-// point yields a line along +X.
-func FitLine(pts []Vec2) (Line, error) {
-	return WeightedFitLine(pts, nil)
-}
-
-// WeightedFitLine fits a total-least-squares line with per-point weights
-// (nil weights = uniform). Cluster heads use it to estimate a ship's travel
+// WeightedFitLine fits a total-least-squares directed line with per-point
+// weights (nil weights = uniform) using principal-component orientation; a
+// single point yields a line along +X. Cluster heads use it to estimate a ship's travel
 // line from report positions weighted by wake energy. Weights must be
 // non-negative with a positive sum.
 func WeightedFitLine(pts []Vec2, weights []float64) (Line, error) {
 	if len(pts) == 0 {
-		return Line{}, fmt.Errorf("geo: FitLine needs at least one point")
+		return Line{}, fmt.Errorf("geo: WeightedFitLine needs at least one point")
 	}
 	if weights != nil && len(weights) != len(pts) {
 		return Line{}, fmt.Errorf("geo: %d weights for %d points", len(weights), len(pts))

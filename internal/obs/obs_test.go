@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 )
@@ -206,37 +204,5 @@ func TestCollectorNilSafety(t *testing.T) {
 	c.Emit(1, "k", nil) // must not panic
 	if c.Registry() != nil || c.Journal() != nil {
 		t.Error("nil collector returned non-nil parts")
-	}
-}
-
-func TestServeEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("serve.test").Add(7)
-	srv, err := Serve("localhost:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, "serve.test") {
-		t.Errorf("/debug/vars missing registry snapshot: %s", vars)
-	}
-	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
-		t.Error("/debug/pprof/ index missing profiles")
 	}
 }

@@ -120,9 +120,6 @@ func NewTracer(label string) *Tracer {
 	}
 }
 
-// Label returns the tracer's TraceID namespace.
-func (t *Tracer) Label() string { return t.label }
-
 func fmtF(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // Genesis records a wake-genesis mark: ship entered the simulation with

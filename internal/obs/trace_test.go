@@ -280,7 +280,7 @@ func TestTracerFold(t *testing.T) {
 				t.Error("bare collector reports a consumer")
 			}
 			col.SetTracer(tr)
-			if !col.Journaling() || col.Tracer().Label() != "z" {
+			if !col.Journaling() || col.Tracer() != tr {
 				t.Error("an attached tracer must turn the emission guard on")
 			}
 			tr.ServeSpan("", Span{Kind: SpanServeIngest}) // untraced detection: no-op

@@ -134,15 +134,11 @@ func TestDispersionHelpers(t *testing.T) {
 	if !almostEq(w*w, Gravity*k, 1e-9) {
 		t.Errorf("dispersion violated: ω²=%v, gk=%v", w*w, Gravity*k)
 	}
-	c := PhaseSpeedFor(f)
-	if !almostEq(c, w/k, 1e-9) {
-		t.Errorf("phase speed = %v, want ω/k = %v", c, w/k)
+	if got := FreqForPhaseSpeed(w / k); !almostEq(got, f, 1e-12) {
+		t.Errorf("FreqForPhaseSpeed of the phase speed ω/k = %v, want %v", got, f)
 	}
-	if got := FreqForPhaseSpeed(c); !almostEq(got, f, 1e-12) {
-		t.Errorf("FreqForPhaseSpeed round trip = %v", got)
-	}
-	if PhaseSpeedFor(0) != 0 || FreqForPhaseSpeed(0) != 0 {
-		t.Error("zero-input helpers should return 0")
+	if FreqForPhaseSpeed(0) != 0 {
+		t.Error("zero phase speed should map to frequency 0")
 	}
 }
 

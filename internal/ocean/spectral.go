@@ -23,6 +23,15 @@ import (
 // budget and the equivalence contract against the phasor path are documented
 // in docs/SYNTHESIS.md.
 
+// Synthesis error tolerances the derived kernel width must respect: the
+// maximum per-sample deviation from the exact component sum, in m/s² and
+// dimensionless slope. Each is half an LSB of the paper's 12-bit ±2 g
+// accelerometer, the tolerance of the phasor-equivalence contract.
+const (
+	tolAccel = Gravity / 2048
+	tolSlope = 1.0 / 2048
+)
+
 // SpectralConfig parametrizes spectral-domain synthesis of a wave field.
 // The zero value of every field except Rate selects a documented default.
 type SpectralConfig struct {
@@ -33,18 +42,6 @@ type SpectralConfig struct {
 	// (20.48 s of signal at 50 Hz): 24 KiB of segment state per stream,
 	// plus 48 KiB of FFT scratch per concurrent synthesizer.
 	Window int
-	// Kernel is the half-width K of the per-component frequency-domain
-	// interpolation kernel in bins (each component touches 2K+1 bins).
-	// 0 derives K from the field's amplitude content and the tolerances
-	// below so the truncation error stays under a quarter of the tolerance
-	// (see docs/SYNTHESIS.md); the derived value is clamped to [6, 24].
-	Kernel int
-	// TolAccel and TolSlope are the synthesis error tolerances the derived
-	// kernel width must respect: the maximum per-sample deviation from the
-	// exact component sum, in m/s² and dimensionless slope. Zero selects
-	// half an LSB of the paper's 12-bit ±2 g accelerometer (g/2048 m/s²
-	// and 1/2048), the tolerance of the phasor-equivalence contract.
-	TolAccel, TolSlope float64
 	// CullAccel and CullSlope are total amplitude budgets for dropping the
 	// field's weakest components: components are discarded, weakest first,
 	// while the summed acceleration amplitude (a·ω², m/s²) of everything
@@ -115,9 +112,6 @@ func NewSpectralPlan(f *Field, cfg SpectralConfig) (*SpectralPlan, error) {
 	if n < 8 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("ocean: spectral window must be a power of two ≥ 8, got %d", n)
 	}
-	if cfg.Kernel < 0 || cfg.Kernel > n/4 {
-		return nil, fmt.Errorf("ocean: spectral kernel half-width must be in [0, Window/4], got %d", cfg.Kernel)
-	}
 	p := &SpectralPlan{
 		field: f,
 		rate:  cfg.Rate,
@@ -126,7 +120,7 @@ func NewSpectralPlan(f *Field, cfg SpectralConfig) (*SpectralPlan, error) {
 		hop:   n / 2,
 	}
 	keep := p.cullComponents(f.comps, cfg.CullAccel, cfg.CullSlope)
-	p.k = kernelHalfWidth(cfg, keep, n)
+	p.k = kernelHalfWidth(keep, n)
 	p.comps = make([]specComp, len(keep))
 	for i, c := range keep {
 		p.comps[i] = specComp{
@@ -193,25 +187,16 @@ func (p *SpectralPlan) cullComponents(comps []component, cullAccel, cullSlope fl
 	return keep
 }
 
-// kernelHalfWidth derives the kernel half-width K from the component
-// amplitudes and the configured tolerances. The per-component truncation
-// residual of a Hann kernel cut at ±K bins is bounded by A/(2πK²) per
-// sample; residuals of different components carry unrelated phases, so the
-// series-level error is estimated as peak ≈ 5 × RMS of the per-component
-// bounds and K is chosen to keep that peak under a quarter of the tolerance
-// (see docs/SYNTHESIS.md for the derivation and the safety factors).
-func kernelHalfWidth(cfg SpectralConfig, comps []component, n int) int {
-	if cfg.Kernel != 0 {
-		return cfg.Kernel
-	}
-	tolA := cfg.TolAccel
-	if tolA == 0 {
-		tolA = Gravity / 2048
-	}
-	tolS := cfg.TolSlope
-	if tolS == 0 {
-		tolS = 1.0 / 2048
-	}
+// kernelHalfWidth derives the half-width K, in bins, of the per-component
+// frequency-domain interpolation kernel (each component touches 2K+1 bins)
+// from the component amplitudes and the tolerances, clamped to [6, 24] and
+// to Window/4. The per-component truncation residual of a Hann kernel cut
+// at ±K bins is bounded by A/(2πK²) per sample; residuals of different
+// components carry unrelated phases, so the series-level error is estimated
+// as peak ≈ 5 × RMS of the per-component bounds and K is chosen to keep
+// that peak under a quarter of the tolerance (see docs/SYNTHESIS.md for the
+// derivation and the safety factors).
+func kernelHalfWidth(comps []component, n int) int {
 	var varA, varS float64
 	for _, c := range comps {
 		a := c.amp * c.omega * c.omega
@@ -220,13 +205,10 @@ func kernelHalfWidth(cfg SpectralConfig, comps []component, n int) int {
 		varS += s * s / 2
 	}
 	need := func(sigma, tol float64) float64 {
-		if sigma == 0 || tol <= 0 {
-			return 0
-		}
 		// 5·σ/(2πK²) ≤ tol/4  ⇒  K ≥ sqrt(20·σ/(2π·tol)).
 		return math.Sqrt(20 * sigma / (2 * math.Pi * tol))
 	}
-	k := int(math.Ceil(math.Max(need(math.Sqrt(varA), tolA), need(math.Sqrt(varS), tolS))))
+	k := int(math.Ceil(math.Max(need(math.Sqrt(varA), tolAccel), need(math.Sqrt(varS), tolSlope))))
 	if k < 6 {
 		k = 6
 	}

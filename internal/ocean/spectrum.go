@@ -166,16 +166,8 @@ func WavenumberFor(f float64) float64 {
 	return w * w / Gravity
 }
 
-// PhaseSpeedFor returns the deep-water phase speed c = g/(2πf).
-func PhaseSpeedFor(f float64) float64 {
-	if f <= 0 {
-		return 0
-	}
-	return Gravity / (2 * math.Pi * f)
-}
-
-// FreqForPhaseSpeed inverts PhaseSpeedFor: the frequency of the deep-water
-// wave whose phase speed is c.
+// FreqForPhaseSpeed returns the frequency of the deep-water wave whose phase
+// speed is c = g/(2πf).
 func FreqForPhaseSpeed(c float64) float64 {
 	if c <= 0 {
 		return 0

@@ -35,17 +35,16 @@ type WaypointSpec struct {
 	SpeedKn float64
 }
 
+// shipLengthM is every vessel's waterline hull length: the paper's small
+// fishing boat.
+const shipLengthM = 12
+
 // ShipSpec is one vessel of a trial.
 type ShipSpec struct {
 	// Name labels the vessel in results and golden files.
 	Name string
 	// EnterAt is the simulation time the vessel is at its first waypoint.
 	EnterAt float64
-	// LengthM is the waterline hull length; 0 defaults to 12 m (the
-	// paper's small fishing boat).
-	LengthM float64
-	// WaveCoeff overrides the wave-making coefficient when positive.
-	WaveCoeff float64
 	// Waypoints is the trajectory (at least two points).
 	Waypoints []WaypointSpec
 }
@@ -73,10 +72,6 @@ type Spec struct {
 	Reliable bool
 	// Failover enables cluster-head failover.
 	Failover bool
-	// CollectWindow overrides the head's collection window when positive.
-	CollectWindow float64
-	// MinReports overrides the cluster cancellation threshold when positive.
-	MinReports int
 	// Spectral switches the synthetic field to FFT-based spectral block
 	// synthesis (source.SynthSpectral); false keeps the exact phasor
 	// reference path. Golden traces are recorded on the phasor path; the
@@ -120,12 +115,6 @@ func (s Spec) compile() (sid.Config, error) {
 	if s.Tp > 0 {
 		cfg.Tp = s.Tp
 	}
-	if s.CollectWindow > 0 {
-		cfg.CollectWindow = s.CollectWindow
-	}
-	if s.MinReports > 0 {
-		cfg.MinReports = s.MinReports
-	}
 	if s.PacketLoss > 0 {
 		cfg.Radio.LossProb = s.PacketLoss
 	}
@@ -152,10 +141,6 @@ func (s Spec) compile() (sid.Config, error) {
 func (s Spec) maneuvers() ([]*wake.Maneuver, error) {
 	out := make([]*wake.Maneuver, 0, len(s.Ships))
 	for i, sh := range s.Ships {
-		length := sh.LengthM
-		if length == 0 {
-			length = 12
-		}
 		wps := make([]wake.Waypoint, len(sh.Waypoints))
 		for j, wp := range sh.Waypoints {
 			wps[j] = wake.Waypoint{
@@ -163,12 +148,9 @@ func (s Spec) maneuvers() ([]*wake.Maneuver, error) {
 				Speed: geo.Knots(wp.SpeedKn),
 			}
 		}
-		m, err := wake.NewManeuver(sh.EnterAt, length, wps)
+		m, err := wake.NewManeuver(sh.EnterAt, shipLengthM, wps)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q ship %d (%s): %w", s.Name, i, sh.Name, err)
-		}
-		if sh.WaveCoeff > 0 {
-			m.WaveCoeff = sh.WaveCoeff
 		}
 		out = append(out, m)
 	}

@@ -172,9 +172,6 @@ type BuoyConfig struct {
 	Anchor geo.Vec2
 	// DriftRadius bounds the mooring drift in meters (~2 m in the paper).
 	DriftRadius float64
-	// TiltGain scales how strongly surface slope tilts the buoy
-	// (1 = buoy aligns exactly with the surface normal).
-	TiltGain float64
 	// Seed randomizes drift phases and sensor noise.
 	Seed int64
 }
@@ -189,12 +186,8 @@ type Buoy struct {
 	freq  [4]float64
 }
 
-// NewBuoy creates a buoy; DriftRadius 0 disables drift, TiltGain 0 defaults
-// to 1.
+// NewBuoy creates a buoy; DriftRadius 0 disables drift.
 func NewBuoy(cfg BuoyConfig) *Buoy {
-	if cfg.TiltGain == 0 {
-		cfg.TiltGain = 1
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := &Buoy{cfg: cfg}
 	for i := range b.phase {
@@ -283,10 +276,9 @@ func NewSensor(buoy *Buoy, accel AccelConfig) (*Sensor, error) {
 
 // compose turns one raw surface sample (acceleration in m/s², slope
 // dimensionless) into the quantized three-axis reading, drawing the x, y, z
-// noise values in order from the sensor's sequential noise stream.
+// noise values in order from the sensor's sequential noise stream. The buoy
+// aligns exactly with the surface normal, so the slope is its tilt.
 func (s *Sensor) compose(t, az float64, slope geo.Vec2) Sample {
-	slope = slope.Scale(s.Buoy.cfg.TiltGain)
-
 	// Tilt couples gravity into the horizontal axes: for small angles the
 	// x axis reads g·slopeX. The z axis reads g·cos(tilt) + wave accel
 	// ≈ g + az for small tilt.

@@ -146,12 +146,18 @@ type TenantStatus struct {
 	Err         string  `json:"err,omitempty"`
 }
 
+// maxGenesisMarks caps a create request's genesis marks. A feed carries
+// one per recorded intruder, and the tracer links every confirmed trace to
+// the nearest preceding mark.
+const maxGenesisMarks = 256
+
 // parseCreate decodes a tenant-create body and makes every check create
-// can make before it builds anything: the tenant ID, the deployment's own
-// validation (Config.Validate, which refuses a grid whose node count
-// overflows and a byzantine plan over adversary.MaxInjections), and the
-// body limit maxBody, which one sensing batch of every node must fit
-// (validateChunk's bound). It returns the request and its runtime
+// can make before it builds anything: the tenant ID, the genesis-mark cap,
+// the deployment's own validation (Config.Validate, which refuses a grid
+// whose node count overflows, a byzantine plan over
+// adversary.MaxInjections, and fault or clock-spoof lists longer than the
+// grid), and the body limit maxBody, which one sensing batch of every node
+// must fit (validateChunk's bound). It returns the request and its runtime
 // configuration; nothing it refuses allocates per node.
 func parseCreate(body io.Reader, maxBody int64) (CreateRequest, isid.Config, error) {
 	var req CreateRequest
@@ -160,6 +166,9 @@ func parseCreate(body io.Reader, maxBody int64) (CreateRequest, isid.Config, err
 	}
 	if req.ID != "" && !validID(req.ID) {
 		return req, isid.Config{}, errors.New("tenant id must be 1-64 chars of [A-Za-z0-9_.-]")
+	}
+	if len(req.Genesis) > maxGenesisMarks {
+		return req, isid.Config{}, fmt.Errorf("%d genesis marks, more than %d", len(req.Genesis), maxGenesisMarks)
 	}
 	rc := req.Spec.RuntimeConfig()
 	if err := rc.Validate(); err != nil {

@@ -22,6 +22,10 @@ import (
 // phases — so runs are bit-identical for any Workers value and any
 // attached observability.
 
+// onsetJitter bounds how far (seconds) a fabricated onset is placed before
+// the injection time, drawn uniformly.
+const onsetJitter = 2.0
+
 // applyAdversary schedules the configured attack plan. Called from
 // NewRuntime after fault application, before the run starts.
 func (r *Runtime) applyAdversary() error {
@@ -73,17 +77,13 @@ func (r *Runtime) inject(b adversary.ByzantineNode, rng *rand.Rand) {
 		}
 		payload = ns.lastReport // stale onset and all
 	default: // adversary.Fabricate
-		jitter := b.OnsetJitter
-		if jitter == 0 {
-			jitter = 2
-		}
 		payload = ReportPayload{
 			Node: ns.id,
 			Row:  ns.row,
 			Pos:  ns.pos,
 			// Plausible: onset just before "now" on the node's own clock,
 			// energy in [0.5, 1.5]·EnergyBase.
-			Onset:  node.LocalTime(r.sched.Now()) - rng.Float64()*jitter,
+			Onset:  node.LocalTime(r.sched.Now()) - rng.Float64()*onsetJitter,
 			Energy: b.EnergyBase * (0.5 + rng.Float64()),
 		}
 	}

@@ -35,12 +35,9 @@ func TestConfigValidation(t *testing.T) {
 		{"DriftRadius", func(c *Config) { c.DriftRadius = -1 }, "DriftRadius"},
 		{"detector M", func(c *Config) { c.Detect.M = 0 }, "M must be positive"},
 		{"detector AnomalyThreshold", func(c *Config) { c.Detect.AnomalyThreshold = 1.5 }, "AnomalyThreshold"},
-		{"detector SampleRate", func(c *Config) { c.Detect.SampleRate = 0 }, "SampleRate"},
-		{"detector rate vs sensor", func(c *Config) { c.Detect.SampleRate = 100 }, "detectors expect 100 Hz"},
 		{"source rate", func(c *Config) { c.Source = push(100, 1024) }, "source serves 100 Hz"},
 		{"source scale", func(c *Config) { c.Source = push(50, 512) }, "at 512 counts/g"},
 		{"CollectWindow", func(c *Config) { c.CollectWindow = 0 }, "CollectWindow"},
-		{"MinReports", func(c *Config) { c.MinReports = 0 }, "MinReports"},
 		{"SampleBatch", func(c *Config) { c.SampleBatch = 0 }, "SampleBatch"},
 		{"DutyCycle low", func(c *Config) { c.DutyCycle = -0.1 }, "DutyCycle"},
 		{"DutyCycle high", func(c *Config) { c.DutyCycle = 1.5 }, "DutyCycle"},

@@ -7,6 +7,7 @@ import (
 	"github.com/sid-wsn/sid/internal/detect"
 	"github.com/sid-wsn/sid/internal/fault"
 	"github.com/sid-wsn/sid/internal/geo"
+	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
 
@@ -161,6 +162,9 @@ func TestSendErrorsCounted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Grid = geo.GridSpec{Rows: 1, Cols: 6, Spacing: 25}
 	cfg.Seed = 9
+	j := obs.NewJournal(0)
+	cfg.Obs = obs.New()
+	cfg.Obs.SetJournal(j)
 	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -177,14 +181,14 @@ func TestSendErrorsCounted(t *testing.T) {
 	if rt.SendErrors() != 1 {
 		t.Errorf("SendErrors = %d, want 1", rt.SendErrors())
 	}
-	perNode := rt.NodeSendErrors()
-	if perNode[5] != 1 {
-		t.Errorf("node 5 send errors = %d, want 1", perNode[5])
-	}
-	for id, n := range perNode {
-		if id != 5 && n != 0 {
-			t.Errorf("node %d send errors = %d, want 0", id, n)
+	var nodes []int
+	for _, ev := range j.Events() {
+		if ev.Kind == obs.KindSendError {
+			nodes = append(nodes, ev.Data.(obs.SendError).Node)
 		}
+	}
+	if len(nodes) != 1 || nodes[0] != 5 {
+		t.Errorf("send.error events from nodes %v, want one from node 5", nodes)
 	}
 }
 

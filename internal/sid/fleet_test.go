@@ -116,7 +116,7 @@ func TestFleetConfigErrors(t *testing.T) {
 		t.Error("negative fleet Workers accepted")
 	}
 	bad := fleetTestConfig(1)
-	bad.MinReports = 0
+	bad.CollectWindow = 0
 	if _, err := NewFleet(FleetConfig{Deployments: []Config{bad}}); err == nil {
 		t.Error("invalid deployment config accepted")
 	}

@@ -357,7 +357,7 @@ func (r *Runtime) headDeadline(ns *nodeState, c *tempCluster) {
 	// the sink.
 	ns.led = nil
 	reports := c.reports
-	if len(reports) < r.cfg.MinReports {
+	if len(reports) < minReports {
 		r.ctr.cancelled.Inc()
 		if r.col.Journaling() {
 			r.col.Emit(r.sched.Now(), obs.KindClusterCancel, obs.ClusterCancel{

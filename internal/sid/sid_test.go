@@ -62,8 +62,8 @@ func TestShipCrossingConfirmedAtSink(t *testing.T) {
 	if r.C < cfg.Cluster.CThreshold {
 		t.Errorf("confirmed C = %v below threshold", r.C)
 	}
-	if r.Reports < cfg.MinReports {
-		t.Errorf("confirmed with %d reports < MinReports %d", r.Reports, cfg.MinReports)
+	if r.Reports < minReports {
+		t.Errorf("confirmed with %d reports < minReports %d", r.Reports, minReports)
 	}
 	// Onsets should be in the neighborhood of the crossing.
 	if r.MeanOnset < 100 || r.MeanOnset > 320 {
@@ -110,14 +110,14 @@ func TestSpeedEstimateAtSink(t *testing.T) {
 
 func TestClusterCancelledWithoutCorroboration(t *testing.T) {
 	// Kill every node except one row's worth: a single detector can form
-	// a cluster but never gather MinReports, so the cluster cancels.
+	// a cluster but never gather minReports, so the cluster cancels.
 	cfg := DefaultConfig()
 	cfg.Seed = 104
 	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fail all but 3 nodes (MinReports is 4).
+	// Fail all but 3 nodes (minReports is 6).
 	for id := 3; id < cfg.Grid.NumNodes(); id++ {
 		rt.Network().MustNode(wsn.NodeID(id)).Fail()
 	}

@@ -50,11 +50,10 @@ func (q *eventQueue) Pop() interface{} {
 // Scheduler is a discrete-event simulation clock. The zero value is not
 // usable; create with NewScheduler.
 type Scheduler struct {
-	now     float64
-	seq     uint64
-	queue   eventQueue
-	seed    int64
-	stopped bool
+	now   float64
+	seq   uint64
+	queue eventQueue
+	seed  int64
 }
 
 // NewScheduler returns a scheduler starting at time 0 with the given base
@@ -65,9 +64,6 @@ func NewScheduler(seed int64) *Scheduler {
 
 // Now returns the current simulation time in seconds.
 func (s *Scheduler) Now() float64 { return s.now }
-
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // Schedule enqueues fn to run at absolute time at. Scheduling in the past
 // is an error (it would silently reorder causality).
@@ -89,9 +85,9 @@ func (s *Scheduler) After(delay float64, fn func()) error {
 }
 
 // Step runs the single earliest event, advancing the clock to it. It
-// returns false if the queue is empty or the scheduler is stopped.
+// returns false if the queue is empty.
 func (s *Scheduler) Step() bool {
-	if s.stopped || len(s.queue) == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
 	e := heap.Pop(&s.queue).(*event)
@@ -105,11 +101,11 @@ func (s *Scheduler) Step() bool {
 // events executed.
 func (s *Scheduler) Run(until float64) int {
 	count := 0
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= until {
+	for len(s.queue) > 0 && s.queue[0].at <= until {
 		s.Step()
 		count++
 	}
-	if s.now < until && !s.stopped {
+	if s.now < until {
 		s.now = until
 	}
 	return count
@@ -123,12 +119,6 @@ func (s *Scheduler) RunAll() int {
 	}
 	return count
 }
-
-// Stop halts the simulation: no further events run.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Stopped reports whether Stop was called.
-func (s *Scheduler) Stopped() bool { return s.stopped }
 
 // RNG returns a deterministic random stream derived from the scheduler
 // seed and the stream name. The same (seed, name) always yields the same

@@ -114,9 +114,6 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 3 {
 		t.Errorf("Now = %v, want 3", s.Now())
 	}
-	if s.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", s.Pending())
-	}
 	// Run past the last event: clock advances to until.
 	s.Run(100)
 	if s.Now() != 100 {
@@ -124,23 +121,6 @@ func TestRunUntil(t *testing.T) {
 	}
 	if len(fired) != 5 {
 		t.Errorf("fired = %v", fired)
-	}
-}
-
-func TestStop(t *testing.T) {
-	s := NewScheduler(1)
-	count := 0
-	_ = s.Schedule(1, func() { count++; s.Stop() })
-	_ = s.Schedule(2, func() { count++ })
-	s.RunAll()
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (stopped)", count)
-	}
-	if !s.Stopped() {
-		t.Error("Stopped() = false")
-	}
-	if s.Step() {
-		t.Error("Step after Stop should be false")
 	}
 }
 

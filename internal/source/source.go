@@ -118,9 +118,6 @@ type SyntheticConfig struct {
 	Hs, Tp float64
 	// DriftRadius is the buoy mooring drift bound in meters.
 	DriftRadius float64
-	// Accel describes the accelerometer; the zero value selects
-	// sensor.DefaultAccelConfig (the paper's LIS3L02DQ).
-	Accel sensor.AccelConfig
 	// Seed drives the ocean phases, buoy drift and sensor noise. The
 	// derivations (the "sid.nodes" buoy-seed stream, the ocean's
 	// seed^0x0cea) are pinned: they must match what the pre-refactor
@@ -209,10 +206,8 @@ func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
 	if cfg.Synthesis != SynthPhasor && cfg.Synthesis != SynthSpectral {
 		return nil, fmt.Errorf("source: unknown synthesis mode %d", int(cfg.Synthesis))
 	}
-	accel := cfg.Accel
-	if accel == (sensor.AccelConfig{}) {
-		accel = sensor.DefaultAccelConfig()
-	}
+	// Every node carries the paper's accelerometer, the LIS3L02DQ.
+	accel := sensor.DefaultAccelConfig()
 	spec, err := ocean.NewPiersonMoskowitz(cfg.Hs, cfg.Tp)
 	if err != nil {
 		return nil, err
@@ -243,9 +238,6 @@ func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
 		s.driftPad = cfg.DriftRadius + indexDriftMargin
 		s.plan, err = ocean.NewSpectralPlan(field, ocean.SpectralConfig{
 			Rate: accel.SampleRate,
-			// Tolerances: half a count, the phasor-equivalence contract.
-			TolAccel: 0.5 * ocean.Gravity / accel.CountsPerG,
-			TolSlope: 0.5 / accel.CountsPerG,
 			// Component culling spends half of the cull budget; wake
 			// culling at the sensor spends the other half independently.
 			CullAccel: 0.5 * cull.Accel,

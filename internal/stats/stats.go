@@ -1,15 +1,13 @@
 // Package stats provides the streaming statistics SID's node-level detector
 // is built on: batch mean/standard deviation over a sampling window
 // (eq. 4 in the paper), exponentially-weighted moving statistics with
-// forgetting factors β₁, β₂ (eq. 5), numerically stable online moments
-// (Welford), and small descriptive-statistics helpers used by the
-// evaluation harness.
+// forgetting factors β₁, β₂ (eq. 5), and small descriptive-statistics
+// helpers used by the evaluation harness.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -63,32 +61,6 @@ func MinMax(xs []float64) (min, max float64) {
 	return min, max
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-// It returns 0 for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
 // RMS returns the root-mean-square of xs.
 func RMS(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -100,50 +72,6 @@ func RMS(xs []float64) float64 {
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
-
-// Welford accumulates mean and variance online with numerical stability.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x into the running moments.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of samples observed.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 before any samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running population variance.
-func (w *Welford) Var() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// SampleVar returns the running sample (Bessel-corrected) variance.
-func (w *Welford) SampleVar() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // Moving tracks the paper's environment-adaptive statistics (eq. 5):
 //
@@ -198,56 +126,3 @@ func (mv *Moving) Mean() float64 { return mv.m }
 
 // Std returns d′_T, the moving standard deviation.
 func (mv *Moving) Std() float64 { return mv.d }
-
-// Histogram is a fixed-bin histogram over [Min, Max). Samples outside the
-// range are clamped into the first/last bin so totals are preserved.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	n        int
-}
-
-// NewHistogram creates a histogram with the given number of bins. bins must
-// be positive and max > min.
-func NewHistogram(min, max float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: bins must be positive, got %d", bins)
-	}
-	if !(max > min) {
-		return nil, fmt.Errorf("stats: need max > min, got [%g, %g)", min, max)
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.n++
-}
-
-// N returns the total number of recorded samples.
-func (h *Histogram) N() int { return h.n }
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}

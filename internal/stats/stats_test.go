@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -42,97 +41,9 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-		{-0.5, 1}, {1.5, 5}, // clamped
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile([]float64{1, 2}, 0.5); !almostEq(got, 1.5, 1e-12) {
-		t.Errorf("interpolated median = %v, want 1.5", got)
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("Quantile(nil) = %v", got)
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Quantile mutated input: %v", xs)
-	}
-}
-
 func TestRMS(t *testing.T) {
 	if r := RMS([]float64{3, 4, 3, 4}); !almostEq(r, math.Sqrt(12.5), 1e-12) {
 		t.Errorf("RMS = %v", r)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	xs := []float64{1.5, -2.25, 3.75, 0, 10, -7.5, 2.125}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Errorf("N = %d", w.N())
-	}
-	if !almostEq(w.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("Mean = %v, want %v", w.Mean(), Mean(xs))
-	}
-	if !almostEq(w.Std(), StdDev(xs), 1e-12) {
-		t.Errorf("Std = %v, want %v", w.Std(), StdDev(xs))
-	}
-}
-
-func TestWelfordSampleVar(t *testing.T) {
-	var w Welford
-	if w.Var() != 0 || w.SampleVar() != 0 {
-		t.Error("empty Welford should report zero variance")
-	}
-	w.Add(5)
-	if w.SampleVar() != 0 {
-		t.Error("single-sample SampleVar should be 0")
-	}
-	w.Add(7)
-	if !almostEq(w.SampleVar(), 2, 1e-12) {
-		t.Errorf("SampleVar = %v, want 2", w.SampleVar())
-	}
-	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestWelfordProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			xs = append(xs, math.Mod(x, 1e6))
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		var w Welford
-		for _, x := range xs {
-			w.Add(x)
-		}
-		scale := 1 + math.Abs(Mean(xs)) + StdDev(xs)
-		return almostEq(w.Mean(), Mean(xs), 1e-8*scale) &&
-			almostEq(w.Std(), StdDev(xs), 1e-6*scale)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -218,57 +129,5 @@ func TestMovingTracksSlowChange(t *testing.T) {
 	}
 	if math.Abs(mv.Mean()-last) > 0.2 {
 		t.Errorf("moving mean lagging too far: %v vs %v", mv.Mean(), last)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.5, 1, 3, 3.5, 9.9, -5, 15} {
-		h.Add(x)
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d", h.N())
-	}
-	// -5 clamps into bin 0; 15 clamps into bin 4.
-	if h.Counts[0] != 3 { // 0.5, 1, -5
-		t.Errorf("bin0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.9, 15
-		t.Errorf("bin4 = %d, want 2", h.Counts[4])
-	}
-	if !almostEq(h.BinCenter(0), 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-	if !almostEq(h.Mode(), 1, 1e-12) {
-		t.Errorf("Mode = %v", h.Mode())
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("expected error for empty range")
-	}
-	if _, err := NewHistogram(6, 5, 3); err == nil {
-		t.Error("expected error for inverted range")
-	}
-}
-
-func TestHistogramTotalPreserved(t *testing.T) {
-	h, _ := NewHistogram(-1, 1, 8)
-	for i := 0; i < 1000; i++ {
-		h.Add(math.Sin(float64(i)) * 2) // half the values out of range
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 1000 || h.N() != 1000 {
-		t.Errorf("counts lost: total=%d N=%d", total, h.N())
 	}
 }

@@ -21,7 +21,7 @@ func TestReliableSenderDeathDeliveredNotDropped(t *testing.T) {
 		t.Fatalf("unicast: %v", err)
 	}
 	// Kill the sender after delivery but before the first retransmission
-	// timer (AckTimeout 0.06 s, jitter ±20% → earliest 0.048 s).
+	// timer (60 ms, jitter ±20% → earliest 0.048 s).
 	if err := sched.Schedule(0.03, func() { net.MustNode(0).Fail() }); err != nil {
 		t.Fatal(err)
 	}

@@ -33,25 +33,18 @@ func (k CostKind) String() string {
 	}
 }
 
-// EnergyConfig gives the per-operation energy costs in joules (idle in
-// watts). Defaults approximate an iMote2 with an 802.15.4 radio: ~1 mJ per
-// frame, tens of µJ per ADC sample.
-type EnergyConfig struct {
-	TxJ     float64 // per transmitted frame
-	RxJ     float64 // per received frame
-	SampleJ float64 // per accelerometer sample
-	CPUJ    float64 // per detection-window computation
-	IdleW   float64 // idle draw in watts
-}
-
-// DefaultEnergyConfig returns iMote2-class costs.
-func DefaultEnergyConfig() EnergyConfig {
-	return EnergyConfig{TxJ: 1e-3, RxJ: 8e-4, SampleJ: 2e-5, CPUJ: 1e-4, IdleW: 2e-3}
-}
+// Per-operation energy costs in joules (idle in watts), approximating an
+// iMote2 with an 802.15.4 radio: ~1 mJ per frame, tens of µJ per ADC sample.
+const (
+	txJ     = 1e-3 // per transmitted frame
+	rxJ     = 8e-4 // per received frame
+	sampleJ = 2e-5 // per accelerometer sample
+	cpuJ    = 1e-4 // per detection-window computation
+	idleW   = 2e-3 // idle draw in watts
+)
 
 // Battery tracks remaining energy and a per-kind usage breakdown.
 type Battery struct {
-	cfg       EnergyConfig
 	capacity  float64
 	remaining float64
 	used      [numCostKinds]float64
@@ -59,11 +52,11 @@ type Battery struct {
 
 // NewBattery returns a battery with the given capacity in joules.
 // A pair of AA cells is roughly 20 kJ.
-func NewBattery(capacityJ float64, cfg EnergyConfig) (*Battery, error) {
+func NewBattery(capacityJ float64) (*Battery, error) {
 	if capacityJ <= 0 {
 		return nil, fmt.Errorf("wsn: battery capacity must be positive, got %g", capacityJ)
 	}
-	return &Battery{cfg: cfg, capacity: capacityJ, remaining: capacityJ}, nil
+	return &Battery{capacity: capacityJ, remaining: capacityJ}, nil
 }
 
 // Consume charges the battery for one operation of the given kind.
@@ -71,13 +64,13 @@ func (b *Battery) Consume(kind CostKind) {
 	var j float64
 	switch kind {
 	case CostTx:
-		j = b.cfg.TxJ
+		j = txJ
 	case CostRx:
-		j = b.cfg.RxJ
+		j = rxJ
 	case CostSample:
-		j = b.cfg.SampleJ
+		j = sampleJ
 	case CostCPU:
-		j = b.cfg.CPUJ
+		j = cpuJ
 	default:
 		return
 	}
@@ -87,7 +80,7 @@ func (b *Battery) Consume(kind CostKind) {
 // AccrueIdle charges idle draw for dt seconds.
 func (b *Battery) AccrueIdle(dt float64) {
 	if dt > 0 {
-		b.drain(CostIdle, b.cfg.IdleW*dt)
+		b.drain(CostIdle, idleW*dt)
 	}
 }
 

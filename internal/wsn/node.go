@@ -96,9 +96,6 @@ func (n *Node) Fail() {
 // consumed are still suppressed.
 func (n *Node) Revive() { n.alive = true }
 
-// Network returns the network the node belongs to.
-func (n *Node) Network() *Network { return n.net }
-
 // LocalTime converts true simulation time to this node's clock reading.
 func (n *Node) LocalTime(trueTime float64) float64 { return n.Clock.Local(trueTime) }
 
@@ -259,9 +256,6 @@ func (w *Network) SetCollector(col *obs.Collector) {
 	w.col = col
 	w.bindCounters()
 }
-
-// Collector returns the network's observability collector (never nil).
-func (w *Network) Collector() *obs.Collector { return w.col }
 
 // Stats snapshots the network-level counters.
 func (w *Network) Stats() Stats {

@@ -17,6 +17,24 @@ import (
 // Stats.ReliableDropped. This is §IV-C's answer to lost reports: the four
 // timestamp reports the speed budget assumes (Fig. 12) actually arrive.
 
+// The retransmission timer, tuned for the default radio (5 ms links).
+const (
+	// arqAckTimeout is the wait before the first retransmission, in
+	// seconds. It must exceed one frame round trip (2·BaseDelay plus
+	// jitter tails).
+	arqAckTimeout = 0.06
+	// arqBackoff multiplies the timeout after every retransmission;
+	// spacing retries out lets the transport ride out burst losses that
+	// defeat blind same-instant retries.
+	arqBackoff = 2.0
+	// arqMaxTimeout caps the backed-off timeout, in seconds.
+	arqMaxTimeout = 1.0
+	// arqJitterFrac randomizes each timeout by ±arqJitterFrac·timeout
+	// using the dedicated "wsn.arq" stream, de-synchronizing
+	// retransmission storms deterministically.
+	arqJitterFrac = 0.2
+)
+
 // ReliableConfig parametrizes the per-hop ACK/retransmission transport.
 // The zero value disables it.
 type ReliableConfig struct {
@@ -28,73 +46,34 @@ type ReliableConfig struct {
 	// attempt; the hop is abandoned (and counted in ReliableDropped) when
 	// they are exhausted.
 	MaxRetrans int
-	// AckTimeout is the wait before the first retransmission, in seconds.
-	// It must exceed one frame round trip (2·BaseDelay plus jitter tails).
-	AckTimeout float64
-	// Backoff multiplies the timeout after every retransmission (≥ 1);
-	// spacing retries out lets the transport ride out burst losses that
-	// defeat blind same-instant retries.
-	Backoff float64
-	// MaxTimeout caps the backed-off timeout, in seconds.
-	MaxTimeout float64
-	// JitterFrac randomizes each timeout by ±JitterFrac·timeout using the
-	// dedicated "wsn.arq" stream, de-synchronizing retransmission storms
-	// deterministically.
-	JitterFrac float64
 }
 
-// DefaultReliableConfig returns an enabled transport tuned for the default
-// radio (5 ms links): first retransmission after 60 ms, doubling to a cap
-// of 1 s, 4 retransmissions, ±20% jitter.
+// DefaultReliableConfig returns an enabled transport with 4
+// retransmissions: the first after 60 ms, doubling to a cap of 1 s, each
+// with ±20% jitter.
 func DefaultReliableConfig() ReliableConfig {
-	return ReliableConfig{
-		Enabled:    true,
-		MaxRetrans: 4,
-		AckTimeout: 0.06,
-		Backoff:    2,
-		MaxTimeout: 1.0,
-		JitterFrac: 0.2,
-	}
+	return ReliableConfig{Enabled: true, MaxRetrans: 4}
 }
 
 func (c ReliableConfig) validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.MaxRetrans < 0 {
+	if c.Enabled && c.MaxRetrans < 0 {
 		return fmt.Errorf("wsn: reliable MaxRetrans must be non-negative, got %d", c.MaxRetrans)
-	}
-	if c.AckTimeout <= 0 {
-		return fmt.Errorf("wsn: reliable AckTimeout must be positive, got %g", c.AckTimeout)
-	}
-	if c.Backoff < 1 {
-		return fmt.Errorf("wsn: reliable Backoff must be ≥ 1, got %g", c.Backoff)
-	}
-	if c.MaxTimeout < c.AckTimeout {
-		return fmt.Errorf("wsn: reliable MaxTimeout %g below AckTimeout %g", c.MaxTimeout, c.AckTimeout)
-	}
-	if c.JitterFrac < 0 || c.JitterFrac >= 1 {
-		return fmt.Errorf("wsn: reliable JitterFrac must be in [0,1), got %g", c.JitterFrac)
 	}
 	return nil
 }
 
-// timeout returns the backed-off, jittered wait before retransmission k+1
-// (k = attempts already made beyond the first).
+// arqTimeout returns the backed-off, jittered wait before retransmission
+// k+1 (k = attempts already made beyond the first).
 func (w *Network) arqTimeout(k int) float64 {
-	rc := w.Radio.Reliable
-	t := rc.AckTimeout
+	t := arqAckTimeout
 	for i := 0; i < k; i++ {
-		t *= rc.Backoff
-		if t >= rc.MaxTimeout {
-			t = rc.MaxTimeout
+		t *= arqBackoff
+		if t >= arqMaxTimeout {
+			t = arqMaxTimeout
 			break
 		}
 	}
-	if rc.JitterFrac > 0 {
-		t *= 1 + rc.JitterFrac*(2*w.arqRNG.Float64()-1)
-	}
-	return t
+	return t * (1 + arqJitterFrac*(2*w.arqRNG.Float64()-1))
 }
 
 // sendReliable moves msg over the from -> to link with the stop-and-wait

@@ -142,22 +142,34 @@ type ClockSpoof struct {
 
 // internalAdversary converts the public attack plan to the internal one.
 func (p AdversaryPlan) internalAdversary() adversary.Plan {
-	var out adversary.Plan
-	for _, b := range p.Byzantine {
-		behavior := adversary.Fabricate
-		if b.Replay {
-			behavior = adversary.Replay
-		}
-		out.Byzantine = append(out.Byzantine, adversary.ByzantineNode{
-			Node: b.Node, Behavior: behavior,
-			Start: b.Start, Period: b.Period, Count: b.Count,
-			EnergyBase: b.EnergyBase,
-		})
+	return adversary.Plan{
+		Byzantine: lower(p.Byzantine, func(b ByzantineNode) adversary.ByzantineNode {
+			behavior := adversary.Fabricate
+			if b.Replay {
+				behavior = adversary.Replay
+			}
+			return adversary.ByzantineNode{
+				Node: b.Node, Behavior: behavior,
+				Start: b.Start, Period: b.Period, Count: b.Count,
+				EnergyBase: b.EnergyBase,
+			}
+		}),
+		ClockSpoofs: lower(p.ClockSpoofs, func(s ClockSpoof) adversary.ClockSpoof {
+			return adversary.ClockSpoof{Node: s.Node, At: s.At, SkewPPM: s.SkewPPM}
+		}),
 	}
-	for _, s := range p.ClockSpoofs {
-		out.ClockSpoofs = append(out.ClockSpoofs, adversary.ClockSpoof{
-			Node: s.Node, At: s.At, SkewPPM: s.SkewPPM,
-		})
+}
+
+// lower converts every element of in with f into one exactly sized slice
+// (nil for an empty in), so lowering a long list allocates once, before
+// validation refuses it.
+func lower[S, T any](in []S, f func(S) T) []T {
+	if len(in) == 0 {
+		return nil
+	}
+	out := make([]T, len(in))
+	for i, v := range in {
+		out[i] = f(v)
 	}
 	return out
 }
@@ -207,15 +219,16 @@ type BurstLoss struct {
 
 // internalPlan converts the public fault plan to the internal one.
 func (p FaultPlan) internalPlan() fault.Plan {
-	var out fault.Plan
-	for _, c := range p.Crashes {
-		out.Crashes = append(out.Crashes, fault.Crash{Node: c.Node, At: c.At, ReviveAt: c.ReviveAt})
-	}
-	for _, d := range p.Depletions {
-		out.Depletions = append(out.Depletions, fault.Depletion{Node: d.Node, At: d.At})
-	}
-	for _, s := range p.ClockSteps {
-		out.ClockSteps = append(out.ClockSteps, fault.ClockStep{Node: s.Node, At: s.At, Offset: s.OffsetS})
+	out := fault.Plan{
+		Crashes: lower(p.Crashes, func(c NodeCrash) fault.Crash {
+			return fault.Crash{Node: c.Node, At: c.At, ReviveAt: c.ReviveAt}
+		}),
+		Depletions: lower(p.Depletions, func(d BatteryDepletion) fault.Depletion {
+			return fault.Depletion{Node: d.Node, At: d.At}
+		}),
+		ClockSteps: lower(p.ClockSteps, func(s ClockStep) fault.ClockStep {
+			return fault.ClockStep{Node: s.Node, At: s.At, Offset: s.OffsetS}
+		}),
 	}
 	if p.Burst != nil {
 		out.Burst = &fault.BurstLoss{
