@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test sidperf-test sidperf-gates bench race vet fmt fuzz baseline obs pinned replay adversarial experiments serve serve-smoke
+.PHONY: test sidperf-test sidperf-gates bench race vet fmt fuzz baseline obs pinned identity replay adversarial experiments serve serve-smoke
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -60,6 +60,21 @@ fuzz:
 pinned:
 	@rm -rf pinned && mkdir pinned && \
 	$(GO) run ./cmd/sidbench -exp scenarios -journal pinned > pinned/stdout.txt
+
+# Byte-identity check of a behaviour-preserving change against BASE (a
+# commit, e.g. BASE=HEAD~1): `make pinned` in a temporary export of BASE and
+# in this tree, then `diff -r` of the two pinned/ directories. It prints
+# nothing and succeeds when all 18 scenario journals and sidbench's stdout
+# are byte-identical. BASE is exported with git archive rather than checked
+# out as a git worktree, so an interrupted run leaves nothing registered in
+# the repository; the temporary directory is removed on every exit.
+BASE ?= HEAD
+identity:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	git archive $(BASE) | tar -x -C $$tmp || exit 1; \
+	$(MAKE) -s --no-print-directory -C $$tmp pinned || exit 1; \
+	$(MAKE) -s --no-print-directory pinned || exit 1; \
+	diff -r $$tmp/pinned pinned
 
 # Record→replay smoke: record the single-10kn golden scenario into per-node
 # SIDTRACE files, replay them through the detection pipeline, and require the
