@@ -717,3 +717,43 @@ func FuzzSpectralChunkGrouped(f *testing.F) {
 		}
 	})
 }
+
+// TestKernelHalfWidth pins the derived kernel half-width K: the smallest
+// width whose estimated truncation peak 5σ/(2πK²), for the acceleration and
+// the slope series alike, stays within a quarter of the half-LSB tolerance,
+// clamped to [6, 24] and then to Window/4.
+func TestKernelHalfWidth(t *testing.T) {
+	if tolAccel != halfLSBAccel || tolSlope != halfLSBSlope {
+		t.Fatalf("tolerances %g m/s², %g; want the half-LSB contract %g m/s², %g",
+			tolAccel, tolSlope, halfLSBAccel, halfLSBSlope)
+	}
+	// rmsFor is the series RMS σ that needs exactly k bins: 5σ/(2πk²) = tol/4.
+	rmsFor := func(k, tol float64) float64 { return k * k * 2 * math.Pi * tol / 20 }
+	// accel is a component whose acceleration series has RMS sigma and whose
+	// slope series is zero; slope is the reverse. A sinusoid's RMS is its
+	// amplitude over √2.
+	accel := func(sigma float64) component { return component{amp: sigma * math.Sqrt2, omega: 1} }
+	slope := func(sigma float64) component { return component{amp: sigma * math.Sqrt2, kx: 1} }
+	cases := []struct {
+		name  string
+		comps []component
+		n     int
+		want  int
+	}{
+		{"calm field floors at 6", nil, 1024, 6},
+		{"a field needing 5 bins floors at 6", []component{accel(rmsFor(4.95, tolAccel))}, 1024, 6},
+		{"acceleration sets K", []component{accel(rmsFor(9.05, tolAccel))}, 1024, 10},
+		{"slope sets K", []component{slope(rmsFor(14.95, tolSlope))}, 1024, 15},
+		{"the larger requirement wins", []component{accel(rmsFor(9.05, tolAccel)), slope(rmsFor(14.95, tolSlope))}, 1024, 15},
+		{"a field needing 25 bins caps at 24", []component{accel(rmsFor(24.05, tolAccel))}, 1024, 24},
+		{"short window caps at Window/4", []component{accel(rmsFor(9.05, tolAccel))}, 32, 8},
+		{"Window/4 overrides the floor", nil, 16, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := kernelHalfWidth(tc.comps, tc.n); got != tc.want {
+				t.Errorf("kernelHalfWidth = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
