@@ -83,10 +83,9 @@ func main() {
 
 func generate(path, csvPath string, dur, shipKn, dist, arrive, hs, tp float64, seed int64) error {
 	sc := eval.Scenario{
-		Hs: hs, Tp: tp, Gamma: 3.3,
+		Hs: hs, Tp: tp,
 		ShipSpeed: geo.Knots(shipKn),
 		ShipDist:  dist,
-		Drift:     true,
 		Seed:      seed,
 	}
 	samples, ship, err := sc.Record(dur, arrive*dur)

@@ -10,9 +10,8 @@ import (
 	"log"
 	"math"
 
-	"github.com/sid-wsn/sid/internal/detect"
+	"github.com/sid-wsn/sid/internal/eval"
 	"github.com/sid-wsn/sid/internal/geo"
-	"github.com/sid-wsn/sid/internal/ocean"
 	"github.com/sid-wsn/sid/internal/sensor"
 	"github.com/sid-wsn/sid/internal/speed"
 	"github.com/sid-wsn/sid/internal/wake"
@@ -37,13 +36,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ship.Time0 = arrival - (ship.ArrivalTime(positions[0]) - ship.Time0)
+	ship.SetArrival(positions[0], arrival)
 
-	spec, err := ocean.NewJONSWAP(0.3, 6, 3.3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	field, err := ocean.NewField(ocean.FieldConfig{Spectrum: spec, Seed: 5, BuoyRadius: 0.4})
+	field, err := eval.Sea(0.3, 6, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,35 +48,11 @@ func main() {
 	names := []string{"Si ", "S'i", "Sj ", "S'j"}
 	onsets := make([]float64, 4)
 	for i, pos := range positions {
-		buoy := sensor.NewBuoy(sensor.BuoyConfig{Anchor: pos, DriftRadius: 2, Seed: int64(i) + 9})
-		sens, err := sensor.NewSensor(buoy, sensor.DefaultAccelConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		dcfg := detect.DefaultConfig()
-		dcfg.AnomalyThreshold = 0.5
-		det, err := detect.New(dcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rec := sens.Record(model, 0, dur)
 		// Earliest onset among the strongest detection windows — the
 		// report the paper keeps ("highest detected energy").
-		maxE := math.Inf(-1)
-		var windows []detect.WindowStat
-		for _, ws := range det.ProcessSeries(0, sensor.ZSeries(rec)) {
-			if det.Detected(ws) {
-				windows = append(windows, ws)
-				if ws.Energy > maxE {
-					maxE = ws.Energy
-				}
-			}
-		}
-		onset := math.NaN()
-		for _, ws := range windows {
-			if ws.Energy >= 0.7*maxE && (math.IsNaN(onset) || ws.Onset < onset) {
-				onset = ws.Onset
-			}
+		onset, err := eval.WakeOnset(model, pos, int64(i)+9, dur)
+		if err != nil {
+			log.Fatal(err)
 		}
 		if math.IsNaN(onset) {
 			log.Fatalf("node %s saw no wake", names[i])

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/sid-wsn/sid/internal/fault"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
 
@@ -170,9 +171,10 @@ func ApplyClocks(p Plan, net *wsn.Network) error {
 
 // ByzantineFraction compromises frac of the n nodes (rounded down) with the
 // given behavior template (Node is overwritten per victim), never touching
-// the protected IDs (e.g. the sink). Victims are chosen by the same
-// deterministic hash family fault.CrashFraction uses, salted differently so
-// the compromised set is independent of any crash set on the same seed.
+// the protected IDs (e.g. the sink). Victims are chosen by fault.Victims,
+// the hash fault.CrashFraction uses, salted differently so the compromised
+// set is independent of any crash set on the same seed; they come back in
+// ID order.
 func ByzantineFraction(n int, frac float64, template ByzantineNode, seed int64, protected ...int) []ByzantineNode {
 	ids := pickNodes(n, int(frac*float64(n)), seed, 0xada11ce, protected...)
 	out := make([]ByzantineNode, 0, len(ids))
@@ -191,44 +193,9 @@ func SpoofNodes(n, count int, seed int64, protected ...int) []int {
 	return pickNodes(n, count, seed, 0x51c0ffee, protected...)
 }
 
-// pickNodes returns count deterministic victims among the unprotected IDs,
-// ordered by a salted splitmix-style hash of (seed, id).
+// pickNodes returns fault.Victims' set in ID order.
 func pickNodes(n, count int, seed int64, salt uint64, protected ...int) []int {
-	if count <= 0 {
-		return nil
-	}
-	prot := make(map[int]bool, len(protected))
-	for _, id := range protected {
-		prot[id] = true
-	}
-	type scored struct {
-		id   int
-		hash uint64
-	}
-	var order []scored
-	for id := 0; id < n; id++ {
-		if prot[id] {
-			continue
-		}
-		h := (uint64(id)*0x9e3779b97f4a7c15 ^ uint64(seed)*0xbf58476d1ce4e5b9) + salt
-		h ^= h >> 29
-		h *= 0x94d049bb133111eb
-		h ^= h >> 32
-		order = append(order, scored{id, h})
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].hash != order[j].hash {
-			return order[i].hash < order[j].hash
-		}
-		return order[i].id < order[j].id
-	})
-	if count > len(order) {
-		count = len(order)
-	}
-	ids := make([]int, count)
-	for i := 0; i < count; i++ {
-		ids[i] = order[i].id
-	}
+	ids := fault.Victims(n, count, seed, salt, protected...)
 	sort.Ints(ids)
 	return ids
 }

@@ -21,13 +21,10 @@ import (
 // Scenario bundles the physical setting shared by the experiments: the
 // ambient sea and an optional ship pass observed by one buoy.
 type Scenario struct {
-	// Hs, Tp parametrize the sea spectrum. The paper's deployment
-	// (Fig. 5) shows z excursions of roughly ±200–300 counts, matching a
-	// slight sea.
+	// Hs, Tp parametrize the sea's JONSWAP spectrum (Sea). The paper's
+	// deployment (Fig. 5) shows z excursions of roughly ±200–300 counts,
+	// matching a slight sea.
 	Hs, Tp float64
-	// Gamma selects a JONSWAP peak enhancement (> 1); 0 selects the
-	// broader Pierson–Moskowitz shape.
-	Gamma float64
 	// ShipSpeed in m/s; 0 disables the ship.
 	ShipSpeed float64
 	// ShipDist is the buoy's perpendicular distance from the sailing line
@@ -35,8 +32,6 @@ type Scenario struct {
 	ShipDist float64
 	// WaveCoeff overrides the ship's wave-making coefficient when > 0.
 	WaveCoeff float64
-	// Drift enables the 2 m mooring drift.
-	Drift bool
 	// Seed drives all random streams.
 	Seed int64
 }
@@ -47,65 +42,74 @@ func DefaultScenario() Scenario {
 	return Scenario{
 		Hs:        0.4,
 		Tp:        6.0,
-		Gamma:     3.3,
 		ShipSpeed: geo.Knots(10),
 		ShipDist:  25,
-		Drift:     true,
 	}
 }
 
-// Build materializes the scenario: a sensor on a buoy at the origin, the
-// surface model, and (if a ship is configured) the ship, positioned so its
-// wake front reaches the buoy at the requested arrival time.
-func (sc Scenario) Build(arrival float64) (*sensor.Sensor, sensor.SurfaceModel, *wake.Ship, error) {
-	var spec ocean.Spectrum
-	var err error
-	if sc.Gamma > 0 {
-		spec, err = ocean.NewJONSWAP(sc.Hs, sc.Tp, sc.Gamma)
-	} else {
-		spec, err = ocean.NewPiersonMoskowitz(sc.Hs, sc.Tp)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	field, err := ocean.NewField(ocean.FieldConfig{Spectrum: spec, Seed: sc.Seed, BuoyRadius: 0.4})
+// Build materializes the scenario: a sensor on a moored buoy at the
+// origin, the surface model, and one ship pass per arrival time (none
+// when ShipSpeed is 0), each positioned so its wake front reaches the
+// buoy at that time.
+func (sc Scenario) Build(arrivals ...float64) (*sensor.Sensor, sensor.SurfaceModel, []*wake.Ship, error) {
+	field, err := Sea(sc.Hs, sc.Tp, sc.Seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	model := sensor.Composite{field}
-	var ship *wake.Ship
-	if sc.ShipSpeed > 0 {
+	var ships []*wake.Ship
+	for _, arrival := range arrivals {
+		if sc.ShipSpeed <= 0 {
+			break // no ship in the scenario
+		}
 		track := geo.NewLine(geo.Vec2{X: 0, Y: -sc.ShipDist}, geo.Vec2{X: 1, Y: 0})
-		ship, err = wake.NewShip(track, sc.ShipSpeed, 12)
+		ship, err := wake.NewShip(track, sc.ShipSpeed, 12)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		if sc.WaveCoeff > 0 {
 			ship.WaveCoeff = sc.WaveCoeff
 		}
-		ship.Time0 = arrival - (ship.ArrivalTime(geo.Vec2{}) - ship.Time0)
+		ship.SetArrival(geo.Vec2{}, arrival)
 		model = append(model, ship.Wake())
+		ships = append(ships, ship)
 	}
-	drift := 0.0
-	if sc.Drift {
-		drift = 2
-	}
-	buoy := sensor.NewBuoy(sensor.BuoyConfig{DriftRadius: drift, Seed: sc.Seed ^ 0xb001})
-	sens, err := sensor.NewSensor(buoy, sensor.DefaultAccelConfig())
+	sens, err := buoySensor(geo.Vec2{}, sc.Seed^0xb001)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return sens, model, ship, nil
+	return sens, model, ships, nil
 }
 
 // Record builds the scenario and records dur seconds of samples starting
 // at t = 0, with the wake front (if any) arriving at the given time.
 func (sc Scenario) Record(dur, arrival float64) ([]sensor.Sample, *wake.Ship, error) {
-	sens, model, ship, err := sc.Build(arrival)
+	sens, model, ships, err := sc.Build(arrival)
 	if err != nil {
 		return nil, nil, err
 	}
+	var ship *wake.Ship
+	if len(ships) > 0 {
+		ship = ships[0]
+	}
 	return sens.Record(model, 0, dur), ship, nil
+}
+
+// Sea builds the standard evaluation sea: a JONSWAP spectrum (γ = 3.3)
+// seen through the buoy hull's response, seeded deterministically.
+func Sea(hs, tp float64, seed int64) (*ocean.Field, error) {
+	spec, err := ocean.NewJONSWAP(hs, tp, 3.3)
+	if err != nil {
+		return nil, err
+	}
+	return ocean.NewField(ocean.FieldConfig{Spectrum: spec, Seed: seed, BuoyRadius: 0.4})
+}
+
+// buoySensor is the standard evaluation node: the default accelerometer on
+// a buoy moored at pos with 2 m of mooring drift.
+func buoySensor(pos geo.Vec2, seed int64) (*sensor.Sensor, error) {
+	buoy := sensor.NewBuoy(sensor.BuoyConfig{Anchor: pos, DriftRadius: 2, Seed: seed})
+	return sensor.NewSensor(buoy, sensor.DefaultAccelConfig())
 }
 
 // seriesStats is a tiny helper shared by the figure generators.
@@ -139,13 +143,3 @@ func statsOf(xs []float64) seriesStats {
 }
 
 func errf(format string, args ...interface{}) error { return fmt.Errorf("eval: "+format, args...) }
-
-// buildSea constructs the standard evaluation sea: JONSWAP (γ = 3.3)
-// with the buoy hull response, seeded deterministically.
-func buildSea(hs, tp float64, seed int64) (*ocean.Field, error) {
-	spec, err := ocean.NewJONSWAP(hs, tp, 3.3)
-	if err != nil {
-		return nil, err
-	}
-	return ocean.NewField(ocean.FieldConfig{Spectrum: spec, Seed: seed, BuoyRadius: 0.4})
-}

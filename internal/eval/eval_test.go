@@ -3,6 +3,10 @@ package eval
 import (
 	"math"
 	"testing"
+
+	"github.com/sid-wsn/sid/internal/geo"
+	"github.com/sid-wsn/sid/internal/sensor"
+	"github.com/sid-wsn/sid/internal/wake"
 )
 
 func TestFig5Shape(t *testing.T) {
@@ -159,6 +163,11 @@ func TestFig11Validation(t *testing.T) {
 	if _, err := Fig11(cfg); err == nil {
 		t.Error("expected error for empty Ms")
 	}
+	cfg = DefaultFig11Config()
+	cfg.Scenario.ShipSpeed = 0
+	if _, err := Fig11(cfg); err == nil {
+		t.Error("expected error for a scenario without a ship")
+	}
 }
 
 func TestTablesShape(t *testing.T) {
@@ -235,6 +244,54 @@ func TestFig12Validation(t *testing.T) {
 	cfg.SpeedsKn = nil
 	if _, err := Fig12(cfg); err == nil {
 		t.Error("expected error for empty speeds")
+	}
+}
+
+// TestWakeOnset: the shared onset picker finds a 12 kn wake within a few
+// seconds of its front's arrival at a buoy 30 m off the track, and finds
+// nothing at a buoy on still water.
+func TestWakeOnset(t *testing.T) {
+	ship, err := wake.NewShip(geo.NewLine(geo.Vec2{}, geo.Vec2{X: 1}), geo.Knots(12), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := geo.Vec2{Y: 30}
+	ship.SetArrival(pos, 140)
+	field, err := Sea(0.3, 6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onset, err := WakeOnset(sensor.Composite{field, ship.Wake()}, pos, 9, 240)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(onset-140) > 3 {
+		t.Errorf("onset %v s, front arrives at 140 s", onset)
+	}
+	if quiet, err := WakeOnset(sensor.StillWater{}, pos, 9, 240); err != nil || !math.IsNaN(quiet) {
+		t.Errorf("still water: onset %v, err %v; want NaN", quiet, err)
+	}
+}
+
+// TestScenarioBuildPasses: Build stages one ship pass per arrival, each
+// front reaching the buoy at its arrival, and none without a ship speed.
+func TestScenarioBuildPasses(t *testing.T) {
+	sc := DefaultScenario()
+	_, _, ships, err := sc.Build(90, 144, 198)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ships) != 3 {
+		t.Fatalf("%d ships, want 3", len(ships))
+	}
+	for i, want := range []float64{90, 144, 198} {
+		if at := ships[i].ArrivalTime(geo.Vec2{}); math.Abs(at-want) > 1e-9 {
+			t.Errorf("pass %d reaches the buoy at %v, want %v", i, at, want)
+		}
+	}
+	sc.ShipSpeed = 0
+	if _, _, ships, err := sc.Build(90); err != nil || len(ships) != 0 {
+		t.Errorf("no-ship scenario: %d ships, err %v", len(ships), err)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"math"
 
 	"github.com/sid-wsn/sid/internal/detect"
-	"github.com/sid-wsn/sid/internal/geo"
 	"github.com/sid-wsn/sid/internal/sensor"
-	"github.com/sid-wsn/sid/internal/wake"
 )
 
 // Fig11Point is one curve point of Fig. 11: the successful detection ratio
@@ -73,6 +71,9 @@ func Fig11(cfg Fig11Config) ([]Fig11Point, error) {
 	if len(cfg.Ms) == 0 || len(cfg.AFs) == 0 {
 		return nil, errf("Fig11: Ms and AFs must be non-empty")
 	}
+	if cfg.Scenario.ShipSpeed <= 0 {
+		return nil, errf("Fig11 needs a ship in the scenario")
+	}
 	const dur = 400.0
 	if cfg.PassesPerTrial <= 0 {
 		cfg.PassesPerTrial = 1
@@ -92,10 +93,11 @@ func Fig11(cfg Fig11Config) ([]Fig11Point, error) {
 	for trial := 0; trial < cfg.Trials; trial++ {
 		sc := cfg.Scenario
 		sc.Seed = sc.Seed + int64(trial)*7919
-		z, err := recordMultiPass(sc, dur, arrivals)
+		sens, model, _, err := sc.Build(arrivals...)
 		if err != nil {
 			return nil, err
 		}
+		z := sensor.ZSeries(sens.Record(model, 0, dur))
 		for mi, m := range cfg.Ms {
 			dcfg := detect.DefaultConfig()
 			dcfg.M = m
@@ -127,38 +129,6 @@ func Fig11(cfg Fig11Config) ([]Fig11Point, error) {
 		}
 	}
 	return out, nil
-}
-
-// recordMultiPass records a trial containing one ship pass per arrival
-// time, all at the scenario's distance and speed.
-func recordMultiPass(sc Scenario, dur float64, arrivals []float64) ([]float64, error) {
-	field, err := buildSea(sc.Hs, sc.Tp, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	model := sensor.Composite{field}
-	for _, arr := range arrivals {
-		track := geo.NewLine(geo.Vec2{X: 0, Y: -sc.ShipDist}, geo.Vec2{X: 1, Y: 0})
-		ship, err := wake.NewShip(track, sc.ShipSpeed, 12)
-		if err != nil {
-			return nil, err
-		}
-		if sc.WaveCoeff > 0 {
-			ship.WaveCoeff = sc.WaveCoeff
-		}
-		ship.Time0 = arr - (ship.ArrivalTime(geo.Vec2{}) - ship.Time0)
-		model = append(model, ship.Wake())
-	}
-	drift := 0.0
-	if sc.Drift {
-		drift = 2
-	}
-	buoy := sensor.NewBuoy(sensor.BuoyConfig{DriftRadius: drift, Seed: sc.Seed ^ 0xb001})
-	sens, err := sensor.NewSensor(buoy, sensor.DefaultAccelConfig())
-	if err != nil {
-		return nil, err
-	}
-	return sensor.ZSeries(sens.Record(model, 0, dur)), nil
 }
 
 // countEvents classifies one trial's windows at the given af value into

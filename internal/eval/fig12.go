@@ -128,9 +128,9 @@ func fig12Run(cfg Fig12Config, actualKn, angleDeg float64, seed int64) (float64,
 		return 0, false, err
 	}
 	// Time the front to reach Si around the arrival mark.
-	ship.Time0 = arrival - (ship.ArrivalTime(positions[0]) - ship.Time0)
+	ship.SetArrival(positions[0], arrival)
 
-	field, err := buildSea(cfg.Hs, cfg.Tp, seed)
+	field, err := Sea(cfg.Hs, cfg.Tp, seed)
 	if err != nil {
 		return 0, false, err
 	}
@@ -139,37 +139,9 @@ func fig12Run(cfg Fig12Config, actualKn, angleDeg float64, seed int64) (float64,
 	clockRNG := newClockRNG(seed, cfg.SyncRMS)
 	onsets := make([]float64, len(positions))
 	for i, pos := range positions {
-		buoy := sensor.NewBuoy(sensor.BuoyConfig{Anchor: pos, DriftRadius: 2, Seed: seed ^ int64(i)*6131})
-		sens, err := sensor.NewSensor(buoy, sensor.DefaultAccelConfig())
+		onset, err := WakeOnset(model, pos, seed^int64(i)*6131, dur)
 		if err != nil {
 			return 0, false, err
-		}
-		dcfg := detect.DefaultConfig()
-		dcfg.AnomalyThreshold = 0.5
-		det, err := detect.New(dcfg)
-		if err != nil {
-			return 0, false, err
-		}
-		samples := sens.Record(model, 0, dur)
-		windows := det.ProcessSeries(0, sensor.ZSeries(samples))
-		// The paper records "the reports which have the highest detected
-		// energy"; the wake is the strongest event, but trailing noise can
-		// come within a whisker of it, so take the earliest onset among
-		// windows within 70% of the maximum energy.
-		maxE := math.Inf(-1)
-		for _, ws := range windows {
-			if det.Detected(ws) && ws.Energy > maxE {
-				maxE = ws.Energy
-			}
-		}
-		onset := math.NaN()
-		for _, ws := range windows {
-			if !det.Detected(ws) || math.IsNaN(ws.Onset) || ws.Energy < 0.7*maxE {
-				continue
-			}
-			if math.IsNaN(onset) || ws.Onset < onset {
-				onset = ws.Onset
-			}
 		}
 		if math.IsNaN(onset) {
 			return 0, false, nil // node saw no wake: no estimate
@@ -212,6 +184,43 @@ func fig12Run(cfg Fig12Config, actualKn, angleDeg float64, seed int64) (float64,
 		return 0, false, nil // implausible estimate: no estimate
 	}
 	return kn, true, nil
+}
+
+// WakeOnset records dur seconds of model, from t = 0, at an evaluation
+// buoy moored at pos, runs the node detector over it (af = 0.5) and
+// returns the onset of the node's wake report, or NaN when no window
+// passes. The paper keeps "the reports which have the highest detected
+// energy"; the wake is the strongest event, but trailing noise can come
+// within a whisker of it, so the onset is the earliest among the detected
+// windows within 70% of the maximum energy.
+func WakeOnset(model sensor.SurfaceModel, pos geo.Vec2, seed int64, dur float64) (float64, error) {
+	sens, err := buoySensor(pos, seed)
+	if err != nil {
+		return 0, err
+	}
+	dcfg := detect.DefaultConfig()
+	dcfg.AnomalyThreshold = 0.5
+	det, err := detect.New(dcfg)
+	if err != nil {
+		return 0, err
+	}
+	windows := det.ProcessSeries(0, sensor.ZSeries(sens.Record(model, 0, dur)))
+	maxE := math.Inf(-1)
+	for _, ws := range windows {
+		if det.Detected(ws) && ws.Energy > maxE {
+			maxE = ws.Energy
+		}
+	}
+	onset := math.NaN()
+	for _, ws := range windows {
+		if !det.Detected(ws) || math.IsNaN(ws.Onset) || ws.Energy < 0.7*maxE {
+			continue
+		}
+		if math.IsNaN(onset) || ws.Onset < onset {
+			onset = ws.Onset
+		}
+	}
+	return onset, nil
 }
 
 func finiteSpeed(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }

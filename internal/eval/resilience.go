@@ -170,7 +170,7 @@ func resilienceShip(cfg ResilienceConfig, tArrive float64) (*wake.Ship, error) {
 	if err != nil {
 		return nil, err
 	}
-	ship.Time0 = tArrive - (ship.ArrivalTime(center) - ship.Time0)
+	ship.SetArrival(center, tArrive)
 	return ship, nil
 }
 

@@ -113,7 +113,7 @@ func runTable(cfg TableConfig, withShip bool) ([]TableCell, error) {
 // the per-node reports. Returns ok=false when too few nodes reported to
 // evaluate at all (possible in quiet no-ship trials at high M).
 func tableTrial(cfg TableConfig, rows int, m, speed float64, withShip bool, seed int64) (float64, bool, error) {
-	field, err := buildSea(cfg.Hs, cfg.Tp, seed)
+	field, err := Sea(cfg.Hs, cfg.Tp, seed)
 	if err != nil {
 		return 0, false, err
 	}
@@ -132,7 +132,7 @@ func tableTrial(cfg TableConfig, rows int, m, speed float64, withShip bool, seed
 		if err != nil {
 			return 0, false, err
 		}
-		ship.Time0 = tableArrive - (ship.ArrivalTime(grid.Center()) - ship.Time0)
+		ship.SetArrival(grid.Center(), tableArrive)
 		model = append(model, ship.Wake())
 	}
 
@@ -148,12 +148,7 @@ func tableTrial(cfg TableConfig, rows int, m, speed float64, withShip bool, seed
 	}
 	var reports []cluster.Report
 	for i, pos := range grid.Positions() {
-		buoy := sensor.NewBuoy(sensor.BuoyConfig{
-			Anchor:      pos,
-			DriftRadius: 2,
-			Seed:        seed ^ int64(i)*7907,
-		})
-		sens, err := sensor.NewSensor(buoy, sensor.DefaultAccelConfig())
+		sens, err := buoySensor(pos, seed^int64(i)*7907)
 		if err != nil {
 			return 0, false, err
 		}

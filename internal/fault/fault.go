@@ -222,14 +222,25 @@ func (g *gilbertElliott) lossy(now float64) bool {
 
 // CrashFraction returns a plan crashing frac of the n nodes (rounded down)
 // at staggered times starting at t0, spaced gap seconds apart, never
-// touching the protected IDs (e.g. the sink). Victims are chosen by a
-// deterministic hash of (seed, index), so the same arguments always pick
-// the same nodes — a convenience for sweeps that want "kill 12% of the
-// field mid-collection" without hand-listing IDs.
+// touching the protected IDs (e.g. the sink). Victims are the first of
+// Victims' hash order with salt 0, so the same arguments always pick the
+// same nodes — a convenience for sweeps that want "kill 12% of the field
+// mid-collection" without hand-listing IDs.
 func CrashFraction(n int, frac float64, t0, gap float64, seed int64, protected ...int) Plan {
-	count := int(frac * float64(n))
+	var p Plan
+	for i, id := range Victims(n, int(frac*float64(n)), seed, 0, protected...) {
+		p.Crashes = append(p.Crashes, Crash{Node: id, At: t0 + float64(i)*gap})
+	}
+	return p
+}
+
+// Victims returns count deterministic victims among the n node IDs that
+// are not protected (all of them when fewer remain), ordered by a salted
+// splitmix-style hash of (seed, id), ties by ID. Callers that draw
+// independent victim sets on one seed use different salts.
+func Victims(n, count int, seed int64, salt uint64, protected ...int) []int {
 	if count <= 0 {
-		return Plan{}
+		return nil
 	}
 	prot := make(map[int]bool, len(protected))
 	for _, id := range protected {
@@ -244,7 +255,7 @@ func CrashFraction(n int, frac float64, t0, gap float64, seed int64, protected .
 		if prot[id] {
 			continue
 		}
-		h := uint64(id)*0x9e3779b97f4a7c15 ^ uint64(seed)*0xbf58476d1ce4e5b9
+		h := (uint64(id)*0x9e3779b97f4a7c15 ^ uint64(seed)*0xbf58476d1ce4e5b9) + salt
 		h ^= h >> 29
 		h *= 0x94d049bb133111eb
 		h ^= h >> 32
@@ -256,12 +267,9 @@ func CrashFraction(n int, frac float64, t0, gap float64, seed int64, protected .
 		}
 		return order[i].id < order[j].id
 	})
-	if count > len(order) {
-		count = len(order)
+	ids := make([]int, min(count, len(order)))
+	for i := range ids {
+		ids[i] = order[i].id
 	}
-	var p Plan
-	for i := 0; i < count; i++ {
-		p.Crashes = append(p.Crashes, Crash{Node: order[i].id, At: t0 + float64(i)*gap})
-	}
-	return p
+	return ids
 }

@@ -21,6 +21,12 @@ type Event struct {
 	Data any `json:"data,omitempty"`
 }
 
+// Line encodes the event as one JSONL line without its trailing newline.
+// It is the one event encoder: the journal sink writes its lines, and the
+// detection server frames its own stream events with it, so a served line
+// and a journal line of the same event are the same bytes.
+func (e Event) Line() ([]byte, error) { return json.Marshal(e) }
+
 // RawEvent is a decoded journal line whose payload is still raw JSON;
 // consumers switch on Kind and unmarshal Data into the matching payload
 // struct.
@@ -77,7 +83,7 @@ func (j *Journal) Emit(t float64, kind string, data any) {
 	defer j.mu.Unlock()
 	e := Event{T: t, Kind: kind, Data: data}
 	if j.sink != nil && j.sinkErr == nil {
-		line, err := json.Marshal(e)
+		line, err := e.Line()
 		if err == nil {
 			line = append(line, '\n')
 			_, err = j.sink.Write(line)

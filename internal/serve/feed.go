@@ -122,7 +122,7 @@ func BuildFeed(fs FeedSpec) (*Feed, error) {
 	}
 	feed := &Feed{Chunks: chunks}
 	for _, r := range rt.SinkReports() {
-		feed.Detections = append(feed.Detections, toDetection(r))
+		feed.Detections = append(feed.Detections, sidapi.DetectionOf(r))
 	}
 	if fs.Journal {
 		feed.Journal = append([]byte(nil), buf.Bytes()...)

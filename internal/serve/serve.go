@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/sid-wsn/sid/internal/detect"
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/sensor"
 	"github.com/sid-wsn/sid/internal/trace"
@@ -228,7 +229,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	go t.loop()
 	s.ctrCreated.Inc()
 	writeJSON(w, http.StatusCreated, CreateResponse{
-		ID: id, Nodes: t.nodes, RateHz: t.rate, CountsPerG: t.scale, QueueCap: t.queueCap,
+		ID: id, Nodes: t.nodes, RateHz: detect.SampleRate, CountsPerG: detect.GravityCounts, QueueCap: t.queueCap,
 	})
 }
 
@@ -295,9 +296,9 @@ func (s *Server) handleChunks(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if rate != 0 && (rate != t.rate || scale != t.scale) {
+	if rate != 0 && (rate != detect.SampleRate || scale != detect.GravityCounts) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf(
-			"bundle rate/scale %g/%g does not match tenant %g/%g", rate, scale, t.rate, t.scale))
+			"bundle rate/scale %g/%g does not match tenant %g/%g", rate, scale, detect.SampleRate, detect.GravityCounts))
 		return
 	}
 	if err := t.validateChunk(dur, nodes, s.cfg.MaxBodyBytes); err != nil {
@@ -335,18 +336,18 @@ func (s *Server) handleChunks(w http.ResponseWriter, r *http.Request) {
 // the segment boundary); sample counts bounded by the window (so the
 // pending buffer stays bounded by one chunk).
 func (t *tenant) validateChunk(dur float64, nodes [][]sensor.Sample, maxBody int64) error {
-	if maxDur := maxChunkS(maxBody, t.nodes, t.rate); dur > maxDur {
+	if maxDur := maxChunkS(maxBody, t.nodes); dur > maxDur {
 		return fmt.Errorf("chunk duration %gs exceeds the %.0fs a full chunk can cover within the %d-byte body limit",
 			dur, maxDur, maxBody)
 	}
 	if batches := dur / t.batchS; math.Abs(batches-math.Round(batches)) > 1e-9 {
 		return fmt.Errorf("chunk duration %gs is not a multiple of the sensing batch (%gs)", dur, t.batchS)
 	}
-	maxSamples := int(dur*t.rate + 0.5)
+	maxSamples := int(dur*detect.SampleRate + 0.5)
 	for node, ns := range nodes {
 		if len(ns) > maxSamples {
 			return fmt.Errorf("node %d: %d samples exceed the %gs window (%d at %g Hz)",
-				node, len(ns), dur, maxSamples, t.rate)
+				node, len(ns), dur, maxSamples, detect.SampleRate)
 		}
 	}
 	return nil
@@ -363,10 +364,11 @@ func (t *tenant) checkStreams(n int) error {
 }
 
 // maxChunkS is the longest chunk a body of maxBody bytes can carry: a full
-// chunk is nodes × rate × dur samples, SIDTRACE-encoded. Tenant create
-// applies it too, so a grid no chunk can feed is refused up front.
-func maxChunkS(maxBody int64, nodes int, rate float64) float64 {
-	return float64(maxBody) / (trace.SampleBytes * float64(nodes) * rate)
+// chunk is nodes × detect.SampleRate × dur samples, SIDTRACE-encoded.
+// Tenant create applies it too, so a grid no chunk can feed is refused up
+// front.
+func maxChunkS(maxBody int64, nodes int) float64 {
+	return float64(maxBody) / (trace.SampleBytes * float64(nodes) * detect.SampleRate)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -464,12 +466,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, t.tracer.Traces())
-}
-
-// marshalEvent builds one obs.Event-shaped JSONL line (no trailing
-// newline), exactly as the journal sink would.
-func marshalEvent(t float64, kind string, data any) ([]byte, error) {
-	return json.Marshal(obs.Event{T: t, Kind: kind, Data: data})
 }
 
 type errorBody struct {

@@ -160,7 +160,7 @@ func streamLines(t *testing.T, baseURL, id string) func() [][]byte {
 }
 
 // TestServeWireByteIdentity is the serving determinism gate: the facade
-// fleet, the in-process recorded run, and a served tenant fed that
+// deployment, the in-process recorded run, and a served tenant fed that
 // recording over HTTP must produce byte-identical detection JSON — and
 // the tenant's full event stream (journal lines included) must be
 // byte-identical across server worker counts and per-tenant Workers
@@ -181,20 +181,21 @@ func TestServeWireByteIdentity(t *testing.T) {
 		t.Fatal("feed produced no detections; the identity test needs some")
 	}
 
-	// Reference path: the same config run through the public fleet API.
-	fleet, err := sidapi.NewFleet(sidapi.FleetConfig{Deployments: []sidapi.Config{cfg}})
+	// Reference path: the same config and intruder run through the public
+	// deployment API.
+	dep, err := sidapi.NewDeployment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fleet.AddIntruder(0, testIntruder); err != nil {
+	if err := dep.AddIntruder(testIntruder); err != nil {
 		t.Fatal(err)
 	}
-	if err := fleet.Run(testDur); err != nil {
+	if err := dep.Run(testDur); err != nil {
 		t.Fatal(err)
 	}
-	want := fleet.Field(0).Detections()
+	want := dep.Detections()
 	if !reflect.DeepEqual(want, feed.Detections) {
-		t.Fatalf("feed reference diverges from facade fleet:\n got %+v\nwant %+v", feed.Detections, want)
+		t.Fatalf("feed reference diverges from facade deployment:\n got %+v\nwant %+v", feed.Detections, want)
 	}
 	wantJSON := make([][]byte, len(want))
 	for i, d := range want {
@@ -209,9 +210,9 @@ func TestServeWireByteIdentity(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("server%d_spec%d", c.server, c.spec), func(t *testing.T) {
 			srv := New(Config{Workers: c.server})
-			defer srv.Close()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
+			defer srv.Close() // first: ends the event stream ts.Close waits on
 			spec := cfg
 			spec.Workers = c.spec
 			cr := createTenant(t, ts.URL, CreateRequest{Spec: spec, Journal: true})
@@ -376,9 +377,9 @@ func TestServeBackpressure(t *testing.T) {
 // terminal serve.end, and the tenant is gone afterwards.
 func TestServeDeleteDrains(t *testing.T) {
 	srv := New(Config{Workers: 2})
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer srv.Close() // first: ends the event stream ts.Close waits on
 	cr := createTenant(t, ts.URL, CreateRequest{Spec: cheapSpec()})
 	wait := streamLines(t, ts.URL, cr.ID)
 

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	sidapi "github.com/sid-wsn/sid"
-	"github.com/sid-wsn/sid/internal/geo"
+	"github.com/sid-wsn/sid/internal/detect"
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/sensor"
 	isid "github.com/sid-wsn/sid/internal/sid"
@@ -58,8 +58,6 @@ type tenant struct {
 	push     *source.Trace
 	col      *obs.Collector
 	tracer   *obs.Tracer // nil unless the tenant was created with Trace
-	rate     float64
-	scale    float64
 	batchS   float64
 	nodes    int
 	queueCap int
@@ -157,8 +155,9 @@ const maxGenesisMarks = 256
 // whose node count overflows, a byzantine plan over
 // adversary.MaxInjections, and fault or clock-spoof lists longer than the
 // grid), and the body limit maxBody, which one sensing batch of every node
-// must fit (validateChunk's bound). It returns the request and its runtime
-// configuration; nothing it refuses allocates per node.
+// at the detectors' rate must fit (validateChunk's bound). It returns the
+// request and its runtime configuration; nothing it refuses allocates per
+// node.
 func parseCreate(body io.Reader, maxBody int64) (CreateRequest, isid.Config, error) {
 	var req CreateRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -174,21 +173,19 @@ func parseCreate(body io.Reader, maxBody int64) (CreateRequest, isid.Config, err
 	if err := rc.Validate(); err != nil {
 		return req, rc, fmt.Errorf("building deployment: %w", err)
 	}
-	rate := sensor.DefaultAccelConfig().SampleRate
-	if maxS := maxChunkS(maxBody, rc.Grid.NumNodes(), rate); rc.SampleBatch > maxS {
+	if maxS := maxChunkS(maxBody, rc.Grid.NumNodes()); rc.SampleBatch > maxS {
 		return req, rc, fmt.Errorf("building deployment: %d nodes at %g Hz: one %gs sensing batch exceeds the %d-byte body limit",
-			rc.Grid.NumNodes(), rate, rc.SampleBatch, maxBody)
+			rc.Grid.NumNodes(), detect.SampleRate, rc.SampleBatch, maxBody)
 	}
 	return req, rc, nil
 }
 
 // newTenant compiles a parsed tenant spec (parseCreate) into a running
-// pipeline fed at the sensor's rate and scale, the ones the detectors are
-// tuned for. The returned tenant's loop is not yet started; the server
-// starts it after registration so a failed registration leaks nothing.
+// pipeline fed at the rate and scale the detectors are tuned for
+// (detect.SampleRate, detect.GravityCounts). The returned tenant's loop is
+// not yet started; the server starts it after registration so a failed
+// registration leaks nothing.
 func newTenant(srv *Server, id string, req CreateRequest, rc isid.Config) (*tenant, error) {
-	accel := sensor.DefaultAccelConfig()
-	rate, scale := accel.SampleRate, accel.CountsPerG
 	queue := req.Queue
 	if queue <= 0 {
 		queue = srv.cfg.DefaultQueue
@@ -198,7 +195,7 @@ func newTenant(srv *Server, id string, req CreateRequest, rc isid.Config) (*tena
 		// Workers explicitly keeps it (results are bit-identical either way).
 		rc.Workers = 1
 	}
-	push, err := source.NewPush(rate, scale, rc.Grid.NumNodes())
+	push, err := source.NewPush(detect.SampleRate, detect.GravityCounts, rc.Grid.NumNodes())
 	if err != nil {
 		return nil, err
 	}
@@ -211,8 +208,6 @@ func newTenant(srv *Server, id string, req CreateRequest, rc isid.Config) (*tena
 		srv:      srv,
 		push:     push,
 		col:      col,
-		rate:     rate,
-		scale:    scale,
 		batchS:   rc.SampleBatch,
 		nodes:    rc.Grid.NumNodes(),
 		queueCap: queue,
@@ -350,7 +345,7 @@ func (t *tenant) process(job chunkJob) {
 		ids = t.tracer.ConfirmedIDs()
 	}
 	for i, r := range reports[have:] {
-		det := toDetection(r)
+		det := sidapi.DetectionOf(r)
 		t.mu.Lock()
 		t.dets = append(t.dets, det)
 		t.mu.Unlock()
@@ -406,11 +401,12 @@ func (t *tenant) finish() {
 	t.mu.Unlock()
 }
 
-// emit wraps a server-side payload as an obs.Event-shaped line stamped
-// with the pipeline's simulation clock (never wall clock — the stream
-// stays a pure function of spec and feed) and delivers it.
+// emit encodes a server-side payload as an event line, exactly as the
+// journal sink would, stamped with the pipeline's simulation clock (never
+// wall clock — the stream stays a pure function of spec and feed), and
+// delivers it.
 func (t *tenant) emit(kind string, data any) {
-	line, err := marshalEvent(t.rt.Scheduler().Now(), kind, data)
+	line, err := obs.Event{T: t.rt.Scheduler().Now(), Kind: kind, Data: data}.Line()
 	if err != nil {
 		return
 	}
@@ -511,7 +507,7 @@ func (t *tenant) status() TenantStatus {
 	st := TenantStatus{
 		ID:          t.id,
 		Nodes:       t.nodes,
-		RateHz:      t.rate,
+		RateHz:      detect.SampleRate,
 		AcceptedS:   t.acceptedS,
 		ProcessedS:  t.processedS,
 		Detections:  len(t.dets),
@@ -531,23 +527,4 @@ func (t *tenant) detections() []sidapi.Detection {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]sidapi.Detection(nil), t.dets...)
-}
-
-// toDetection converts a sink report exactly like the facade's
-// Deployment.Detections does — same struct, same unit conversions — so
-// marshaling a wire detection and marshaling an in-process run's detection
-// produce identical bytes.
-func toDetection(r isid.SinkReport) sidapi.Detection {
-	det := sidapi.Detection{
-		Time:      r.Time,
-		C:         r.C,
-		Reports:   r.Reports,
-		MeanOnset: r.MeanOnset,
-		HasSpeed:  r.HasSpeed,
-	}
-	if r.HasSpeed {
-		det.SpeedKnots = geo.ToKnots(r.Speed)
-		det.HeadingDeg = geo.ToDeg(r.Heading)
-	}
-	return det
 }

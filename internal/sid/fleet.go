@@ -96,12 +96,3 @@ func (f *Fleet) Snapshot() obs.Snapshot {
 	}
 	return obs.MergeSnapshots(snaps...)
 }
-
-// SinkReportsTotal counts confirmed intrusions across the fleet.
-func (f *Fleet) SinkReportsTotal() int {
-	total := 0
-	for _, rt := range f.rts {
-		total += len(rt.SinkReports())
-	}
-	return total
-}

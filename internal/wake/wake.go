@@ -103,7 +103,7 @@ func CrossingShip(center geo.Vec2, speedKnots, headingDeg, offsetM, crossAt, len
 	if err != nil {
 		return nil, err
 	}
-	ship.Time0 = crossAt - (ship.ArrivalTime(center) - ship.Time0)
+	ship.SetArrival(center, crossAt)
 	return ship, nil
 }
 
@@ -166,6 +166,12 @@ func (s *Ship) ArrivalTime(p geo.Vec2) float64 {
 	d := s.Track.Dist(p)
 	lead := d / math.Tan(KelvinHalfAngle)
 	return s.Time0 + (along+lead)/s.Speed
+}
+
+// SetArrival sets Time0 so that the wake front sweeps p at time t, which
+// shifts the ship along its track and changes nothing else.
+func (s *Ship) SetArrival(p geo.Vec2, t float64) {
+	s.Time0 = t - (s.ArrivalTime(p) - s.Time0)
 }
 
 // Signal is the deterministic wake packet observed at one fixed point: a

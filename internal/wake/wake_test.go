@@ -147,6 +147,32 @@ func TestArrivalTimeGeometry(t *testing.T) {
 	}
 }
 
+// TestSetArrival: timing a crossing puts the wake front at p at t, for a
+// track that starts neither at the origin nor at t = 0, and moves only
+// Time0.
+func TestSetArrival(t *testing.T) {
+	s, err := NewShip(geo.NewLine(geo.Vec2{X: -340, Y: 75}, geo.Vec2{X: 0.6, Y: 0.8}), geo.Knots(12), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Time0 = -55
+	want := *s
+	p := geo.Vec2{X: 80, Y: 410}
+	s.SetArrival(p, 250)
+	if at := s.ArrivalTime(p); !almostEq(at, 250, 1e-9) {
+		t.Errorf("front reaches p at %v, want 250", at)
+	}
+	want.Time0 = s.Time0
+	if *s != want {
+		t.Errorf("SetArrival changed more than Time0: %+v, want %+v", *s, want)
+	}
+	// The front trails the hull: when it reaches p, the ship is already
+	// past p's projection onto the track.
+	if along := s.Track.Project(s.Position(250)); along <= s.Track.Project(p) {
+		t.Errorf("hull at %v along the track when the front reaches p (p at %v)", along, s.Track.Project(p))
+	}
+}
+
 func TestArrivalOrderAcrossRow(t *testing.T) {
 	// Nodes in a row perpendicular to the track: closer nodes detect first —
 	// the spatial/temporal correlation the cluster level exploits (§IV-C1).

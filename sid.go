@@ -254,9 +254,9 @@ func DefaultDeployment() Config {
 }
 
 // runtimeConfig lowers the public Config onto the internal one. It is the
-// single conversion path: NewDeployment, NewFleet and Validate all go
-// through it, so the internal validator is the one source of truth for
-// what a deployment accepts.
+// single conversion path: NewDeployment and Validate both go through it,
+// so the internal validator is the one source of truth for what a
+// deployment accepts.
 func (cfg Config) runtimeConfig() sid.Config {
 	rc := sid.DefaultConfig()
 	rc.Grid = geo.GridSpec{Rows: cfg.Rows, Cols: cfg.Cols, Spacing: cfg.SpacingM}
@@ -294,8 +294,8 @@ func (cfg Config) Validate() error {
 }
 
 // RuntimeConfig lowers the public configuration onto the internal runtime
-// configuration — the same single conversion path NewDeployment, NewFleet
-// and Validate use. It exists for in-module layers: the detection server
+// configuration — the same single conversion path NewDeployment and
+// Validate use. It exists for in-module layers: the detection server
 // (internal/serve) compiles tenant specs through it so a served deployment
 // is exactly the deployment the facade would build. Code outside this
 // module cannot name the returned type and should use NewDeployment.
@@ -367,20 +367,29 @@ type Detection struct {
 func (d *Deployment) Detections() []Detection {
 	var out []Detection
 	for _, r := range d.rt.SinkReports() {
-		det := Detection{
-			Time:      r.Time,
-			C:         r.C,
-			Reports:   r.Reports,
-			MeanOnset: r.MeanOnset,
-			HasSpeed:  r.HasSpeed,
-		}
-		if r.HasSpeed {
-			det.SpeedKnots = geo.ToKnots(r.Speed)
-			det.HeadingDeg = geo.ToDeg(r.Heading)
-		}
-		out = append(out, det)
+		out = append(out, DetectionOf(r))
 	}
 	return out
+}
+
+// DetectionOf converts one sink report into a Detection, with speed and
+// heading in knots and degrees. It is the one conversion: Detections and
+// the detection server (internal/serve) both use it, so a served detection
+// marshals to the same bytes as the library's. Like RuntimeConfig, it
+// takes a type code outside this module cannot name.
+func DetectionOf(r sid.SinkReport) Detection {
+	det := Detection{
+		Time:      r.Time,
+		C:         r.C,
+		Reports:   r.Reports,
+		MeanOnset: r.MeanOnset,
+		HasSpeed:  r.HasSpeed,
+	}
+	if r.HasSpeed {
+		det.SpeedKnots = geo.ToKnots(r.Speed)
+		det.HeadingDeg = geo.ToDeg(r.Heading)
+	}
+	return det
 }
 
 // Stats summarizes protocol activity.

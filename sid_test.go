@@ -183,3 +183,29 @@ func TestDeploymentAdversaryDefense(t *testing.T) {
 		t.Error("out-of-range byzantine node accepted")
 	}
 }
+
+// TestConfigValidate pins the facade validation entry point: the zero
+// Config is rejected, the default accepted, and single-field breakage is
+// caught.
+func TestConfigValidate(t *testing.T) {
+	if err := (Config{}).Validate(); err == nil {
+		t.Error("zero Config validated")
+	}
+	if err := DefaultDeployment().Validate(); err != nil {
+		t.Errorf("DefaultDeployment invalid: %v", err)
+	}
+	cases := map[string]func(*Config){
+		"zero rows":       func(c *Config) { c.Rows = 0 },
+		"negative loss":   func(c *Config) { c.PacketLoss = -0.1 },
+		"negative wave":   func(c *Config) { c.SignificantWaveHeightM = -1 },
+		"zero period":     func(c *Config) { c.PeakPeriodS = 0 },
+		"negative worker": func(c *Config) { c.Workers = -1 },
+	}
+	for name, mutate := range cases {
+		cfg := DefaultDeployment()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+	}
+}
