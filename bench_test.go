@@ -310,7 +310,7 @@ func failureTrialDetects(b *testing.B, seed int64) bool {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ship.Time0 = 150 - (ship.ArrivalTime(center) - ship.Time0)
+	ship.SetArrival(center, 150)
 	rt.AddShip(ship)
 	if err := rt.Run(350); err != nil {
 		b.Fatal(err)

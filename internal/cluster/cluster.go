@@ -44,7 +44,8 @@ import (
 	"github.com/sid-wsn/sid/internal/geo"
 )
 
-// Report is one node's positive detection as received by a cluster head.
+// Report is one node's positive detection: the record a member sends its
+// temporary cluster head and the head stores.
 type Report struct {
 	// Node identifies the reporting node.
 	Node int

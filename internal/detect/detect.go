@@ -99,8 +99,8 @@ const (
 	// cutoffHz is the low-pass cutoff: ship wake and swell live below
 	// 1 Hz, chop and sensor noise above it (Fig. 8).
 	cutoffHz = 1.0
-	// FilterTaps sizes the FIR low-pass filter.
-	FilterTaps = 101
+	// filterTaps sizes the FIR low-pass filter.
+	filterTaps = 101
 	// beta is both moving-statistics forgetting factors, β₁ = β₂ (eq. 5).
 	beta = 0.99
 	// statWindow is u, the batch-statistics window length in samples (the
@@ -120,6 +120,31 @@ const (
 	// documented in DESIGN.md.
 	escapeWindows = 15
 )
+
+// lowPass is the §IV-B low-pass, designed once: every detector streams
+// through it and Fig. 8 applies it.
+var lowPass = func() *dsp.FIR {
+	fir, err := dsp.LowPassFIR(cutoffHz, SampleRate, filterTaps, dsp.Hamming)
+	if err != nil {
+		panic(err) // constant arguments
+	}
+	return fir
+}()
+
+// The detector's start-up, fixed by the filter design.
+var (
+	// filterDelay is the filter's group delay in seconds.
+	filterDelay = float64(lowPass.GroupDelay()) / SampleRate
+	// settleSamples is the filter's startup transient: until its delay
+	// line is primed the output ramps from zero.
+	settleSamples = len(lowPass.Taps)
+	// warmupSamples precede the first Δt window a detector evaluates.
+	warmupSamples = warmupWindows*statWindow + settleSamples
+)
+
+// LowPass returns the detector's 1 Hz low-pass filter, the one design every
+// detector shares. It is read-only.
+func LowPass() *dsp.FIR { return lowPass }
 
 // Config parametrizes a node-level detector. The zero value is not valid;
 // use DefaultConfig as a starting point.
@@ -211,11 +236,11 @@ type Report struct {
 type Detector struct {
 	cfg    Config
 	stream *dsp.Stream
-	delay  float64 // filter group delay in seconds
 
 	moving *stats.Moving
 
-	// batch statistics accumulation (normal samples only).
+	// batch statistics accumulation (normal samples only), used and
+	// allocated only under GateSample.
 	batch []float64
 
 	// escape bookkeeping: all samples of the current span, gated or not.
@@ -231,9 +256,7 @@ type Detector struct {
 	sinceEval int
 	hop       int
 
-	samplesSeen   int
-	settleSamples int
-	warmupSamples int
+	samplesSeen int
 }
 
 // sampleRec is one sample's contribution to the sliding anomaly window.
@@ -248,15 +271,10 @@ func New(cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fir, err := dsp.LowPassFIR(cutoffHz, SampleRate, FilterTaps, dsp.Hamming)
-	if err != nil {
-		return nil, err
-	}
 	moving, err := stats.NewMoving(beta, beta)
 	if err != nil {
 		return nil, err
 	}
-	settle := len(fir.Taps)
 	hop := cfg.AnomalyHop
 	if hop == 0 {
 		hop = cfg.AnomalyWindow / 2
@@ -264,25 +282,26 @@ func New(cfg Config) (*Detector, error) {
 			hop = 1
 		}
 	}
-	return &Detector{
-		cfg:           cfg,
-		stream:        fir.Stream(),
-		delay:         float64(fir.GroupDelay()) / SampleRate,
-		moving:        moving,
-		batch:         make([]float64, 0, statWindow),
-		ring:          make([]sampleRec, cfg.AnomalyWindow),
-		hop:           hop,
-		settleSamples: settle,
-		warmupSamples: warmupWindows*statWindow + settle,
-	}, nil
+	d := &Detector{
+		cfg:    cfg,
+		stream: lowPass.Stream(),
+		moving: moving,
+		ring:   make([]sampleRec, cfg.AnomalyWindow),
+		hop:    hop,
+	}
+	if cfg.Gate == GateSample {
+		d.batch = make([]float64, 0, statWindow)
+	}
+	return d, nil
 }
 
-// MemBytes returns the detector's resident state in bytes: the FIR taps and
-// delay line, the batch-statistics buffers (bounded by statWindow), and the
-// sliding anomaly-window ring (AnomalyWindow records). Every buffer is a
-// fixed-size ring or a capacity-bounded accumulator sized from the
-// configuration, so once warm this is a constant — the per-node memory
-// budget a large field multiplies by its node count.
+// MemBytes returns the detector's resident state in bytes: the filter's
+// delay line (the taps are the one shared design), the batch-statistics
+// buffers (bounded by statWindow), and the sliding anomaly-window ring
+// (AnomalyWindow records). Every buffer is a fixed-size ring or a
+// capacity-bounded accumulator sized from the configuration and the
+// longest block pushed, so once warm this is a constant — the per-node
+// memory budget a large field multiplies by its node count.
 func (d *Detector) MemBytes() int {
 	const recBytes = 24 // sampleRec: two float64s plus a padded bool
 	return d.stream.MemBytes() +
@@ -360,17 +379,17 @@ func (d *Detector) step(t, filtered float64) (ws WindowStat, ok bool) {
 	// Discard the filter's startup transient: until the delay line is
 	// fully primed its output ramps from zero and would wreck the
 	// adaptive statistics.
-	if d.samplesSeen <= d.settleSamples {
+	if d.samplesSeen <= settleSamples {
 		return WindowStat{}, false
 	}
 	// The causal filter output at this instant describes the input
 	// group-delay seconds ago.
-	ft := t - d.delay
+	ft := t - filterDelay
 
 	// Preprocess: remove gravity, fold.
 	folded := math.Abs(filtered - GravityCounts)
 
-	warm := d.samplesSeen > d.warmupSamples
+	warm := d.samplesSeen > warmupSamples
 
 	crossing := false
 	var dev float64

@@ -3,12 +3,23 @@ package dsp
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
-// FIR is a finite-impulse-response filter described by its tap coefficients.
+// FIR is a finite-impulse-response filter described by its tap
+// coefficients. Build one with NewFIR or LowPassFIR and treat it as
+// read-only: one design serves any number of streams at once.
 type FIR struct {
 	Taps []float64
+	rev  []float64 // Taps reversed, the order a Stream applies them in
+}
+
+// NewFIR returns the filter with the given taps, which it keeps.
+func NewFIR(taps []float64) *FIR {
+	rev := make([]float64, len(taps))
+	for k := range rev {
+		rev[k] = taps[len(taps)-1-k]
+	}
+	return &FIR{Taps: taps, rev: rev}
 }
 
 // LowPassFIR designs a windowed-sinc low-pass filter with the given cutoff
@@ -50,7 +61,7 @@ func LowPassFIR(cutoff, sampleRate float64, taps int, window WindowType) (*FIR, 
 			h[i] /= sum
 		}
 	}
-	return &FIR{Taps: h}, nil
+	return NewFIR(h), nil
 }
 
 // GroupDelay returns the filter's group delay in samples ((taps−1)/2 for the
@@ -75,66 +86,63 @@ func (f *FIR) Apply(x []float64) []float64 {
 // sample yields one output sample delayed by the group delay. It is the
 // form a sensor node would run online.
 type Stream struct {
-	taps []float64
-	buf  []float64
-	pos  int
+	// rev is the filter's taps in the order they are applied, shared
+	// read-only with the FIR and every other stream of it.
+	rev []float64
+	// line is the delay line in time order: the L−1 newest inputs of an
+	// L-tap filter. Its capacity leaves room behind them for the longest
+	// block pushed so far.
+	line []float64
 }
 
 // Stream returns a streaming instance of the filter.
 func (f *FIR) Stream() *Stream {
-	return &Stream{taps: f.Taps, buf: make([]float64, len(f.Taps))}
+	return &Stream{rev: f.rev, line: make([]float64, len(f.rev)-1)}
+}
+
+// extend returns the delay line followed by n slots for new inputs,
+// growing the line's capacity when n exceeds every earlier block.
+func (s *Stream) extend(n int) []float64 {
+	m := len(s.line)
+	if cap(s.line) < m+n {
+		h := make([]float64, m, m+n)
+		copy(h, s.line)
+		s.line = h
+	}
+	return s.line[:m+n]
 }
 
 // Push feeds one input sample and returns the next (causal) output sample.
+// It sums taps[L−1] (against the oldest sample) first.
 func (s *Stream) Push(x float64) float64 {
-	s.buf[s.pos] = x
-	s.pos = (s.pos + 1) % len(s.buf)
+	h := s.extend(1)
+	h[len(h)-1] = x
+	w := h[:len(s.rev)]
 	var acc float64
-	idx := s.pos
-	// buf[pos] is now the oldest sample; taps are applied newest-first.
-	for i := len(s.taps) - 1; i >= 0; i-- {
-		acc += s.taps[i] * s.buf[idx]
-		idx++
-		if idx == len(s.buf) {
-			idx = 0
-		}
+	for k, c := range s.rev {
+		acc += c * w[k]
 	}
+	copy(h, h[1:])
 	return acc
 }
-
-// blockPool holds PushBlock's scratch: the taps in application order and
-// the delay line unrolled in front of the block. It is pooled rather than
-// kept on the Stream because a field runs one stream per node, and a
-// per-stream copy would add its bytes to every node's resident state.
-var blockPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // PushBlock feeds the samples of src in order and writes their outputs to
 // dst, which must be at least as long; dst may be src itself. Every output
 // equals, bit for bit, what Push returns for the same sample: each is
-// summed in Push's order, taps[L−1] (against the oldest sample) first. The
-// block form gains by computing four outputs at once, four independent
-// accumulator chains where Push has one dependent chain per sample.
+// summed in Push's order. The block form gains by computing four outputs
+// at once, four independent accumulator chains where Push has one
+// dependent chain per sample.
 func (s *Stream) PushBlock(dst, src []float64) {
 	n := len(src)
 	if n == 0 {
 		return
 	}
-	L := len(s.taps)
-	sp := blockPool.Get().(*[]float64)
-	if cap(*sp) < 2*L-1+n {
-		*sp = make([]float64, 2*L-1+n)
-	}
-	// rev is the taps in the order Push applies them. h is the input in
-	// time order: the L−1 newest samples of the delay line (buf[pos] is
-	// the oldest of L), then the block. Output j sums rev[k]·h[j+k] over
-	// k = 0…L−1, and with both slices running forward the inner loops need
-	// no bounds checks.
-	rev, h := (*sp)[:L], (*sp)[L:2*L-1+n]
-	for k := range rev {
-		rev[k] = s.taps[L-1-k]
-	}
-	m := copy(h[:L-1], s.buf[s.pos+1:])
-	copy(h[m:L-1], s.buf[:s.pos])
+	// h is the input in time order: the delay line, then the block.
+	// Output j sums rev[k]·h[j+k] over k = 0…L−1, and with both slices
+	// running forward the inner loops need no bounds checks.
+	rev := s.rev
+	L := len(rev)
+	h := s.extend(n)
 	copy(h[L-1:], src)
 	dst = dst[:n]
 	j := 0
@@ -157,39 +165,12 @@ func (s *Stream) PushBlock(dst, src []float64) {
 		}
 		dst[j] = acc
 	}
-	// The delay line keeps the L newest samples, oldest at pos.
-	copy(s.buf, h[len(h)-L:])
-	s.pos = 0
-	blockPool.Put(sp)
+	// Keep the L−1 newest samples.
+	copy(h, h[n:])
 }
 
-// MemBytes returns the stream's resident state in bytes: tap and delay-line
-// slices plus the cursor. Each detector builds its own filter, so the taps
-// count against the owning node's budget.
+// MemBytes returns the stream's own resident state in bytes: the delay
+// line. The taps belong to the FIR, which any number of streams share.
 func (s *Stream) MemBytes() int {
-	return (cap(s.taps)+cap(s.buf))*8 + 8
-}
-
-// Decimate low-pass filters x (anti-aliasing at 0.8×Nyquist of the output
-// rate) and keeps every factor-th sample.
-func Decimate(x []float64, sampleRate float64, factor int) ([]float64, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("dsp: decimation factor must be positive, got %d", factor)
-	}
-	if factor == 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out, nil
-	}
-	outRate := sampleRate / float64(factor)
-	lp, err := LowPassFIR(0.4*outRate, sampleRate, 101, Hamming)
-	if err != nil {
-		return nil, err
-	}
-	filtered := lp.Apply(x)
-	out := make([]float64, 0, len(x)/factor+1)
-	for i := 0; i < len(filtered); i += factor {
-		out = append(out, filtered[i])
-	}
-	return out, nil
+	return cap(s.line) * 8
 }

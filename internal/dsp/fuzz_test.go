@@ -142,9 +142,9 @@ func FuzzSTFTFraming(f *testing.F) {
 
 // FuzzStreamPushBlock checks that PushBlock equals Push bit for bit for
 // random taps, inputs and block splits. Each split byte either pushes one
-// sample through Push (even bytes, which moves the ring offset the next
-// block enters at) or a block of 1 + b/2 samples through PushBlock (odd
-// bytes); the reference stream pushes every sample through Push. Seeds
+// sample through Push (even bytes) or a block of 1 + b/2 samples through
+// PushBlock (odd bytes); the reference stream pushes every sample through
+// Push. Seeds
 // cover the 1-, 3-, 101- and 201-tap shapes, blocks longer than the delay
 // line, and dst aliasing src.
 func FuzzStreamPushBlock(f *testing.F) {
@@ -172,7 +172,7 @@ func FuzzStreamPushBlock(f *testing.F) {
 		for i, b := range input {
 			x[i] = float64(int8(b)) * 8.25
 		}
-		fir := &FIR{Taps: taps}
+		fir := NewFIR(taps)
 		ref, blk := fir.Stream(), fir.Stream()
 		want := make([]float64, len(x))
 		for i, v := range x {

@@ -15,8 +15,6 @@ import (
 type Fig5Result struct {
 	Duration float64
 	X, Y, Z  seriesStats
-	// ZSeries is the z channel decimated to 1 Hz for plotting.
-	ZSeries []float64
 }
 
 // Fig5 records the quiet sea and summarizes the three axes.
@@ -27,17 +25,11 @@ func Fig5(sc Scenario) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	z := sensor.ZSeries(samples)
-	dec, err := dsp.Decimate(z, 50, 50)
-	if err != nil {
-		return nil, err
-	}
 	return &Fig5Result{
 		Duration: dur,
 		X:        statsOf(sensor.XSeries(samples)),
 		Y:        statsOf(sensor.YSeries(samples)),
-		Z:        statsOf(z),
-		ZSeries:  dec,
+		Z:        statsOf(sensor.ZSeries(samples)),
 	}, nil
 }
 
@@ -327,11 +319,7 @@ func Fig8(sc Scenario) (*Fig8Result, error) {
 	}
 	z := sensor.ZSeries(samples)
 	dsp.Detrend(z)
-	lp, err := dsp.LowPassFIR(1.0, 50, detect.FilterTaps, dsp.Hamming)
-	if err != nil {
-		return nil, err
-	}
-	filtered := lp.Apply(z)
+	filtered := detect.LowPass().Apply(z)
 	rawPSD, err := dsp.Welch(z, dsp.WelchConfig{SegmentSize: 1024, SampleRate: 50})
 	if err != nil {
 		return nil, err

@@ -104,29 +104,6 @@ func TestJONSWAPDefaults(t *testing.T) {
 	}
 }
 
-func TestSeaStateParams(t *testing.T) {
-	prevHs := 0.0
-	for _, ss := range []SeaState{SeaCalm, SeaSmooth, SeaSlight, SeaModest, SeaRough} {
-		hs, tp, err := ss.Params()
-		if err != nil {
-			t.Fatalf("%v: %v", ss, err)
-		}
-		if hs <= prevHs {
-			t.Errorf("%v: Hs %v not increasing", ss, hs)
-		}
-		if tp <= 0 {
-			t.Errorf("%v: Tp %v", ss, tp)
-		}
-		prevHs = hs
-		if ss.String() == "" {
-			t.Errorf("empty String for %d", int(ss))
-		}
-	}
-	if _, _, err := SeaState(99).Params(); err == nil {
-		t.Error("expected error for unknown sea state")
-	}
-}
-
 func TestDispersionHelpers(t *testing.T) {
 	f := 0.2
 	k := WavenumberFor(f)

@@ -108,56 +108,6 @@ func (s *JONSWAP) Density(f float64) float64 {
 // PeakFreq implements Spectrum.
 func (s *JONSWAP) PeakFreq() float64 { return 1 / s.Tp }
 
-// SeaState describes standard sea conditions on the Douglas scale, used as
-// presets for scenarios. State 2-3 matches the near-coast conditions of the
-// paper's deployment.
-type SeaState int
-
-// Douglas sea states supported by the presets.
-const (
-	SeaCalm   SeaState = 1 // calm, rippled
-	SeaSmooth SeaState = 2 // smooth, wavelets
-	SeaSlight SeaState = 3 // slight
-	SeaModest SeaState = 4 // moderate
-	SeaRough  SeaState = 5 // rough
-)
-
-// Params returns representative (Hs, Tp) for the sea state.
-func (s SeaState) Params() (hs, tp float64, err error) {
-	switch s {
-	case SeaCalm:
-		return 0.05, 2.0, nil
-	case SeaSmooth:
-		return 0.2, 3.2, nil
-	case SeaSlight:
-		return 0.6, 4.8, nil
-	case SeaModest:
-		return 1.5, 6.5, nil
-	case SeaRough:
-		return 3.0, 8.5, nil
-	default:
-		return 0, 0, fmt.Errorf("ocean: unsupported sea state %d", int(s))
-	}
-}
-
-// String implements fmt.Stringer.
-func (s SeaState) String() string {
-	switch s {
-	case SeaCalm:
-		return "calm"
-	case SeaSmooth:
-		return "smooth"
-	case SeaSlight:
-		return "slight"
-	case SeaModest:
-		return "moderate"
-	case SeaRough:
-		return "rough"
-	default:
-		return fmt.Sprintf("SeaState(%d)", int(s))
-	}
-}
-
 // Deep-water dispersion helpers.
 
 // WavenumberFor returns k = (2πf)²/g for deep water.

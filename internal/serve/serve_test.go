@@ -291,6 +291,80 @@ func TestServeWireByteIdentity(t *testing.T) {
 	}
 }
 
+// TestTenantHistoryBounded: a tenant keeps one collection window of node
+// reports and cluster evaluations, not its whole life. Fed a recording
+// longer than two windows, whose journal holds node reports and
+// evaluations older than the last window, the tenant keeps none of them
+// and still serves the recording's detections.
+func TestTenantHistoryBounded(t *testing.T) {
+	cfg := testSpec()
+	window := cfg.RuntimeConfig().CollectWindow
+	if testDur <= 2*window {
+		t.Fatalf("recording of %gs is not longer than two %gs windows", testDur, window)
+	}
+	feed, err := BuildFeed(FeedSpec{
+		Spec:      cfg,
+		Intruders: []sidapi.Intruder{testIntruder},
+		Duration:  testDur,
+		ChunkS:    testChunkS,
+		Journal:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutoff := testDur - window
+	var oldReports, oldEvals int
+	for _, line := range bytes.Split(bytes.TrimSpace(feed.Journal), []byte("\n")) {
+		var ev obs.RawEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case ev.T >= cutoff:
+		case ev.Kind == obs.KindNodeReport:
+			oldReports++
+		case ev.Kind == obs.KindClusterEval, ev.Kind == obs.KindClusterCancel:
+			oldEvals++
+		}
+	}
+	if oldReports == 0 || oldEvals == 0 {
+		t.Fatalf("recording has %d node reports and %d evaluations before %gs; the test needs both",
+			oldReports, oldEvals, cutoff)
+	}
+
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	cr := createTenant(t, ts.URL, CreateRequest{Spec: cfg})
+	srv.mu.Lock()
+	tn := srv.tenants[cr.ID]
+	srv.mu.Unlock()
+	for _, chunk := range feed.Chunks {
+		postChunk(t, ts.URL, cr.ID, ContentTypeBundle, chunk)
+	}
+	deleteTenant(t, ts.URL, cr.ID) // drains: the tenant loop has finished
+	if now := tn.rt.Scheduler().Now(); now != testDur {
+		t.Fatalf("tenant clock at %gs, want %g", now, testDur)
+	}
+	if len(tn.rt.NodeReports()) == 0 {
+		t.Fatal("tenant kept no node reports at all")
+	}
+	for _, nr := range tn.rt.NodeReports() {
+		if nr.Time < cutoff {
+			t.Fatalf("node report at %gs kept past the %gs window", nr.Time, window)
+		}
+	}
+	for _, ev := range tn.rt.Evaluations() {
+		if ev.Time < cutoff {
+			t.Fatalf("evaluation at %gs kept past the %gs window", ev.Time, window)
+		}
+	}
+	if got := tn.detections(); !reflect.DeepEqual(got, feed.Detections) {
+		t.Fatalf("tenant detections diverge from the recording's:\n got %+v\nwant %+v", got, feed.Detections)
+	}
+}
+
 // TestServeBackpressure pins the bounded-buffering contract: a consumer
 // that stops reading stalls its tenant's pipeline (the subscriber channel
 // fills, delivery blocks), the bounded ingest queue fills, and further

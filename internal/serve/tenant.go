@@ -195,6 +195,10 @@ func newTenant(srv *Server, id string, req CreateRequest, rc isid.Config) (*tena
 		// Workers explicitly keeps it (results are bit-identical either way).
 		rc.Workers = 1
 	}
+	// The server reads only sink reports, which are never evicted: keep one
+	// collection window of node reports and evaluations, not the tenant's
+	// whole life.
+	rc.HistoryWindow = rc.CollectWindow
 	push, err := source.NewPush(detect.SampleRate, detect.GravityCounts, rc.Grid.NumNodes())
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/sid-wsn/sid/internal/adversary"
+	"github.com/sid-wsn/sid/internal/cluster"
 	"github.com/sid-wsn/sid/internal/obs"
 )
 
@@ -67,7 +68,7 @@ func (r *Runtime) inject(b adversary.ByzantineNode, rng *rand.Rand) {
 		// A crashed or drained node cannot transmit — the fault layer wins.
 		return
 	}
-	var payload ReportPayload
+	var payload cluster.Report
 	switch b.Behavior {
 	case adversary.Replay:
 		if !ns.hasReport {
@@ -77,8 +78,8 @@ func (r *Runtime) inject(b adversary.ByzantineNode, rng *rand.Rand) {
 		}
 		payload = ns.lastReport // stale onset and all
 	default: // adversary.Fabricate
-		payload = ReportPayload{
-			Node: ns.id,
+		payload = cluster.Report{
+			Node: int(ns.id),
 			Row:  ns.row,
 			Pos:  ns.pos,
 			// Plausible: onset just before "now" on the node's own clock,

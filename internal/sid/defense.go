@@ -1,6 +1,7 @@
 package sid
 
 import (
+	"github.com/sid-wsn/sid/internal/cluster"
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
@@ -63,8 +64,8 @@ func DefaultDefenseConfig() DefenseConfig { return DefenseConfig{Enabled: true} 
 // defenseAdmit decides whether a head folds a report into its collection.
 // The returned reason ("quarantined", "stale", "future", "energy") feeds
 // the rejection journal and the suspicion ledger.
-func (r *Runtime) defenseAdmit(head *nodeState, p ReportPayload) (bool, string) {
-	if int(p.Node) >= 0 && int(p.Node) < len(r.quarantined) && r.quarantined[p.Node] {
+func (r *Runtime) defenseAdmit(head *nodeState, p cluster.Report) (bool, string) {
+	if p.Node >= 0 && p.Node < len(r.quarantined) && r.quarantined[p.Node] {
 		return false, "quarantined"
 	}
 	if p.Energy <= 0 {
@@ -83,16 +84,16 @@ func (r *Runtime) defenseAdmit(head *nodeState, p ReportPayload) (bool, string) 
 // rejectReport books a refused report: counter, journal, and a suspicion
 // bump against the claimed origin (quarantined origins are already charged;
 // re-charging them would just inflate the score).
-func (r *Runtime) rejectReport(head *nodeState, p ReportPayload, reason string) {
+func (r *Runtime) rejectReport(head *nodeState, p cluster.Report, reason string) {
 	r.ctr.rejected.Inc()
 	if r.col.Journaling() {
 		r.col.Emit(r.sched.Now(), obs.KindReportReject, obs.ReportReject{
-			Head: int(head.id), Node: int(p.Node),
+			Head: int(head.id), Node: p.Node,
 			Onset: p.Onset, Energy: p.Energy, Reason: reason,
 		})
 	}
 	if reason != "quarantined" {
-		r.suspect(int(p.Node), reason)
+		r.suspect(p.Node, reason)
 	}
 }
 

@@ -170,12 +170,6 @@ func (r *Runtime) onTakeover(ns *nodeState, p TakeoverPayload) {
 	ns.headID = p.New
 	r.observeHead(ns)
 	if ns.hasReport {
-		if r.col.Journaling() {
-			r.col.Emit(now, obs.KindReportSend, obs.ReportSend{
-				Node: int(ns.id), Head: int(p.New), Onset: ns.lastReport.Onset,
-				Energy: ns.lastReport.Energy, Resend: true,
-			})
-		}
-		r.countSend(ns.id, r.net.SendMultiHop(ns.id, p.New, KindReport, ns.lastReport, r.clusterKey(p.New)))
+		r.sendReport(ns, ns.lastReport, true)
 	}
 }

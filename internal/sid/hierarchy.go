@@ -3,6 +3,7 @@ package sid
 import (
 	"fmt"
 
+	"github.com/sid-wsn/sid/internal/cluster"
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
@@ -61,13 +62,13 @@ func DefaultHierarchyConfig() HierarchyConfig { return HierarchyConfig{} }
 // with the collection head it must ultimately reach.
 type SubReportPayload struct {
 	Head   wsn.NodeID
-	Report ReportPayload
+	Report cluster.Report
 }
 
 // SummaryPayload is a sub-head's batched forward to one collection head.
 type SummaryPayload struct {
 	Head    wsn.NodeID
-	Reports []ReportPayload
+	Reports []cluster.Report
 }
 
 // aggBatch is a sub-head's buffer of member reports destined for one
@@ -75,7 +76,7 @@ type SummaryPayload struct {
 // stale timer closures after an early (maxBatch) flush re-arms the buffer.
 type aggBatch struct {
 	head    wsn.NodeID
-	reports []ReportPayload
+	reports []cluster.Report
 	armed   bool
 	epoch   int
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/cluster"
+	"github.com/sid-wsn/sid/internal/detect"
 	"github.com/sid-wsn/sid/internal/geo"
+	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
 
@@ -174,5 +176,97 @@ func TestHierarchySubHeadDeathFallback(t *testing.T) {
 				t.Errorf("node %d buffered reports despite dead sub-heads", ns.id)
 			}
 		}
+	}
+}
+
+// TestHierarchyFailoverResendViaSubHead: with the aggregation tier and
+// failover both on, a head dies mid-collection and the members elect a
+// replacement. A member's resend of its retained report then takes the
+// same route as a first send: through its sub-head, whose summary carries
+// it to the elected head, which accepts it and confirms.
+func TestHierarchyFailoverResendViaSubHead(t *testing.T) {
+	cfg := failoverCfg()
+	cfg.Hierarchy = HierarchyConfig{Enabled: true}
+	j := obs.NewJournal(obs.DefaultJournalCap)
+	cfg.Obs = obs.New()
+	cfg.Obs.SetJournal(j)
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reports carry the wake-front arrival and amplitude of a 10 kn
+	// crossing along column 3 that has passed by t = 60 s.
+	ship := crossGridShip(t, cfg, 10, 30)
+	report := func(id wsn.NodeID) detect.Report {
+		sig := ship.SignalAt(rt.nodes[id].pos)
+		return detect.Report{Onset: sig.Arrival, Energy: sig.Amp}
+	}
+	// The 36 nodes form one sub-cluster around node 14, which is not among
+	// the reporting nodes.
+	const head, sub wsn.NodeID = 21, 14
+	members := []wsn.NodeID{8, 9, 10, 11, 15, 16, 17, 20, 22, 23, 26, 27, 28, 29}
+	for _, id := range append([]wsn.NodeID{head}, members...) {
+		if s := rt.nodes[id].subHead; s != sub {
+			t.Fatalf("node %d has sub-head %d, want %d", id, s, sub)
+		}
+	}
+
+	rt.sched.Run(60)
+	rt.onNodeDetection(rt.nodes[head], rt.net.MustNode(head), report(head))
+	rt.sched.Run(61) // deliver the invites
+	for _, id := range members {
+		rt.onNodeDetection(rt.nodes[id], rt.net.MustNode(id), report(id))
+	}
+	rt.sched.Run(70) // flush the summaries to the head
+	rt.net.MustNode(head).Fail()
+	rt.sched.Run(200)
+
+	var elected wsn.NodeID = -1
+	resentAt := map[int]float64{}
+	lastFlush := -1.0 // the sub-head's latest summary to the elected head
+	flushed := 0      // reports in those summaries
+	viaSub := map[int]bool{}
+	for _, ev := range j.Events() {
+		switch d := ev.Data.(type) {
+		case obs.FailoverElect:
+			if d.Old == int(head) && elected < 0 {
+				elected = wsn.NodeID(d.New)
+			}
+		case obs.ReportSend:
+			if d.Resend && d.Head == int(elected) {
+				resentAt[d.Node] = ev.T
+			}
+		case obs.SummaryFlush:
+			if elected >= 0 && d.Sub == int(sub) && d.Head == int(elected) {
+				lastFlush = ev.T
+				flushed += d.Reports
+			}
+		case obs.ReportAccept:
+			if at, ok := resentAt[d.Node]; ok && d.Head == int(elected) {
+				viaSub[d.Node] = lastFlush >= at
+			}
+		}
+	}
+	if elected < 0 || elected == sub {
+		t.Fatalf("elected head %d after head %d died; want a member other than the sub-head %d", elected, head, sub)
+	}
+	resends := 0
+	for _, id := range members {
+		if id == elected {
+			continue
+		}
+		resends++
+		if _, ok := resentAt[int(id)]; !ok {
+			t.Errorf("member %d did not re-send to the elected head %d", id, elected)
+		} else if !viaSub[int(id)] {
+			t.Errorf("member %d's resend did not reach the elected head %d through sub-head %d", id, elected, sub)
+		}
+	}
+	if flushed != resends {
+		t.Errorf("sub-head %d forwarded %d reports to the elected head %d, want the %d resends", sub, flushed, elected, resends)
+	}
+	srs := rt.SinkReports()
+	if len(srs) != 1 || srs[0].Head != elected {
+		t.Fatalf("sink reports %+v, want one from the elected head %d", srs, elected)
 	}
 }

@@ -11,7 +11,7 @@ package sid
 // they are deterministic and never race the synthesis fan-out.
 
 // memReportBytes approximates one collected report's resident size
-// (cluster.Report and ReportPayload: six machine words each).
+// (cluster.Report: six machine words).
 const memReportBytes = 48
 
 // memSampleBytes approximates one sensor.Sample (float64 + 3×int16, padded).

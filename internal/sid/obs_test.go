@@ -24,7 +24,9 @@ func TestConsumeBlockNoOpCollectorZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns := rt.nodes[0]
-	blk := rt.src.Block(0, 0, 0, 50)
+	// 150 samples span three of detectBlock's 64-sample chunks, so each
+	// step runs the filter three times.
+	blk := rt.src.Block(0, 0, 0, 150)
 	var wins []detect.BlockWindow
 	windows := 0
 	step := func() {

@@ -122,9 +122,9 @@ func (r *Runtime) senseGate(ns *nodeState, sampleIdx, perBatch int, rate float64
 		node.Battery.AccrueIdle(float64(perBatch) / rate)
 	}
 	// Duty cycling: non-sentinel nodes run coarse mode (every fourth
-	// batch) unless woken by an invite or active in a cluster.
-	now := r.sched.Now()
-	woken := now < ns.awakeTil || now < ns.membership
+	// batch) unless a cluster membership (an invite, or heading one) has
+	// woken them until it expires.
+	woken := r.sched.Now() < ns.membership
 	if !ns.sentinel && !woken && (sampleIdx/perBatch)%4 != 0 {
 		return false
 	}

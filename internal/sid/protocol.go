@@ -7,7 +7,6 @@ import (
 
 	"github.com/sid-wsn/sid/internal/cluster"
 	"github.com/sid-wsn/sid/internal/detect"
-	"github.com/sid-wsn/sid/internal/geo"
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/speed"
 	"github.com/sid-wsn/sid/internal/wsn"
@@ -24,16 +23,6 @@ const (
 	KindReport     = "sid.report"
 	KindSinkReport = "sid.sink"
 )
-
-// ReportPayload is a member's detection report to its temporary cluster
-// head (the paper: "it reports EΔ and the onset time").
-type ReportPayload struct {
-	Node   wsn.NodeID
-	Row    int
-	Pos    geo.Vec2
-	Onset  float64 // node-local clock time of onset
-	Energy float64
-}
 
 // SinkReport is what the sink finally receives for one confirmed intrusion.
 type SinkReport struct {
@@ -72,10 +61,12 @@ type tempCluster struct {
 }
 
 // onNodeDetection implements the DetectIntrusion branch of Algorithm SID.
+// The node's report (the paper: "it reports EΔ and the onset time") is the
+// cluster.Report its head stores.
 func (r *Runtime) onNodeDetection(ns *nodeState, node *wsn.Node, rep detect.Report) {
 	now := r.sched.Now()
-	payload := ReportPayload{
-		Node:   ns.id,
+	payload := cluster.Report{
+		Node:   int(ns.id),
 		Row:    ns.row,
 		Pos:    ns.pos,
 		Onset:  node.LocalTime(rep.Onset), // timestamps cross the network in local time
@@ -101,30 +92,14 @@ func (r *Runtime) onNodeDetection(ns *nodeState, node *wsn.Node, rep detect.Repo
 // injection (adversary.go) must travel the same path as a genuine
 // detection: the attack's radio traffic, cluster formations, and sink load
 // are real.
-func (r *Runtime) dispatchReport(ns *nodeState, payload ReportPayload) {
+func (r *Runtime) dispatchReport(ns *nodeState, payload cluster.Report) {
 	now := r.sched.Now()
 	if now < ns.membership {
 		if ns.led != nil {
 			r.acceptReport(ns, payload)
 			return
 		}
-		if r.col.Journaling() {
-			r.col.Emit(now, obs.KindReportSend, obs.ReportSend{
-				Node: int(ns.id), Head: int(ns.headID),
-				Onset: payload.Onset, Energy: payload.Energy,
-			})
-		}
-		key := r.clusterKey(ns.headID)
-		if r.hierRoute(ns) {
-			// Two-level collection: hand the report to the sub-cluster head
-			// for batched forwarding. Journal and trace exactly as a direct
-			// send — the report's protocol meaning is unchanged, only its
-			// radio path differs.
-			r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.subHead, KindSubReport,
-				SubReportPayload{Head: ns.headID, Report: payload}, key))
-			return
-		}
-		r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.headID, KindReport, payload, key))
+		r.sendReport(ns, payload, false)
 		return
 	}
 	// SetUpTempCluster: become head, invite neighbors within six hops.
@@ -142,6 +117,27 @@ func (r *Runtime) dispatchReport(ns *nodeState, payload ReportPayload) {
 	r.acceptReport(ns, payload)
 	r.countSend(ns.id, r.net.Flood(ns.id, clusterHops, KindInvite, ns.id))
 	r.lead(ns, c)
+}
+
+// sendReport sends a member's report to its head, the one send path of a
+// first report and of a failover resend (resend marks the latter). With
+// the aggregation tier on, the report goes through the member's sub-head
+// for batched forwarding; it is journaled and traced exactly as a direct
+// send, since only its radio path differs.
+func (r *Runtime) sendReport(ns *nodeState, p cluster.Report, resend bool) {
+	if r.col.Journaling() {
+		r.col.Emit(r.sched.Now(), obs.KindReportSend, obs.ReportSend{
+			Node: int(ns.id), Head: int(ns.headID),
+			Onset: p.Onset, Energy: p.Energy, Resend: resend,
+		})
+	}
+	key := r.clusterKey(ns.headID)
+	if r.hierRoute(ns) {
+		r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.subHead, KindSubReport,
+			SubReportPayload{Head: ns.headID, Report: p}, key))
+		return
+	}
+	r.countSend(ns.id, r.net.SendMultiHop(ns.id, ns.headID, KindReport, p, key))
 }
 
 // lead starts ns's collection for c: the evaluation at c's deadline and,
@@ -178,7 +174,6 @@ func (r *Runtime) onMessage(node *wsn.Node, msg wsn.Message) {
 		}
 		ns.headID = head
 		ns.membership = r.sched.Now() + r.cfg.CollectWindow
-		ns.awakeTil = ns.membership // wake a sleeping node for the window
 		if r.col.Journaling() {
 			r.col.Emit(r.sched.Now(), obs.KindClusterJoin, obs.ClusterJoin{
 				Node: int(ns.id), Head: int(head), Until: ns.membership,
@@ -200,7 +195,7 @@ func (r *Runtime) onMessage(node *wsn.Node, msg wsn.Message) {
 		}
 		r.onTakeover(ns, payload)
 	case KindReport:
-		payload, ok := msg.Payload.(ReportPayload)
+		payload, ok := msg.Payload.(cluster.Report)
 		if !ok {
 			return
 		}
@@ -259,7 +254,7 @@ const eventGap = 15.0
 // onset is kept — the paper's onset is "the time when the signal first
 // exceeds the threshold", which is the wake-front arrival the speed
 // estimator needs.
-func (r *Runtime) acceptReport(head *nodeState, p ReportPayload) {
+func (r *Runtime) acceptReport(head *nodeState, p cluster.Report) {
 	if r.cfg.Defense.Enabled {
 		if ok, reason := r.defenseAdmit(head, p); !ok {
 			r.rejectReport(head, p, reason)
@@ -268,21 +263,15 @@ func (r *Runtime) acceptReport(head *nodeState, p ReportPayload) {
 	}
 	c := head.led
 	c.lastReportAt = r.sched.Now()
-	i := slices.IndexFunc(c.reports, func(rep cluster.Report) bool { return rep.Node == int(p.Node) })
+	i := slices.IndexFunc(c.reports, func(rep cluster.Report) bool { return rep.Node == p.Node })
 	if r.col.Journaling() {
 		r.col.Emit(r.sched.Now(), obs.KindReportAccept, obs.ReportAccept{
-			Head: int(head.id), Node: int(p.Node),
+			Head: int(head.id), Node: p.Node,
 			Onset: p.Onset, Energy: p.Energy, First: i < 0,
 		})
 	}
 	if i < 0 {
-		c.reports = append(c.reports, cluster.Report{
-			Node:   int(p.Node),
-			Pos:    p.Pos,
-			Row:    p.Row,
-			Onset:  p.Onset,
-			Energy: p.Energy,
-		})
+		c.reports = append(c.reports, p)
 		return
 	}
 	cur := &c.reports[i]

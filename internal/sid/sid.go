@@ -249,9 +249,8 @@ type nodeState struct {
 	membership float64
 
 	// sentinel marks nodes that stay awake under duty cycling; others
-	// sleep until an invite wakes them.
+	// sleep until an invite wakes them for the membership window.
 	sentinel bool
-	awakeTil float64 // wake-on-invite expiry for non-sentinels
 
 	// led is the temporary cluster this node heads, nil unless it heads one.
 	led *tempCluster
@@ -260,7 +259,7 @@ type nodeState struct {
 	// closures (every newer observation bumps it); lastReport/hasReport
 	// retain the node's own report for re-sending to a replacement head.
 	electEpoch int
-	lastReport ReportPayload
+	lastReport cluster.Report
 	hasReport  bool
 
 	// hierarchy state: subHead is the node's assigned sub-cluster head (-1

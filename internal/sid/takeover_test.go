@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/sid-wsn/sid/internal/cluster"
 	"github.com/sid-wsn/sid/internal/detect"
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/wsn"
@@ -38,7 +39,7 @@ func TestTakeoverStepsLiveHeadDown(t *testing.T) {
 	x := rt.nodes[head]
 	rep := report(head)
 	// Dispatched, not detected: X retains no report to re-send.
-	rt.dispatchReport(x, ReportPayload{Node: head, Row: x.row, Pos: x.pos, Onset: rep.Onset, Energy: rep.Energy})
+	rt.dispatchReport(x, cluster.Report{Node: int(head), Row: x.row, Pos: x.pos, Onset: rep.Onset, Energy: rep.Energy})
 	rt.sched.Run(61) // deliver the invites
 	for _, id := range members {
 		ns := rt.nodes[id]

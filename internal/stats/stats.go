@@ -61,18 +61,6 @@ func MinMax(xs []float64) (min, max float64) {
 	return min, max
 }
 
-// RMS returns the root-mean-square of xs.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Moving tracks the paper's environment-adaptive statistics (eq. 5):
 //
 //	m′_T = β₁·m′_T + mΔt·(1−β₁)

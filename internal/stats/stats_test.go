@@ -25,9 +25,6 @@ func TestMeanStdEmpty(t *testing.T) {
 	if d := StdDev(nil); d != 0 {
 		t.Errorf("StdDev(nil) = %v", d)
 	}
-	if r := RMS(nil); r != 0 {
-		t.Errorf("RMS(nil) = %v", r)
-	}
 }
 
 func TestMinMax(t *testing.T) {
@@ -38,12 +35,6 @@ func TestMinMax(t *testing.T) {
 	min, max = MinMax(nil)
 	if min != 0 || max != 0 {
 		t.Errorf("MinMax(nil) = %v, %v", min, max)
-	}
-}
-
-func TestRMS(t *testing.T) {
-	if r := RMS([]float64{3, 4, 3, 4}); !almostEq(r, math.Sqrt(12.5), 1e-12) {
-		t.Errorf("RMS = %v", r)
 	}
 }
 
