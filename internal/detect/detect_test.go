@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/sid-wsn/sid/internal/dsp"
 	"github.com/sid-wsn/sid/internal/geo"
 	"github.com/sid-wsn/sid/internal/ocean"
 	"github.com/sid-wsn/sid/internal/sensor"
@@ -456,5 +457,79 @@ func TestPushBlockMatchesPush(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDetectorsShareLowPass: LowPass is the §IV-B design (a 1 Hz cutoff,
+// 101 Hamming-windowed taps at 50 Hz), made once and returned on every
+// call, and the detector's start-up constants follow from it.
+func TestDetectorsShareLowPass(t *testing.T) {
+	fresh, err := dsp.LowPassFIR(1, 50, 101, dsp.Hamming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := LowPass()
+	if LowPass() != lp {
+		t.Fatal("LowPass returns a new design on each call")
+	}
+	if len(lp.Taps) != len(fresh.Taps) {
+		t.Fatalf("LowPass has %d taps, want %d", len(lp.Taps), len(fresh.Taps))
+	}
+	for i, c := range fresh.Taps {
+		if math.Float64bits(lp.Taps[i]) != math.Float64bits(c) {
+			t.Fatalf("tap %d = %v, the design gives %v", i, lp.Taps[i], c)
+		}
+	}
+	if filterDelay != 1 {
+		t.Errorf("filter delay = %v s, want 1 s (50 samples at 50 Hz)", filterDelay)
+	}
+	if settleSamples != 101 || warmupSamples != warmupWindows*statWindow+101 {
+		t.Errorf("settle %d, warmup %d samples", settleSamples, warmupSamples)
+	}
+	d, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A new detector's filter state is its 100-sample delay line alone.
+	if got := d.stream.MemBytes(); got != 100*8 {
+		t.Errorf("new detector's filter holds %d B, want %d", got, 100*8)
+	}
+}
+
+// TestBatchOnlyUnderGateSample: only GateSample stores normal samples in
+// the batch buffer, so only it allocates one. Under GateWindow the buffer
+// stays absent however long the detector runs, and a new detector's
+// MemBytes is smaller by exactly the buffer's statWindow samples.
+func TestBatchOnlyUnderGateSample(t *testing.T) {
+	win, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Gate = GateSample
+	smp, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win.batch != nil {
+		t.Errorf("GateWindow detector allocates a batch of %d", cap(win.batch))
+	}
+	if cap(smp.batch) != statWindow {
+		t.Errorf("GateSample batch capacity = %d, want %d", cap(smp.batch), statWindow)
+	}
+	if diff := smp.MemBytes() - win.MemBytes(); diff != statWindow*8 {
+		t.Errorf("GateSample detector is %d B larger, want %d", diff, statWindow*8)
+	}
+	z, _ := synth(t, geo.Vec2{X: 50, Y: 0}, 120, true, 3)
+	for i, v := range z {
+		ts := float64(i) / SampleRate
+		win.Push(ts, v)
+		smp.Push(ts, v)
+	}
+	if win.batch != nil {
+		t.Errorf("GateWindow detector grew a batch of %d", cap(win.batch))
+	}
+	if cap(smp.batch) != statWindow {
+		t.Errorf("GateSample batch grew to %d, want %d", cap(smp.batch), statWindow)
 	}
 }
